@@ -1,83 +1,52 @@
 """Hot integer kernels: sieve construction and the ordered-triple enumeration.
 
-The kernels are compiled with numba when it is importable.  Setting the
-environment variable ``BIQUAD_HNP_PURE_PYTHON=1`` (before import) forces
-the uncompiled path: sieves fall back to vectorized numpy and the
-enumeration loop runs as plain Python.  Both paths produce bit-identical
-results; ``benchmarks/bench_enumeration.py`` compares their speed.
+Everything here is numpy array algebra; there is no compiled path.
 
-int64 is used throughout, which caps the discriminant bound at
-X < 2^63 (the enumeration squares values up to sqrt(X)).
+``enumerate_block`` groups the odd squarefree cores of its range by the
+number of prime factors w = omega(n).  An ordered tuple is an assignment
+of the w primes to the three components (3^w of them) together with one
+of 16 (slot of the factor 2, sign pair) choices, and every test on it is
+an array operation over all cores of one group at once:
+
+* the tuple's class id, its weight factor c and the mod-4/mod-8
+  congruence prefilter (with the slot-of-2 condition) depend only on the
+  components mod 8, so they are read from two 1024-entry class tables;
+* the residue-symbol test needs, for each prime p of a component, the
+  symbol (q|p) of the product q of the other two components.  It is a
+  product of Legendre symbols (p'|p) over the primes of those components,
+  times (-1|p) per negative one and (2|p) when one of them is even.  The
+  symbols (p_k|p_i) of each core are computed once, with a vectorized
+  Jacobi, and packed into one bitmask per prime, so that a tuple's test
+  is a popcount parity per prime and one comparison of bitmasks.
+
+Each group is processed in slabs of at most ``SLAB`` cores, which bounds
+the working arrays independently of the range; records go into one
+growing buffer.  int64 is used throughout, which caps the discriminant
+bound at X < 2^63 (records hold disc = (c * 2^[even] * n)^2).
 """
 
 from __future__ import annotations
 
 import math
-import os
+from functools import cache
 
 import numpy as np
 
-USING_NUMBA = os.environ.get("BIQUAD_HNP_PURE_PYTHON", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-
-if not USING_NUMBA:
-
-    def njit(*args, **kwargs):
-        """No-op decorator standing in for numba.njit."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
+# There is no numba path; the flag stays for the benchmark's environment probe.
+USING_NUMBA = False
 
 # Ordered-tuple classes: 4 sign pairs x 4 factor-of-2 placements x 4^3 odd
 # residues mod 8.  Class ids index the tally arrays returned by
 # enumerate_block; see class_index/decode_class_index.
 CLASS_SPACE = 4 * 4 * 64
 
-POW3 = np.array([3**k for k in range(17)], dtype=np.int64)
+SLAB = 2048  # cores per slab in enumerate_block
 
 
 def build_spf(limit: int) -> np.ndarray:
     """Least-prime-factor table for 0..limit (entries 0 and 1 are 0 and 1)."""
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
-    if USING_NUMBA:
-        return _spf_loop(limit)
-    return _spf_numpy(limit)
-
-
-def build_mobius(spf: np.ndarray) -> np.ndarray:
-    """Mobius values 0..limit from a least-prime-factor table."""
-    if USING_NUMBA:
-        return _mobius_loop(spf)
-    return _mobius_numpy(spf.shape[0] - 1)
-
-
-@njit(cache=True)
-def _spf_loop(limit):
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            for j in range(i, limit + 1, i):
-                if spf[j] == 0:
-                    spf[j] = i
-    return spf
-
-
-def _spf_numpy(limit: int) -> np.ndarray:
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1] = 1
     for p in range(2, math.isqrt(limit) + 1):
@@ -92,27 +61,9 @@ def _spf_numpy(limit: int) -> np.ndarray:
     return spf
 
 
-@njit(cache=True)
-def _mobius_loop(spf):
+def build_mobius(spf: np.ndarray) -> np.ndarray:
+    """Mobius values 0..limit, for the range of a least-prime-factor table."""
     limit = spf.shape[0] - 1
-    mob = np.zeros(limit + 1, dtype=np.int8)
-    if limit >= 1:
-        mob[1] = 1
-    for i in range(2, limit + 1):
-        t = i
-        m = 1
-        while t > 1:
-            p = spf[t]
-            t //= p
-            if t % p == 0:
-                m = 0
-                break
-            m = -m
-        mob[i] = m
-    return mob
-
-
-def _mobius_numpy(limit: int) -> np.ndarray:
     # multiplicative sieve: flip sign at multiples of each prime, zero at
     # multiples of its square
     mob = np.ones(limit + 1, dtype=np.int8)
@@ -131,80 +82,205 @@ def _mobius_numpy(limit: int) -> np.ndarray:
     return mob
 
 
-@njit(cache=True, nogil=True)
-def jacobi_i64(a, n):
-    """Jacobi symbol for int64 operands; n odd positive, a already in [0, n)."""
-    result = 1
-    while a != 0:
-        while a & 1 == 0:
-            a >>= 1
-            r = n & 7
-            if r == 3 or r == 5:
-                result = -result
-        t = a
-        a = n
-        n = t
-        if (a & 3) == 3 and (n & 3) == 3:
-            result = -result
-        a = a % n
-    if n == 1:
-        return result
-    return 0
+def jacobi_array(a, n) -> np.ndarray:
+    """Elementwise Jacobi symbols (a|n) as int8; n odd positive, a any int64.
 
-
-@njit(cache=True, nogil=True)
-def _fails_norm_principle(v1, v2, v3, fp, digs, w, even_slot):
-    """Congruence-and-symbol failure test for one ordered tuple.
-
-    v1, v2, v3 are the signed components (v1 > 0); fp[:w] their odd prime
-    factors with digs[:w] giving the component each prime divides.
+    Binary reduction on all entries at once: strip the factors of 2 of a
+    (one sign flip per odd power when n = 3, 5 mod 8), swap with the
+    reciprocity sign (both = 3 mod 4), reduce, and retire the entries
+    whose a reached 0.  The sign is kept as a 0/1 flip bit.
     """
-    r1 = v1 & 3
-    r2 = v2 & 3
-    r3 = v3 & 3
-    if r1 == r2 and r2 == r3:
-        pass  # all components in one class mod 4: no extra congruence
-    elif r1 == r2:
-        if (v1 & 7) != (v2 & 7):
-            return False
-    elif r1 == r3:
-        if (v1 & 7) != (v3 & 7):
-            return False
-    elif r2 == r3:
-        if (v2 & 7) != (v3 & 7):
-            return False
-    else:
-        return False  # pairwise distinct mod 4: the principle holds
-    q1 = v2 * v3
-    q2 = v1 * v3
-    q3 = v1 * v2
-    if even_slot == 1:
-        x = q1 & 7
-        if x != 1 and x != 7:
-            return False
-    elif even_slot == 2:
-        x = q2 & 7
-        if x != 1 and x != 7:
-            return False
-    elif even_slot == 3:
-        x = q3 & 7
-        if x != 1 and x != 7:
-            return False
-    for i in range(w):
-        p = fp[i]
-        d = digs[i]
-        if d == 0:
-            q = q1
-        elif d == 1:
-            q = q2
-        else:
-            q = q3
-        if jacobi_i64(q % p, p) != 1:
-            return False
-    return True
+    a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
+    out = np.zeros(a.shape, dtype=np.int8)
+    flat = out.reshape(-1)
+    aa = (a % n).reshape(-1)
+    nn = n.reshape(-1).copy()
+    flip = np.zeros(aa.shape, dtype=np.int64)
+    pos = np.arange(aa.size)
+    while aa.size:
+        done = aa == 0
+        if done.any():
+            flat[pos[done]] = np.where(nn[done] == 1, 1 - 2 * flip[done], 0)
+            keep = ~done
+            aa, nn, flip, pos = aa[keep], nn[keep], flip[keep], pos[keep]
+        twos = np.bitwise_count((aa & -aa) - 1)
+        aa >>= twos
+        # bit 0 of (n >> 1) ^ (n >> 2) is set exactly when n = 3, 5 mod 8
+        flip ^= ((twos & ((nn >> 1) ^ (nn >> 2))) ^ ((aa & nn) >> 1)) & 1
+        aa, nn = nn % aa, aa
+    return out
 
 
-@njit(cache=True, nogil=True)
+@cache
+def _class_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per class id: the weight factor c, and whether the tuple passes the
+    mod-4/mod-8 prefilter and the slot-of-2 condition."""
+    cid = np.arange(CLASS_SPACE, dtype=np.int64)
+    ecode = cid & 63
+    even_slot = (cid >> 6) & 3
+    s = cid >> 8
+    m = [((ecode >> shift) & 3) * 2 + 1 for shift in (4, 2, 0)]
+    sign = [1, np.where(s < 2, 1, -1), np.where((s & 1) == 0, 1, -1)]
+    v = [(sign[i] * m[i] * np.where(even_slot == i + 1, 2, 1)) & 7 for i in range(3)]
+    r = [vi & 3 for vi in v]
+    eq12, eq13, eq23 = r[0] == r[1], r[0] == r[2], r[1] == r[2]
+    c = np.where(eq12 & eq13, 1, np.where(eq12 | eq13 | eq23, 4, 8))
+    # all components in one class mod 4, or the agreeing pair agree mod 8
+    # (a pair agreeing mod 8 agrees mod 4, so otherwise only that pair can)
+    ok = (eq12 & eq13) | (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
+    # the even component's partner product must be +-1 mod 8
+    q = [(v[1] * v[2]) & 7, (v[0] * v[2]) & 7, (v[0] * v[1]) & 7]
+    for i in range(3):
+        ok &= (even_slot != i + 1) | (q[i] == 1) | (q[i] == 7)
+    c.setflags(write=False)
+    ok.setflags(write=False)
+    return c, ok
+
+
+@cache
+def _assignments(w: int) -> tuple[tuple[tuple, tuple, np.ndarray], ...]:
+    """The 3^w prime-to-component assignments, in base-3 digit order.
+
+    Each entry holds the prime columns of each component, the bitmask of
+    each component, and per prime the bitmask of the other two components.
+    """
+    full = (1 << w) - 1
+    out = []
+    for asg in range(3**w):
+        digits = [asg // 3**i % 3 for i in range(w)]
+        cols = tuple([i for i in range(w) if digits[i] == d] for d in range(3))
+        masks = tuple(sum(1 << i for i in c) for c in cols)
+        other_of = np.array([full ^ masks[d] for d in digits], dtype=np.int64)
+        other_of.setflags(write=False)
+        out.append((cols, masks, other_of))
+    return tuple(out)
+
+
+class _RecordBuffer:
+    """One (cap, 6) int64 buffer that doubles when full."""
+
+    def __init__(self) -> None:
+        self.rows = np.empty((1024, 6), dtype=np.int64)
+        self.n = 0
+
+    def append(self, block: list[np.ndarray]) -> None:
+        k = len(block[0])
+        need = self.n + k
+        if need > len(self.rows):
+            cap = len(self.rows)
+            while cap < need:
+                cap *= 2
+            grown = np.empty((cap, 6), dtype=np.int64)
+            grown[: self.n] = self.rows[: self.n]
+            self.rows = grown
+        for j, col in enumerate(block):
+            self.rows[self.n : need, j] = col
+        self.n = need
+
+
+def _odd_cores(n_lo: int, n_hi: int, spf: np.ndarray, mob: np.ndarray):
+    """Odd squarefree n in [n_lo, n_hi], ascending, with omega(n)."""
+    start = n_lo if n_lo & 1 else n_lo + 1
+    n = np.flatnonzero(mob[start : n_hi + 1 : 2])
+    n *= 2
+    n += start
+    omega = np.zeros(n.shape, dtype=np.int8)
+    t = n.copy()
+    while True:
+        live = t > 1
+        if not live.any():
+            return n, omega
+        omega += live
+        t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
+
+
+def _symbol_bits(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bitmask rows of a slab whose cores have the odd primes ``primes``.
+
+    Returns (B, B4, B8): bit k of B[:, i] is set when (p_k|p_i) = -1, bit
+    i of B4 when (-1|p_i) = -1, and bit i of B8 when (2|p_i) = -1.
+    """
+    w = primes.shape[1]
+    weights = np.int64(1) << np.arange(w, dtype=np.int64)
+    r8 = primes & 7
+    minus4 = (r8 & 3) == 3
+    B = np.zeros(primes.shape, dtype=np.int64)
+    for i in range(w - 1):
+        # (p_k|p_i) for k > i, and (p_i|p_k) from it by reciprocity
+        upper = jacobi_array(primes[:, i + 1 :], primes[:, i : i + 1]) == -1
+        lower = upper ^ (minus4[:, i : i + 1] & minus4[:, i + 1 :])
+        B[:, i] |= (upper * weights[i + 1 :]).sum(axis=1)
+        B[:, i + 1 :] |= lower * weights[i]
+    B4 = (minus4 * weights).sum(axis=1)
+    B8 = (((r8 == 3) | (r8 == 5)) * weights).sum(axis=1)
+    return B, B4, B8
+
+
+def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
+    """Tally (and optionally record) every ordered tuple of one slab.
+
+    n holds ascending cores with the same omega; primes[:, i] is the i-th
+    smallest prime of each core.
+    """
+    class_c, class_ok = _class_tables()
+    w = primes.shape[1]
+    weights = np.int64(1) << np.arange(w, dtype=np.int64)
+    B, B4, B8 = _symbol_bits(primes)
+    r8 = primes & 7
+    # cores with an even component have c >= 4 and base 2n
+    k_even = int(np.searchsorted(n, root // 8, side="right"))
+    for cols, masks, other_of in _assignments(w):
+        empty = [mask == 0 for mask in masks]
+        res = [np.prod(r8[:, c], axis=1) & 7 for c in cols]
+        ecode = ((res[0] >> 1) << 4) | ((res[1] >> 1) << 2) | (res[2] >> 1)
+        parity = (np.bitwise_count(B & other_of) & 1) @ weights
+        if records is not None:
+            m = [np.prod(primes[:, c], axis=1) for c in cols]
+        for pl in range(4):
+            k = len(n) if pl == 0 else k_even
+            if k == 0:
+                continue
+            mult = 1 if pl == 0 else 2
+            # (2|p) twists the primes whose other components hold the 2
+            n8 = 0 if pl == 0 else sum(masks[d] for d in range(3) if d != pl - 1)
+            for s in range(4):
+                neg = (0, s >> 1, s & 1)
+                # degenerate tuples name quadratic, not biquadratic, fields:
+                # two subfield kernels collide or equal 1
+                unit2 = empty[1] and pl != 2
+                unit3 = empty[2] and pl != 3
+                if unit2 and unit3 and neg[1] == neg[2]:
+                    continue
+                if empty[0] and pl != 1 and ((unit2 and not neg[1]) or (unit3 and not neg[2])):
+                    continue
+                # (-1|p) twists the primes whose other components hold an
+                # odd number of negative signs
+                n4 = sum(masks[d] for d in range(3) if (neg[0] + neg[1] + neg[2] - neg[d]) & 1)
+                cid0 = (s * 4 + pl) << 6
+                ek = ecode[:k]
+                c = class_c[cid0 + ek]
+                admitted = n[:k] * (mult * c) <= root
+                fails = class_ok[cid0 + ek] & (parity[:k] == ((B4[:k] & n4) ^ (B8[:k] & n8)))
+                fails &= admitted
+                tally = class_total[cid0 : cid0 + 64]
+                tally += np.bincount(ek[admitted], minlength=64)
+                tally = class_fail[cid0 : cid0 + 64]
+                tally += np.bincount(ek[fails], minlength=64)
+                if records is not None:
+                    sel = np.nonzero(admitted)[0]
+                    d_root = n[sel] * (mult * c[sel])
+                    records.append(
+                        [
+                            m[0][sel] * (2 if pl == 1 else 1),
+                            m[1][sel] * ((2 if pl == 2 else 1) * (-1 if neg[1] else 1)),
+                            m[2][sel] * ((2 if pl == 3 else 1) * (-1 if neg[2] else 1)),
+                            d_root * d_root,
+                            c[sel],
+                            fails[sel],
+                        ]
+                    )
+
+
 def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
     """Enumerate ordered tuples whose odd squarefree core lies in [n_lo, n_hi].
 
@@ -213,91 +289,24 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
 
     Returns (class_total, class_fail, records).  records has one int64 row
     (v1, v2, v3, disc, c, fails) per admitted tuple and is empty unless
-    collect is true.
+    collect is true; its row order is unspecified.
     """
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
-    cap = 1024 if collect else 1
-    rec = np.empty((cap, 6), dtype=np.int64)
-    nrec = 0
-    fp = np.empty(16, dtype=np.int64)
-    digs = np.empty(16, dtype=np.int64)
-
-    n = n_lo if (n_lo & 1) == 1 else n_lo + 1
-    while n <= n_hi:
-        if mob[n] != 0:
-            w = 0
-            t = n
-            while t > 1:
-                p = spf[t]
-                fp[w] = p
-                w += 1
-                t //= p
-            for asg in range(POW3[w]):
-                a = asg
-                m1 = np.int64(1)
-                m2 = np.int64(1)
-                m3 = np.int64(1)
-                for i in range(w):
-                    d = a % 3
-                    a //= 3
-                    digs[i] = d
-                    if d == 0:
-                        m1 *= fp[i]
-                    elif d == 1:
-                        m2 *= fp[i]
-                    else:
-                        m3 *= fp[i]
-                ecode = (((m1 & 7) >> 1) << 4) | (((m2 & 7) >> 1) << 2) | ((m3 & 7) >> 1)
-                for pl in range(4):
-                    base = n if pl == 0 else 2 * n
-                    v1 = 2 * m1 if pl == 1 else m1
-                    e2 = 2 * m2 if pl == 2 else m2
-                    e3 = 2 * m3 if pl == 3 else m3
-                    for s in range(4):
-                        v2 = e2 if s < 2 else -e2
-                        v3 = e3 if (s & 1) == 0 else -e3
-                        r1 = v1 & 3
-                        r2 = v2 & 3
-                        r3 = v3 & 3
-                        eq12 = r1 == r2
-                        eq13 = r1 == r3
-                        eq23 = r2 == r3
-                        if eq12 and eq13:
-                            c = np.int64(1)
-                        elif eq12 or eq13 or eq23:
-                            c = np.int64(4)
-                        else:
-                            c = np.int64(8)
-                        if base * c > root:
-                            continue
-                        # degenerate tuples name quadratic, not biquadratic,
-                        # fields: two subfield kernels collide or equal 1
-                        if v2 == v3 and (v2 == 1 or v2 == -1):
-                            continue
-                        if v1 == 1 and (v2 == 1 or v3 == 1):
-                            continue
-                        cid = ((s * 4 + pl) << 6) | ecode
-                        class_total[cid] += 1
-                        fails = _fails_norm_principle(v1, v2, v3, fp, digs, w, pl)
-                        if fails:
-                            class_fail[cid] += 1
-                        if collect:
-                            if nrec == cap:
-                                cap *= 2
-                                grown = np.empty((cap, 6), dtype=np.int64)
-                                grown[:nrec] = rec[:nrec]
-                                rec = grown
-                            d_root = base * c
-                            rec[nrec, 0] = v1
-                            rec[nrec, 1] = v2
-                            rec[nrec, 2] = v3
-                            rec[nrec, 3] = d_root * d_root
-                            rec[nrec, 4] = c
-                            rec[nrec, 5] = 1 if fails else 0
-                            nrec += 1
-        n += 2
-    return class_total, class_fail, rec[:nrec]
+    records = _RecordBuffer() if collect else None
+    cores, omega = _odd_cores(n_lo, n_hi, spf, mob)
+    for w in np.flatnonzero(np.bincount(omega)):
+        group = cores[omega == w]
+        for lo in range(0, len(group), SLAB):
+            n = group[lo : lo + SLAB]
+            primes = np.empty((len(n), int(w)), dtype=np.int64)
+            t = n.copy()
+            for i in range(int(w)):
+                primes[:, i] = spf[t]
+                t //= primes[:, i]
+            _enumerate_slab(n, primes, root, class_total, class_fail, records)
+    rows = records.rows[: records.n] if records is not None else np.empty((0, 6), np.int64)
+    return class_total, class_fail, rows
 
 
 def class_index(sign2: int, sign3: int, even_slot: int, residues) -> int:

@@ -7,7 +7,7 @@ triples (one per ordered choice of two of its three subfield kernels), so
 the unordered count is the ordered count divided by 6; deduplication by
 canonical key must, and does, give the same number.
 
-The heavy loop lives in ``_kernels.enumerate_block``; this module
+The tuple enumeration lives in ``_kernels.enumerate_block``; this module
 partitions the work, merges tallies, reconstructs field objects from the
 raw records, and cross-checks the two dedup strategies.
 """
@@ -27,6 +27,8 @@ from .fields import FieldTriple, SubfieldData, subfield_data
 from .hnp import FAILS, HnpStatus, classify_by_splitting
 
 Sink = Callable[[FieldTriple, SubfieldData, HnpStatus], None]
+
+MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,10 @@ def _run_blocks(
     mob = sieve.mobius
     if threads <= 1 or root < 64:
         return _kernels.enumerate_block(1, root, root, spf, mob, collect)
-    nblocks = threads * 4
-    edges = np.linspace(1, root + 1, nblocks + 1, dtype=np.int64)
-    jobs = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(nblocks)]
+    # one core range per thread: every range repeats the assignment loops
+    # of each omega group, so finer ranges only add overhead
+    edges = np.linspace(1, root + 1, threads + 1, dtype=np.int64)
+    jobs = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(threads)]
     jobs = [(lo, hi) for lo, hi in jobs if hi >= lo]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
@@ -132,6 +135,15 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return srec[first], skey[first]
 
 
+def _sieve_root(X: int) -> int:
+    """floor(sqrt(X)) after checking that X is in the supported range."""
+    if X < 1:
+        raise ValueError(f"discriminant bound must be >= 1, got {X}")
+    if X >= MAX_DISC_EXCLUSIVE:
+        raise ValueError(f"discriminant bound must be below 2^63, got {X}")
+    return math.isqrt(X)
+
+
 def enumerate_fields(
     X: int,
     sink: Sink | None = None,
@@ -148,14 +160,13 @@ def enumerate_fields(
     disc <= audit_bound are additionally re-checked against the splitting
     oracle, and a disagreement raises RuntimeError.
 
-    The report is identical for any thread count.
+    The report is identical for any thread count.  X must lie in
+    [1, 2^63), since the kernel records hold disc as int64.
     """
-    if X < 1:
-        raise ValueError(f"discriminant bound must be >= 1, got {X}")
+    root = _sieve_root(X)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     audit_bound = min(audit_bound, X)
-    root = math.isqrt(X)
     sieve = build_sieve(max(root, 1))
     collect = sink is not None or audit_bound > 0
     total, fails, records = _run_blocks(root, sieve, collect, threads)
@@ -201,9 +212,7 @@ def count_by_class(X: int, *, threads: int = 1) -> dict[ClassLabel, int]:
 
 def field_records(X: int, *, threads: int = 1) -> np.ndarray:
     """Raw ordered-tuple records (v1, v2, v3, disc, c, fails) for disc <= X."""
-    if X < 1:
-        raise ValueError(f"discriminant bound must be >= 1, got {X}")
-    root = math.isqrt(X)
+    root = _sieve_root(X)
     sieve = build_sieve(max(root, 1))
     _, _, records = _run_blocks(root, sieve, True, threads)
     return records

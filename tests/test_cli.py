@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from biquad_hnp import enumeration
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, main, parse_bound
 
 
@@ -82,6 +83,20 @@ class TestCount:
             main(["count", "--max-disc", "1e3", "--audit-bound", "1e4"]) == EXIT_USAGE
         )
         assert "audit-bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["1e19", "1e30"])
+    def test_bound_beyond_int64_is_usage_error(self, bound, capsys, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"a sieve to {limit} was requested")
+
+        # the bound must be refused before any sieve is allocated
+        monkeypatch.setattr(enumeration, "build_sieve", no_sieve)
+        assert main(["count", "--max-disc", bound]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "2^63" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_threads_match_serial(self, capsys):
         assert main(["count", "--max-disc", "1e6", "--threads", "3", "--format", "json"]) == EXIT_OK

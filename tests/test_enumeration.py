@@ -6,6 +6,9 @@ between the two dedup strategies, monotonicity, and independence from
 work partitioning.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,27 @@ class TestConsistency:
         assert one.S_tilde == four.S_tilde
         assert one.per_class == four.per_class
         assert one.per_class_failing == four.per_class_failing
+
+    def test_bound_must_fit_int64(self):
+        for fn in (enumerate_fields, field_records):
+            with pytest.raises(ValueError, match="2\\^63"):
+                fn(2**63)
+            with pytest.raises(ValueError, match=">= 1"):
+                fn(0)
+
+    def test_per_class_pin_1e10(self):
+        # S, S~ and every per-class (count, failing) pair at X = 10^10, as
+        # computed by the scalar per-tuple enumeration
+        report = enumerate_fields(10**10)
+        assert (report.S, report.S_tilde) == (242710, 22841)
+        failing = report.per_class_failing
+        rows = sorted(
+            [lab.sign2, lab.sign3, lab.even_slot, list(lab.residues), n, failing.get(lab, 0)]
+            for lab, n in report.per_class.items()
+        )
+        assert len(rows) == 1024
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "617d8ab6836302ff8d787bba0790e4de2a4cd666bcb30deca6339fa0111cbaa7"
 
     def test_generator_cross_check_1e6(self):
         report = enumerate_fields(10**6)

@@ -1,102 +1,110 @@
-"""Consistency tests for the compiled kernels against the pure-Python layer.
+"""The vectorized kernels against scalar references.
 
-Every kernel must give identical results whether or not numba compiled
-it; the jitted functions expose the original Python through ``py_func``,
-which doubles as the fallback implementation here.
+``enumerate_block`` is compared exactly with the per-tuple loop kept in
+``_reference_kernel``: class tallies, failing tallies and the multiset
+of records, over whole and split core ranges.  ``jacobi_array`` is
+checked against Euler's criterion and against the scalar symbols.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+import _reference_kernel as reference
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve, jacobi
 
-pure_python = not _kernels.USING_NUMBA
+
+def _sorted_rows(records):
+    return records[np.lexsort(records.T[::-1])]
 
 
-@_kernels.njit(cache=False)
-def _euler_mismatches(primes, a_max):
-    """Count |a| <= a_max with jacobi != Euler's criterion over the primes."""
-    bad = 0
-    for idx in range(primes.shape[0]):
-        p = primes[idx]
-        e = (p - 1) // 2
-        for a in range(-a_max, a_max + 1):
-            r = a % p
-            # modular exponentiation r^e mod p
-            acc = 1
-            base = r
-            k = e
-            while k > 0:
-                if k & 1:
-                    acc = acc * base % p
-                base = base * base % p
-                k >>= 1
-            want = 0 if acc == 0 else (1 if acc == 1 else -1)
-            if _kernels.jacobi_i64(r, p) != want:
-                bad += 1
-    return bad
+def _kernel_args(X):
+    root = math.isqrt(X)
+    sieve = build_sieve(root)
+    return root, sieve.smallest_prime_factor, sieve.mobius
 
 
-def test_jacobi_i64_euler_criterion_full_range():
-    # every odd prime p <= 10^4 (or 10^3 when running uncompiled) against
-    # all |a| <= 10^4
-    limit = 10_000 if _kernels.USING_NUMBA else 1_000
+@pytest.mark.parametrize("X", [144, 10**4, 10**6, 10**8])
+def test_enumerate_block_matches_reference(X):
+    root, spf, mob = _kernel_args(X)
+    got = _kernels.enumerate_block(1, root, root, spf, mob, True)
+    want = reference.enumerate_block(1, root, root, spf, mob, True)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2].shape == want[2].shape
+    assert np.array_equal(_sorted_rows(got[2]), _sorted_rows(want[2]))
+
+
+@pytest.mark.parametrize("X", [10**6, 10**8])
+def test_enumerate_block_split_range_matches_reference(X):
+    root, spf, mob = _kernel_args(X)
+    want = reference.enumerate_block(1, root, root, spf, mob, True)
+    # uneven cut points, one of them even, so every piece starts differently
+    cuts = [(1, root // 3), (root // 3 + 1, 2 * root // 3 + 1), (2 * root // 3 + 2, root)]
+    parts = [_kernels.enumerate_block(lo, hi, root, spf, mob, True) for lo, hi in cuts]
+    assert np.array_equal(sum(p[0] for p in parts), want[0])
+    assert np.array_equal(sum(p[1] for p in parts), want[1])
+    records = np.concatenate([p[2] for p in parts])
+    assert np.array_equal(_sorted_rows(records), _sorted_rows(want[2]))
+
+
+def test_enumerate_block_without_collect_returns_no_records():
+    root, spf, mob = _kernel_args(10**6)
+    total, fails, records = _kernels.enumerate_block(1, root, root, spf, mob, False)
+    assert records.shape == (0, 6)
+    assert total.sum() == 6084 and fails.sum() == 6 * 119
+
+
+def _euler_table(p):
+    """Euler's criterion r^((p-1)/2) mod p for every residue r, as -1/0/1."""
+    r = np.arange(p, dtype=np.int64)
+    acc = np.ones(p, dtype=np.int64)
+    base = r.copy()
+    k = (p - 1) // 2
+    while k:
+        if k & 1:
+            acc = acc * base % p
+        base = base * base % p
+        k >>= 1
+    return np.where(acc == 0, 0, np.where(acc == 1, 1, -1))
+
+
+def test_jacobi_array_euler_criterion_full_range():
+    # every odd prime p <= 10^4 against all |a| <= 10^4
     spf = build_sieve(10_000).smallest_prime_factor
-    primes = np.array(
-        [p for p in range(3, limit + 1, 2) if spf[p] == p], dtype=np.int64
-    )
-    assert _euler_mismatches(primes, 10_000) == 0
+    primes = [p for p in range(3, 10_001, 2) if spf[p] == p]
+    a = np.arange(-10_000, 10_001, dtype=np.int64)
+    for lo in range(0, len(primes), 64):
+        chunk = primes[lo : lo + 64]
+        got = _kernels.jacobi_array(a[None, :], np.array(chunk, dtype=np.int64)[:, None])
+        want = np.stack([_euler_table(p)[a % p] for p in chunk])
+        assert np.array_equal(got, want), chunk
 
 
 def test_jacobi_i64_matches_python_jacobi():
+    # the scalar symbol inside the reference kernel
     rng = random.Random(99)
     for _ in range(20_000):
         n = rng.randrange(1, 10_001, 2)
         a = rng.randint(-10_000, 10_000)
-        assert _kernels.jacobi_i64(a % n, n) == jacobi(a, n)
+        assert reference.jacobi_i64(a % n, n) == jacobi(a, n)
 
 
-def test_spf_builders_agree():
-    for limit in (1, 2, 10, 97, 1000, 4999):
-        assert np.array_equal(_kernels._spf_loop(limit), _kernels._spf_numpy(limit))
-
-
-def test_mobius_builders_agree():
-    for limit in (1, 2, 10, 1000, 4999):
-        spf = _kernels.build_spf(limit)
-        assert np.array_equal(_kernels._mobius_loop(spf), _kernels._mobius_numpy(limit))
-
-
-@pytest.mark.skipif(pure_python, reason="both paths identical without numba")
-def test_enumerate_block_jit_matches_py_func():
-    root = 316  # X = 10^5
-    sieve = build_sieve(root)
-    args = (1, root, root, sieve.smallest_prime_factor, sieve.mobius, True)
-    jit_total, jit_fail, jit_rec = _kernels.enumerate_block(*args)
-    py_total, py_fail, py_rec = _kernels.enumerate_block.py_func(*args)
-    assert np.array_equal(jit_total, py_total)
-    assert np.array_equal(jit_fail, py_fail)
-    assert np.array_equal(jit_rec, py_rec)
+def test_jacobi_array_matches_python_jacobi():
+    # composite moduli, n = 1, and operands near the int64 range of the kernel
+    rng = random.Random(7)
+    n = [rng.randrange(1, 10_001, 2) for _ in range(5_000)]
+    n += [rng.randrange(1, 2**32, 2) for _ in range(5_000)]
+    a = [rng.randint(-(2**40), 2**40) for _ in range(len(n))]
+    got = _kernels.jacobi_array(np.array(a), np.array(n))
+    assert got.dtype == np.int8
+    assert got.tolist() == [jacobi(x, m) for x, m in zip(a, n)]
 
 
 def test_class_index_roundtrip():
     for cid in range(_kernels.CLASS_SPACE):
         sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
         assert _kernels.class_index(sign2, sign3, even_slot, residues) == cid
-
-
-def test_pure_python_env_flag():
-    # the env flag must flip USING_NUMBA off in a fresh interpreter
-    import os
-    import subprocess
-    import sys
-
-    code = "from biquad_hnp import _kernels; print(_kernels.USING_NUMBA)"
-    env = dict(os.environ, BIQUAD_HNP_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
