@@ -126,12 +126,11 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     eq12, eq13, eq23 = r[0] == r[1], r[0] == r[2], r[1] == r[2]
     c = np.where(eq12 & eq13, 1, np.where(eq12 | eq13 | eq23, 4, 8))
     # all components in one class mod 4, or the agreeing pair agree mod 8
-    # (a pair agreeing mod 8 agrees mod 4, so otherwise only that pair can)
+    # (a pair agreeing mod 8 agrees mod 4, so otherwise only that pair can).
+    # An even component agrees with no odd one mod 4, so its partners must
+    # agree mod 8; their product is then 1 mod 8, as the slot-of-2
+    # condition asks.
     ok = (eq12 & eq13) | (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
-    # the even component's partner product must be +-1 mod 8
-    q = [(v[1] * v[2]) & 7, (v[0] * v[2]) & 7, (v[0] * v[1]) & 7]
-    for i in range(3):
-        ok &= (even_slot != i + 1) | (q[i] == 1) | (q[i] == 7)
     c.setflags(write=False)
     ok.setflags(write=False)
     return c, ok

@@ -26,6 +26,7 @@ EXIT_USAGE = 2
 
 EQUIVALENCE_SWEEP_BOUND = 2000  # |m * a1 * b1| bound of the classifier sweep
 DISC_IDENTITY_BOUND = 10**8  # disc bound of the discriminant identity sweep
+CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
 
 
 @dataclass
@@ -40,6 +41,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_disc < 1:
             raise ValueError("--max-disc must be a positive integer")
+        if self.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
+            raise ValueError(f"--max-disc must be below 2^63, got {self.max_disc}")
         if self.threads < 1:
             raise ValueError("--threads must be >= 1")
         if self.audit_bound > self.max_disc:
@@ -105,20 +108,17 @@ def cmd_count(args: argparse.Namespace) -> int:
         audit_bound=args.audit_bound,
         output_path=args.out,
     )
+    # RunConfig has checked every option, so a usage error cannot leave
+    # an existing records file truncated
     records_file = open(args.records, "w", encoding="utf-8") if args.records else None
 
     def record_sink(triple, data, status):
-        line = json.dumps(
-            {
-                "m": triple.m,
-                "a1": triple.a1,
-                "b1": triple.b1,
-                "disc": data.field_disc,
-                "c": data.c,
-                "verdict": status.verdict,
-            }
+        # the bytes json.dumps gives for this dict of ints and a verdict
+        # string that needs no escaping, built without the encoder
+        records_file.write(
+            f'{{"m": {triple.m}, "a1": {triple.a1}, "b1": {triple.b1}, '
+            f'"disc": {data.field_disc}, "c": {data.c}, "verdict": "{status.verdict}"}}\n'
         )
-        records_file.write(line + "\n")
 
     started = time.perf_counter()
     try:
@@ -170,6 +170,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    values = args.gens or args.triple
+    if any(abs(v) > CLASSIFY_INPUT_BOUND for v in values):
+        print(
+            f"error: classify inputs must satisfy |v| <= 10^12, got {values}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         if args.gens:
             triple = from_generators(args.gens[0], args.gens[1])
@@ -214,28 +221,37 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(threads: int) -> list[tuple[str, str, str, bool]]:
-    checks: list[tuple[str, str, str, bool]] = []
+def _verify_checks(threads: int) -> list[tuple[str, str, str, bool, float]]:
+    """(name, expected, actual, passed, duration_s) of each check, in order.
+
+    A check's duration is the time since the previous check was added.
+    """
+    checks: list[tuple[str, str, str, bool, float]] = []
+    last = time.perf_counter()
+
+    def add(name: str, expected: str, actual: str, passed: bool) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        checks.append((name, expected, actual, passed, now - last))
+        last = now
 
     value = asymptotics.total_class_weight()
-    checks.append(("class weight sum (all classes)", "23", str(value), value == 23))
+    add("class weight sum (all classes)", "23", str(value), value == 23)
 
     value = asymptotics.failing_class_weight()
-    checks.append(("class weight sum (failure classes)", "112", str(value), value == 112))
+    add("class weight sum (failure classes)", "112", str(value), value == 112)
 
     signed = asymptotics.signed_failing_class_weight()
-    checks.append(("signed class weight sum", "0", str(signed), signed == 0))
+    add("signed class weight sum", "0", str(signed), signed == 0)
     blocks = [
         asymptotics.signed_failing_class_weight(sign_pairs=(pair,))
         for pair in asymptotics.SIGN_PAIRS
     ]
-    checks.append(
-        (
-            "signed class weight sum per sign pair",
-            "0, 0, 0, 0",
-            ", ".join(str(b) for b in blocks),
-            all(b == 0 for b in blocks),
-        )
+    add(
+        "signed class weight sum per sign pair",
+        "0, 0, 0, 0",
+        ", ".join(str(b) for b in blocks),
+        all(b == 0 for b in blocks),
     )
 
     # discriminant identity and kernel parity law over all tuples with
@@ -248,13 +264,11 @@ def _verify_checks(threads: int) -> list[tuple[str, str, str, bool]]:
         ones = sum(1 for k in data.kernels if k % 4 == 1)
         if data.field_disc != int(row[3]) or ones == 2:
             bad += 1
-    checks.append(
-        (
-            f"discriminant identity, {len(records)} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
-            "0 violations",
-            f"{bad} violations",
-            bad == 0,
-        )
+    add(
+        f"discriminant identity, {len(records)} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
+        "0 violations",
+        f"{bad} violations",
+        bad == 0,
     )
 
     from .arith import build_sieve
@@ -266,32 +280,36 @@ def _verify_checks(threads: int) -> list[tuple[str, str, str, bool]]:
         total += 1
         if classify_by_splitting(t, sieve).verdict != classify_by_congruences(t, sieve).verdict:
             mismatches += 1
-    checks.append(
-        (
-            f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
-            "0 disagreements",
-            f"{mismatches} disagreements",
-            mismatches == 0,
-        )
+    add(
+        f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
+        "0 disagreements",
+        f"{mismatches} disagreements",
+        mismatches == 0,
     )
     return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = _verify_checks(args.threads)
-    ok = all(passed for *_, passed in checks)
+    ok = all(passed for _, _, _, passed, _ in checks)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "passed": ok,
             "checks": [
-                {"name": name, "expected": exp, "actual": act, "passed": passed}
-                for name, exp, act, passed in checks
+                {
+                    "name": name,
+                    "expected": exp,
+                    "actual": act,
+                    "passed": passed,
+                    "duration_s": duration,
+                }
+                for name, exp, act, passed, duration in checks
             ],
         }
         print(json.dumps(payload, indent=2))
     else:
-        for name, expected, actual, passed in checks:
+        for name, expected, actual, passed, _ in checks:
             tag = "PASS" if passed else "FAIL"
             print(f"{tag}  {name}: expected {expected}, got {actual}")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -24,11 +24,12 @@ import numpy as np
 from . import _kernels
 from .arith import FactorSieve, build_sieve
 from .fields import FieldTriple, SubfieldData, subfield_data
-from .hnp import FAILS, HnpStatus, classify_by_splitting
+from .hnp import FAILS, HOLDS, HnpStatus, classify_by_splitting, splitting_witnesses
 
 Sink = Callable[[FieldTriple, SubfieldData, HnpStatus], None]
 
 MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
+EMIT_CHUNK = 4096  # fields converted to Python objects at a time
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,68 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return srec[first], skey[first]
 
 
+def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
+    """Per field (m, a1, b1, three kernels, three fundamental discriminants,
+    c, disc, witness) as the columns of one int64 array.
+
+    c and disc = |d1 d2 d3| are recomputed from the kernels and checked
+    against the kernel's columns, which hold (c m |a1| |b1|)^2 as disc:
+    this is the discriminant identity.  The witness (0 where the principle
+    fails) comes from the splitting oracle and is checked against the
+    kernel's verdict.  Any disagreement raises RuntimeError.
+    """
+    m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
+    kernels = np.stack((m * a1, m * b1, a1 * b1), axis=1)
+    discs = _fundamental(kernels)
+    # 3, 1 or 0 kernels = 1 mod 4 give c = 1, 4 or 8; two is impossible
+    c = np.array([8, 4, 0, 1], dtype=np.int64)[np.count_nonzero((kernels & 3) == 1, axis=1)]
+    disc = np.abs(discs[:, 0] * discs[:, 1] * discs[:, 2])
+    bad = (c != rows[:, 4]) | (disc != rows[:, 3])
+    if bad.any():
+        raise RuntimeError(
+            f"discriminant identity violated for {tuple(rows[np.argmax(bad), :3].tolist())}"
+        )
+    witness = splitting_witnesses(m, a1, b1, discs, sieve)
+    bad = (witness == 0) != (rows[:, 5] != 0)
+    if bad.any():
+        raise RuntimeError(
+            f"classifier disagreement on {tuple(rows[np.argmax(bad), :3].tolist())}"
+        )
+    return np.column_stack((rows[:, :3], kernels, discs, c, disc, witness))
+
+
+def _deliver_fields(
+    rows: np.ndarray, sieve: FactorSieve, sink: Sink | None, audit_bound: int
+) -> None:
+    """Build each field's objects from its columns and hand them to the sink.
+
+    Fields with disc <= audit_bound are re-derived with the scalar
+    subfield_data and classify_by_splitting; a difference raises
+    RuntimeError.
+    """
+    columns = _field_columns(rows, sieve)
+    stop = len(columns)
+    if sink is None:
+        # rows ascend in disc (column 10), so the audit needs only a prefix
+        stop = int(np.searchsorted(columns[:, 10], audit_bound, side="right"))
+    fails = HnpStatus(FAILS)
+    for lo in range(0, stop, EMIT_CHUNK):
+        # Python ints a chunk at a time: the whole table as lists would
+        # raise the peak memory of the run
+        for m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, w in columns[
+            lo : min(lo + EMIT_CHUNK, stop)
+        ].tolist():
+            t = FieldTriple(m, a1, b1)
+            data = SubfieldData((k1, k2, k3), (d1, d2, d3), c, disc)
+            status = HnpStatus(HOLDS, witness=w) if w else fails
+            if disc <= audit_bound and (
+                subfield_data(t) != data or classify_by_splitting(t, sieve) != status
+            ):
+                raise RuntimeError(f"vectorized and scalar oracles disagree on {t}")
+            if sink is not None:
+                sink(t, data, status)
+
+
 def _sieve_root(X: int) -> int:
     """floor(sqrt(X)) after checking that X is in the supported range."""
     if X < 1:
@@ -156,9 +219,11 @@ def enumerate_fields(
     When a sink is given, each field is delivered exactly once as
     (FieldTriple, SubfieldData, HnpStatus), serialized in ascending
     (disc, canonical key) order; the status of every non-failing field
-    carries a witness prime from the splitting oracle.  Fields with
-    disc <= audit_bound are additionally re-checked against the splitting
-    oracle, and a disagreement raises RuntimeError.
+    carries a witness prime from the vectorized splitting oracle, which
+    must agree with the kernel's verdict on every field.  Fields with
+    disc <= audit_bound are additionally re-checked against the scalar
+    subfield_data and splitting oracle (verdict and witness), and a
+    disagreement raises RuntimeError.
 
     The report is identical for any thread count.  X must lie in
     [1, 2^63), since the kernel records hold disc as int64.
@@ -185,23 +250,12 @@ def enumerate_fields(
     )
     if collect:
         rows, _ = unique_field_rows(records)
+        del records  # six rows per field; free them before the per-field objects
         if len(rows) != report.S:
             raise AssertionError(
                 f"dedup mismatch: {len(rows)} unique fields vs ordered/6 = {report.S}"
             )
-        for row in rows:
-            t = FieldTriple(int(row[0]), int(row[1]), int(row[2]))
-            data = subfield_data(t)
-            kernel_fails = bool(row[5])
-            if not kernel_fails or data.field_disc <= audit_bound:
-                oracle = classify_by_splitting(t, sieve)
-                if oracle.fails != kernel_fails:
-                    raise RuntimeError(f"classifier disagreement on {t}")
-                status = oracle
-            else:
-                status = HnpStatus(FAILS)
-            if sink is not None:
-                sink(t, data, status)
+        _deliver_fields(rows, sieve, sink, audit_bound)
     return report
 
 

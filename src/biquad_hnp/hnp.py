@@ -8,12 +8,18 @@ is the production classifier: a mod-4/mod-8 case analysis plus residue
 symbols over the primes of each component, needing no factorization
 beyond the components themselves.  The two must agree everywhere; the
 test suite checks this exhaustively for |m*a1*b1| <= 2000.
+
+``splitting_witnesses`` runs the splitting test on arrays of fields at
+once; the enumeration uses it for the witnesses of the record stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._kernels import jacobi_array
 from .arith import FactorSieve, jacobi, kronecker, prime_factors
 from .fields import FieldTriple, subfield_data
 
@@ -45,13 +51,54 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
     returned as the witness.
     """
     data = subfield_data(t)
-    primes = set(prime_factors(t.m * t.a1 * t.b1, sieve))
+    # the components are pairwise coprime, so their primes are those of
+    # the product; beyond the sieve, trial division of each component
+    # stops at the square root of the largest one, not of the product
+    n = t.m * t.a1 * t.b1
+    if sieve is not None and abs(n) <= sieve.limit:
+        primes = set(sieve.factor(abs(n)))
+    else:
+        primes = {p for part in (t.m, t.a1, t.b1) for p in prime_factors(part, sieve)}
     if data.c > 1:
         primes.add(2)
     for p in sorted(primes):
         if not any(kronecker(d, p) == 1 for d in data.fundamental_discs):
             return HnpStatus(HOLDS, witness=p)
     return HnpStatus(FAILS)
+
+
+def splitting_witnesses(
+    m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, sieve: FactorSieve
+) -> np.ndarray:
+    """classify_by_splitting on arrays of fields: the witness prime of each
+    field, or 0 where the principle fails.
+
+    discs holds the three fundamental discriminants of each field as the
+    rows of an (n, 3) int64 array; the sieve must cover m * |a1| * |b1|.
+    2 is the witness when no d is 1 mod 8, the condition for 2 to split
+    in some subfield; the odd primes of m * |a1| * |b1| are then walked in
+    ascending order, on the fields still without a witness, until one has
+    no subfield with symbol +1.
+    """
+    core = m * np.abs(a1) * np.abs(b1)
+    if len(core) and int(core.max()) > sieve.limit:
+        raise ValueError(f"fields beyond the sieve range 1..{sieve.limit}")
+    spf = sieve.smallest_prime_factor
+    # with 2 unramified the d are the kernels, all 1 mod 4, and
+    # d3 = d1 d2 / m^2 = d1 d2 mod 8 (m odd), so one d is 1 mod 8: no
+    # separate test that 2 ramifies is needed
+    witness = np.where(np.any((discs & 7) == 1, axis=1), 0, 2)
+    odd = core >> np.bitwise_count((core & -core) - 1)
+    live = np.flatnonzero((witness == 0) & (odd > 1))
+    rest = odd[live]
+    while len(live):
+        p = spf[rest]
+        splits = np.any(jacobi_array(discs[live], p[:, None]) == 1, axis=1)
+        witness[live[~splits]] = p[~splits]
+        rest //= p
+        keep = splits & (rest > 1)
+        live, rest = live[keep], rest[keep]
+    return witness
 
 
 def classify_by_congruences(t: FieldTriple, sieve: FactorSieve | None = None) -> HnpStatus:

@@ -1,6 +1,12 @@
 """CLI surface tests: subcommands, formats, exit codes, file outputs."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +84,32 @@ class TestCount:
         verdicts = {json.loads(line)["verdict"] for line in lines}
         assert verdicts == {"holds", "fails"}
 
+    # sha256 and line count of the whole stream, taken from the per-field
+    # json.dumps writer that the f-string writer replaced
+    @pytest.mark.parametrize(
+        "bound, lines, digest",
+        [
+            ("1e6", 1014, "303360f12e3d1b73a2608af5d2ffb7e06cd1cd665b49eabd5a33262e24f6f4bd"),
+            ("1e7", 4207, "071f9542df4e407fc265bee315374f8bbc47d52f09eca8c8c85225d331700971"),
+        ],
+    )
+    def test_records_stream_pinned(self, bound, lines, digest, tmp_path):
+        path = tmp_path / "fields.ndjson"
+        assert main(["count", "--max-disc", bound, "--records", str(path)]) == EXIT_OK
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        rows = data.decode("utf-8").splitlines()
+        assert len(rows) == lines
+        for row in rows:
+            assert list(json.loads(row)) == ["m", "a1", "b1", "disc", "c", "verdict"]
+
+    def test_usage_error_keeps_records_file(self, tmp_path, capsys):
+        path = tmp_path / "fields.ndjson"
+        path.write_text("keep\n")
+        assert main(["count", "--max-disc", "1e19", "--records", str(path)]) == EXIT_USAGE
+        assert "2^63" in capsys.readouterr().err
+        assert path.read_text() == "keep\n"
+
     def test_audit_bound_cannot_exceed_max_disc(self, capsys):
         assert (
             main(["count", "--max-disc", "1e3", "--audit-bound", "1e4"]) == EXIT_USAGE
@@ -139,6 +171,38 @@ class TestClassify:
     def test_invalid_triple_rejected(self, capsys):
         assert main(["classify", "--triple", "2", "6", "5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--gens", "1000000000000000003", "7"],
+            ["--gens", "7", "-1000000000001"],
+            ["--triple", "1", "2", "1000000000001"],
+        ],
+    )
+    def test_component_beyond_10_12_is_usage_error(self, argv):
+        # a fresh process under a timeout: trial division to 10^9 would hang
+        src = Path(__file__).resolve().parents[1] / "src"
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from biquad_hnp.cli import main; sys.exit(main())",
+             "classify", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error:") and "10^12" in proc.stderr
+        assert time.perf_counter() - started < 5
+
+    def test_components_near_10_12_classify(self, capsys):
+        argv = ["classify", "--triple", "999999999989", "-999999999961", "999999999959"]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "holds"
+        assert payload["classifiers_agree"] is True
+        assert payload["witness"] == 999999999959
+
 
 class TestConstants:
     def test_text(self, capsys):
@@ -199,6 +263,13 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 6
+
+    def test_json_durations(self, capsys):
+        assert main(["verify", "--format", "json"]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for check in checks:
+            assert isinstance(check["duration_s"], float)
+            assert check["duration_s"] >= 0.0
 
     def test_injected_fault_is_caught(self, capsys, monkeypatch):
         # a perturbed c-table must break the 23 identity and exit nonzero

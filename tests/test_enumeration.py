@@ -188,6 +188,56 @@ class TestSinkAndAudit:
         report = enumerate_fields(10**5, audit_bound=10**5)
         assert report.S == 243
 
+    def test_sink_data_match_scalar_oracles(self):
+        # the columns built in one array pass against the per-field code
+        from biquad_hnp.fields import subfield_data
+        from biquad_hnp.hnp import classify_by_splitting
+
+        seen = []
+        enumerate_fields(10**6, sink=lambda t, d, s: seen.append((t, d, s)))
+        assert len(seen) == 1014
+        for t, d, s in seen:
+            assert d == subfield_data(t)
+            assert s == classify_by_splitting(t)
+
+    @pytest.mark.parametrize(
+        "disc, column, value",
+        [(48841, 3, 48842), (48841, 4, 4), (48841, 5, 0), (144, 5, 1)],
+    )
+    def test_corrupted_record_column_raises(self, disc, column, value, monkeypatch):
+        # a wrong disc, c or verdict in the kernel's records is caught on
+        # every field, failing (disc 48841) or not (disc 144), without an
+        # audit bound
+        from biquad_hnp import _kernels, enumeration
+
+        true_block = _kernels.enumerate_block
+
+        def corrupted(*args):
+            total, fails, records = true_block(*args)
+            hit = records[:, 3] == disc  # the six ordered tuples of one field
+            assert hit.sum() == 6
+            records[hit, column] = value
+            return total, fails, records
+
+        monkeypatch.setattr(enumeration._kernels, "enumerate_block", corrupted)
+        with pytest.raises(RuntimeError):
+            enumerate_fields(10**5, sink=lambda *a: None)
+
+    def test_audit_rechecks_witness(self, monkeypatch):
+        # a wrong witness that keeps the verdict is caught only by the audit
+        from biquad_hnp import enumeration
+
+        true_witnesses = enumeration.splitting_witnesses
+
+        def shifted(*args):
+            w = true_witnesses(*args)
+            return np.where(w == 2, 3, w)
+
+        monkeypatch.setattr(enumeration, "splitting_witnesses", shifted)
+        enumerate_fields(10**4, sink=lambda *a: None)
+        with pytest.raises(RuntimeError):
+            enumerate_fields(10**4, sink=lambda *a: None, audit_bound=10**4)
+
     def test_field_count_matches_sink(self):
         report = enumerate_fields(3 * 10**4)
         n = [0]

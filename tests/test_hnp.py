@@ -7,10 +7,13 @@ test_acceptance; here we cover the documented examples, the case
 structure, and a medium sweep.
 """
 
+import numpy as np
+import pytest
+
 from biquad_hnp.arith import build_sieve, kronecker
 from biquad_hnp.enumeration import iter_valid_triples
 from biquad_hnp.fields import FieldTriple, subfield_data
-from biquad_hnp.hnp import classify_by_congruences, classify_by_splitting
+from biquad_hnp.hnp import classify_by_congruences, classify_by_splitting, splitting_witnesses
 
 
 class TestSplittingOracle:
@@ -55,6 +58,33 @@ class TestSplittingOracle:
             for p in primes:
                 assert any(kronecker(d, p) == 1 for d in data.fundamental_discs)
         assert checked > 10
+
+
+class TestSplittingWitnesses:
+    @staticmethod
+    def _columns(triples):
+        cols = np.array([(t.m, t.a1, t.b1) for t in triples], dtype=np.int64)
+        discs = np.array([subfield_data(t).fundamental_discs for t in triples], dtype=np.int64)
+        return cols[:, 0], cols[:, 1], cols[:, 2], discs
+
+    def test_matches_scalar_oracle(self):
+        # every sign pattern with |m a1 b1| <= 2000, as in the verify sweep
+        sieve = build_sieve(2000)
+        triples = list(iter_valid_triples(2000))
+        assert len(triples) == 64140
+        got = splitting_witnesses(*self._columns(triples), sieve)
+        want = [classify_by_splitting(t, sieve).witness or 0 for t in triples]
+        assert got.tolist() == want
+        assert 0 < np.count_nonzero(got == 0) < len(got)
+
+    def test_empty(self):
+        m, a1, b1, discs = self._columns([FieldTriple(1, -1, 3)])
+        got = splitting_witnesses(m[:0], a1[:0], b1[:0], discs[:0], build_sieve(10))
+        assert got.shape == (0,)
+
+    def test_sieve_must_cover_the_fields(self):
+        with pytest.raises(ValueError, match="sieve"):
+            splitting_witnesses(*self._columns([FieldTriple(1, 13, 17)]), build_sieve(100))
 
 
 class TestCongruenceClassifier:

@@ -108,3 +108,18 @@ def test_class_index_roundtrip():
     for cid in range(_kernels.CLASS_SPACE):
         sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
         assert _kernels.class_index(sign2, sign3, even_slot, residues) == cid
+
+
+def test_class_tables_match_asymptotics_entry_by_entry():
+    # the weight factor c and the failure prefilter exist twice: as the
+    # kernel's vectorized tables and as the scalar functions in asymptotics
+    from biquad_hnp import asymptotics
+
+    class_c, class_ok = _kernels._class_tables()
+    for cid in range(_kernels.CLASS_SPACE):
+        sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
+        eps4 = tuple(1 if r % 4 == 1 else -1 for r in residues)
+        assert class_c[cid] == asymptotics.class_c(sign2, sign3, eps4, even_slot, context="mod4")
+        signed = (residues[0], sign2 * residues[1] % 8, sign3 * residues[2] % 8)
+        assert class_ok[cid] == asymptotics.in_failure_class(even_slot, signed), cid
+
