@@ -4,7 +4,7 @@ Library surface:
 
 * :mod:`biquad_hnp.arith` - sieves, Jacobi/Kronecker symbols
 * :mod:`biquad_hnp.fields` - field triples, subfield discriminants
-* :mod:`biquad_hnp.hnp` - the two norm-principle classifiers
+* :mod:`biquad_hnp.hnp` - the splitting-criterion norm-principle classifier
 * :mod:`biquad_hnp.enumeration` - bounded-discriminant enumeration
 * :mod:`biquad_hnp.asymptotics` - Euler products, main terms, exact identities
 * :mod:`biquad_hnp.cli` - the ``biquad-hnp`` command
@@ -22,7 +22,7 @@ from .fields import (
     quadratic_discriminant,
     subfield_data,
 )
-from .hnp import HnpStatus, classify_by_congruences, classify_by_splitting
+from .hnp import HnpStatus, classify_by_splitting
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "canonical_key",
     "class_label",
     "classify_by_splitting",
-    "classify_by_congruences",
     "enumerate_fields",
     "count_by_class",
     "__version__",

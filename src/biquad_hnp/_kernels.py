@@ -43,18 +43,26 @@ CLASS_SPACE = 4 * 4 * 64
 SLAB = 2048  # cores per slab in enumerate_block
 
 
+def primes_up_to(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, by the sieve of Eratosthenes."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.nonzero(flags)[0].astype(np.int64)
+
+
 def build_spf(limit: int) -> np.ndarray:
     """Least-prime-factor table for 0..limit (entries 0 and 1 are 0 and 1)."""
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # remaining zeros past index 1 are primes above sqrt(limit)
+    for p in primes_up_to(math.isqrt(limit)).tolist():
+        block = spf[p * p :: p]
+        block[block == 0] = p
+    # the remaining zeros past index 1 are the primes
     idx = np.nonzero(spf == 0)[0]
     idx = idx[idx >= 2]
     spf[idx] = idx
@@ -62,23 +70,23 @@ def build_spf(limit: int) -> np.ndarray:
 
 
 def build_mobius(spf: np.ndarray) -> np.ndarray:
-    """Mobius values 0..limit, for the range of a least-prime-factor table."""
-    limit = spf.shape[0] - 1
-    # multiplicative sieve: flip sign at multiples of each prime, zero at
-    # multiples of its square
-    mob = np.ones(limit + 1, dtype=np.int8)
+    """Mobius values 0..limit, for the range of a least-prime-factor table.
+
+    Each pass divides every live n by its least prime factor p: n is
+    retired with mu = 0 when p still divides the cofactor, and flips sign
+    otherwise, so the squarefree n need omega(n) passes.
+    """
+    mob = np.ones(spf.shape[0], dtype=np.int8)
     mob[0] = 0
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, limit + 1):
-        if is_prime[p]:
-            if p * p <= limit:
-                is_prime[p * p :: p] = False
-            mob[p::p] *= -1
-            if p * p <= limit:
-                mob[p * p :: p * p] = 0
-    if limit >= 1:
-        mob[1] = 1
+    live = np.arange(2, spf.shape[0], dtype=np.int64)
+    rest = live.copy()
+    while len(live):
+        p = spf[rest]
+        rest //= p
+        square = rest % p == 0
+        mob[live] = np.where(square, 0, -mob[live])
+        keep = ~square & (rest > 1)
+        live, rest = live[keep], rest[keep]
     return mob
 
 

@@ -34,6 +34,7 @@ from itertools import product
 
 import numpy as np
 
+from ._kernels import primes_up_to
 from .arith import kronecker, reciprocity_exponent
 
 DEFAULT_PRIME_LIMIT = 10_000_000
@@ -57,14 +58,7 @@ class EulerProductValue:
     prime_limit: int
 
 
-@lru_cache(maxsize=8)
-def _primes_up_to(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+_primes_up_to = lru_cache(maxsize=8)(primes_up_to)
 
 
 def euler_product_total(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductValue:

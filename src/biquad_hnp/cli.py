@@ -1,8 +1,8 @@
 """Command-line interface: counting, classification, verification, reports.
 
-Exit status: 0 on success, 1 when a verification check fails (or the two
-classifiers disagree), 2 for usage errors such as malformed bounds or
-non-squarefree classify inputs.
+Exit status: 0 on success, 1 when a verification check fails, 2 for
+usage errors such as malformed bounds, non-squarefree classify inputs or
+an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from . import asymptotics, enumeration
+from .arith import build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
-from .hnp import classify_by_congruences, classify_by_splitting
+from .hnp import classify_by_splitting
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-EQUIVALENCE_SWEEP_BOUND = 2000  # |m * a1 * b1| bound of the classifier sweep
+EQUIVALENCE_SWEEP_BOUND = 2000  # |m * a1 * b1| bound of the kernel-vs-oracle sweep
 DISC_IDENTITY_BOUND = 10**8  # disc bound of the discriminant identity sweep
 CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
 
@@ -32,10 +33,8 @@ CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
 @dataclass
 class RunConfig:
     max_disc: int
-    threads: int = 1
     output_format: str = "text"
     audit_bound: int = 0
-    prime_limit: int = asymptotics.DEFAULT_PRIME_LIMIT
     output_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -43,8 +42,6 @@ class RunConfig:
             raise ValueError("--max-disc must be a positive integer")
         if self.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
             raise ValueError(f"--max-disc must be below 2^63, got {self.max_disc}")
-        if self.threads < 1:
-            raise ValueError("--threads must be >= 1")
         if self.audit_bound > self.max_disc:
             raise ValueError("--audit-bound cannot exceed --max-disc")
 
@@ -73,7 +70,10 @@ def _float15(x: float) -> str:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -103,14 +103,16 @@ def _sorted_classes(report: enumeration.CountReport) -> list[tuple]:
 def cmd_count(args: argparse.Namespace) -> int:
     config = RunConfig(
         max_disc=args.max_disc,
-        threads=args.threads,
         output_format=args.format,
         audit_bound=args.audit_bound,
         output_path=args.out,
     )
     # RunConfig has checked every option, so a usage error cannot leave
     # an existing records file truncated
-    records_file = open(args.records, "w", encoding="utf-8") if args.records else None
+    try:
+        records_file = open(args.records, "w", encoding="utf-8") if args.records else None
+    except OSError as exc:
+        raise ValueError(f"cannot open --records {args.records}: {exc.strerror}") from exc
 
     def record_sink(triple, data, status):
         # the bytes json.dumps gives for this dict of ints and a verdict
@@ -125,7 +127,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         report = enumeration.enumerate_fields(
             config.max_disc,
             sink=record_sink if records_file else None,
-            threads=config.threads,
             audit_bound=config.audit_bound,
         )
     finally:
@@ -188,9 +189,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     data = subfield_data(triple)
-    by_splitting = classify_by_splitting(triple)
-    by_congruences = classify_by_congruences(triple)
-    agree = by_splitting.verdict == by_congruences.verdict
+    status = classify_by_splitting(triple)
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -201,9 +200,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "fundamental_discs": list(data.fundamental_discs),
             "disc": data.field_disc,
             "c": data.c,
-            "verdict": by_splitting.verdict,
-            "witness": by_splitting.witness,
-            "classifiers_agree": agree,
+            "verdict": status.verdict,
+            "witness": status.witness,
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -211,17 +209,46 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(f"kernels       {data.kernels}")
         print(f"fundamental   {data.fundamental_discs}")
         print(f"disc          {data.field_disc}   (c = {data.c})")
-        print(f"splitting     {by_splitting.verdict}")
-        print(f"congruences   {by_congruences.verdict}")
-        if by_splitting.witness is not None:
-            print(f"witness       {by_splitting.witness}")
-    if not agree:
-        print("error: classifiers disagree", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        print(f"splitting     {status.verdict}")
+        if status.witness is not None:
+            print(f"witness       {status.witness}")
     return EXIT_OK
 
 
-def _verify_checks(threads: int) -> list[tuple[str, str, str, bool, float]]:
+def _disc_identity_violations() -> tuple[int, int]:
+    """(tuples, violations) of the discriminant identity and the kernel
+    parity law over all tuples with disc <= DISC_IDENTITY_BOUND, checked
+    from the raw enumeration records.
+
+    A function of its own, so that the records are freed on return.
+    """
+    records = enumeration.field_records(DISC_IDENTITY_BOUND)
+    bad = 0
+    for row in records:
+        t = FieldTriple(int(row[0]), int(row[1]), int(row[2]))
+        data = subfield_data(t)  # raises if |d1 d2 d3| != (c m |a1 b1|)^2
+        ones = sum(1 for k in data.kernels if k % 4 == 1)
+        if data.field_disc != int(row[3]) or ones == 2:
+            bad += 1
+    return len(records), bad
+
+
+def _kernel_verdict_mismatches() -> tuple[int, int]:
+    """(tuples, disagreements) of the kernel's verdict against the scalar
+    splitting oracle on every ordered tuple with |m a1 b1| <=
+    EQUIVALENCE_SWEEP_BOUND."""
+    sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
+    total = mismatches = 0
+    for chunk in enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND):
+        # one list per column: a list per row would raise the peak memory
+        for m, a1, b1, fails in zip(*chunk[:, (0, 1, 2, 5)].T.tolist()):
+            total += 1
+            if classify_by_splitting(FieldTriple(m, a1, b1), sieve).fails != bool(fails):
+                mismatches += 1
+    return total, mismatches
+
+
+def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     """(name, expected, actual, passed, duration_s) of each check, in order.
 
     A check's duration is the time since the previous check was added.
@@ -254,32 +281,15 @@ def _verify_checks(threads: int) -> list[tuple[str, str, str, bool, float]]:
         all(b == 0 for b in blocks),
     )
 
-    # discriminant identity and kernel parity law over all tuples with
-    # disc <= DISC_IDENTITY_BOUND, checked from the raw enumeration records
-    records = enumeration.field_records(DISC_IDENTITY_BOUND, threads=threads)
-    bad = 0
-    for row in records:
-        t = FieldTriple(int(row[0]), int(row[1]), int(row[2]))
-        data = subfield_data(t)  # raises if |d1 d2 d3| != (c m |a1 b1|)^2
-        ones = sum(1 for k in data.kernels if k % 4 == 1)
-        if data.field_disc != int(row[3]) or ones == 2:
-            bad += 1
+    total, bad = _disc_identity_violations()
     add(
-        f"discriminant identity, {len(records)} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
+        f"discriminant identity, {total} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
         "0 violations",
         f"{bad} violations",
         bad == 0,
     )
 
-    from .arith import build_sieve
-
-    sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
-    mismatches = 0
-    total = 0
-    for t in enumeration.iter_valid_triples(EQUIVALENCE_SWEEP_BOUND):
-        total += 1
-        if classify_by_splitting(t, sieve).verdict != classify_by_congruences(t, sieve).verdict:
-            mismatches += 1
+    total, mismatches = _kernel_verdict_mismatches()
     add(
         f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
         "0 disagreements",
@@ -290,7 +300,7 @@ def _verify_checks(threads: int) -> list[tuple[str, str, str, bool, float]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = _verify_checks(args.threads)
+    checks = _verify_checks()
     ok = all(passed for _, _, _, passed, _ in checks)
     if args.format == "json":
         payload = {
@@ -360,7 +370,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     c_failing = asymptotics.euler_product_failing(args.prime_limit).value
     rows = []
     for x in checkpoints:
-        report = enumeration.enumerate_fields(x, threads=args.threads)
+        report = enumeration.enumerate_fields(x)
         s_main = asymptotics.main_term_total(x, c_total)
         st_main = asymptotics.main_term_failing(x, c_failing)
         rows.append(
@@ -420,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="enumerate fields with disc <= X")
     p_count.add_argument("--max-disc", type=positive_bound, required=True)
-    p_count.add_argument("--threads", type=int, default=1)
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--audit-bound", type=parse_bound, default=0)
@@ -440,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run the exact verification suite")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -458,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated ascending bounds, e.g. 1e6,1e8,1e10",
     )
-    p_cmp.add_argument("--threads", type=int, default=1)
     p_cmp.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument(

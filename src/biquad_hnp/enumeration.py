@@ -8,14 +8,13 @@ the unordered count is the ordered count divided by 6; deduplication by
 canonical key must, and does, give the same number.
 
 The tuple enumeration lives in ``_kernels.enumerate_block``; this module
-partitions the work, merges tallies, reconstructs field objects from the
-raw records, and cross-checks the two dedup strategies.
+turns its tallies into reports, reconstructs field objects from the raw
+records, and cross-checks the two dedup strategies.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -30,6 +29,7 @@ Sink = Callable[[FieldTriple, SubfieldData, HnpStatus], None]
 
 MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 EMIT_CHUNK = 4096  # fields converted to Python objects at a time
+TUPLE_CHUNK = 256  # odd cores per kernel call in tuple_records
 
 
 @dataclass(frozen=True)
@@ -68,31 +68,6 @@ class CountReport:
     @property
     def fail_fraction(self) -> float:
         return self.S_tilde / self.S if self.S else 0.0
-
-
-def _run_blocks(
-    root: int, sieve: FactorSieve, collect: bool, threads: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    spf = sieve.smallest_prime_factor
-    mob = sieve.mobius
-    if threads <= 1 or root < 64:
-        return _kernels.enumerate_block(1, root, root, spf, mob, collect)
-    # one core range per thread: every range repeats the assignment loops
-    # of each omega group, so finer ranges only add overhead
-    edges = np.linspace(1, root + 1, threads + 1, dtype=np.int64)
-    jobs = [(int(edges[i]), int(edges[i + 1]) - 1) for i in range(threads)]
-    jobs = [(lo, hi) for lo, hi in jobs if hi >= lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda j: _kernels.enumerate_block(j[0], j[1], root, spf, mob, collect),
-                jobs,
-            )
-        )
-    total = sum(p[0] for p in parts)
-    fails = sum(p[1] for p in parts)
-    records = np.concatenate([p[2] for p in parts], axis=0)
-    return total, fails, records
 
 
 def _per_class_dicts(
@@ -208,11 +183,7 @@ def _sieve_root(X: int) -> int:
 
 
 def enumerate_fields(
-    X: int,
-    sink: Sink | None = None,
-    *,
-    threads: int = 1,
-    audit_bound: int = 0,
+    X: int, sink: Sink | None = None, *, audit_bound: int = 0
 ) -> CountReport:
     """Count (and optionally stream) all fields with discriminant <= X.
 
@@ -225,16 +196,15 @@ def enumerate_fields(
     subfield_data and splitting oracle (verdict and witness), and a
     disagreement raises RuntimeError.
 
-    The report is identical for any thread count.  X must lie in
-    [1, 2^63), since the kernel records hold disc as int64.
+    X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
     root = _sieve_root(X)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     audit_bound = min(audit_bound, X)
     sieve = build_sieve(max(root, 1))
     collect = sink is not None or audit_bound > 0
-    total, fails, records = _run_blocks(root, sieve, collect, threads)
+    total, fails, records = _kernels.enumerate_block(
+        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect
+    )
     ordered_total = int(total.sum())
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
@@ -259,17 +229,43 @@ def enumerate_fields(
     return report
 
 
-def count_by_class(X: int, *, threads: int = 1) -> dict[ClassLabel, int]:
+def count_by_class(X: int) -> dict[ClassLabel, int]:
     """Ordered-tuple tallies per class; values sum to 6 * S(X)."""
-    return enumerate_fields(X, threads=threads).per_class
+    return enumerate_fields(X).per_class
 
 
-def field_records(X: int, *, threads: int = 1) -> np.ndarray:
+def field_records(X: int) -> np.ndarray:
     """Raw ordered-tuple records (v1, v2, v3, disc, c, fails) for disc <= X."""
     root = _sieve_root(X)
     sieve = build_sieve(max(root, 1))
-    _, _, records = _run_blocks(root, sieve, True, threads)
+    _, _, records = _kernels.enumerate_block(
+        1, root, root, sieve.smallest_prime_factor, sieve.mobius, True
+    )
     return records
+
+
+def tuple_records(max_core: int) -> Iterator[np.ndarray]:
+    """Kernel records (v1, v2, v3, disc, c, fails) of every ordered tuple
+    with |v1 v2 v3| <= max_core, in chunks.
+
+    These are the tuples of iter_valid_triples(max_core).  Each chunk
+    comes from one kernel call over TUPLE_CHUNK odd squarefree cores, so
+    memory stays bounded.  The root 8 * max_core admits all of them: the
+    kernel admits a tuple when c * |v1 v2 v3| <= root, and c <= 8.
+    """
+    if max_core < 1:
+        return
+    sieve = build_sieve(max_core)
+    spf, mob = sieve.smallest_prime_factor, sieve.mobius
+    cores = np.flatnonzero(mob[1::2]) * 2 + 1
+    for lo in range(0, len(cores), TUPLE_CHUNK):
+        chunk = cores[lo : lo + TUPLE_CHUNK]
+        _, _, records = _kernels.enumerate_block(
+            int(chunk[0]), int(chunk[-1]), 8 * max_core, spf, mob, True
+        )
+        # rebound, so that the kernel's buffer is freed before the next call
+        records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
+        yield records
 
 
 def count_by_generator_pairs(X: int) -> tuple[int, int]:

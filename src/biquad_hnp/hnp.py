@@ -1,16 +1,17 @@
-"""Hasse norm principle classification by two independent routes.
+"""Hasse norm principle classification by the splitting criterion.
 
 For a biquadratic field the principle fails exactly when every
 decomposition group is cyclic, i.e. when every ramified prime splits in
 at least one of the three quadratic subfields.  ``classify_by_splitting``
-tests that directly and is the ground truth.  ``classify_by_congruences``
-is the production classifier: a mod-4/mod-8 case analysis plus residue
-symbols over the primes of each component, needing no factorization
-beyond the components themselves.  The two must agree everywhere; the
-test suite checks this exhaustively for |m*a1*b1| <= 2000.
+tests that directly, one field at a time, and is the ground truth.
+``splitting_witnesses`` runs the same test on arrays of fields at once;
+the enumeration uses it for the witnesses of the record stream.
 
-``splitting_witnesses`` runs the splitting test on arrays of fields at
-once; the enumeration uses it for the witnesses of the record stream.
+The verdicts of a count come from ``_kernels.enumerate_block`` (class
+tables plus residue-symbol bitmasks).  ``verify`` and the test suite hold
+that kernel against ``classify_by_splitting`` on every ordered tuple with
+|m*a1*b1| <= 2000, and the enumeration holds it against
+``splitting_witnesses`` on every field it delivers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import jacobi_array
-from .arith import FactorSieve, jacobi, kronecker, prime_factors
+from .arith import FactorSieve, kronecker, prime_factors
 from .fields import FieldTriple, subfield_data
 
 FAILS = "fails"
@@ -100,39 +101,3 @@ def splitting_witnesses(
         live, rest = live[keep], rest[keep]
     return witness
 
-
-def classify_by_congruences(t: FieldTriple, sieve: FactorSieve | None = None) -> HnpStatus:
-    """Congruence/symbol classifier, the fast path used in enumeration.
-
-    Case analysis on the residues of (m, a1, b1) mod 4:
-
-    * all three equal: fails iff every prime of each component sees the
-      product of the other two components as a quadratic residue;
-    * exactly two equal: additionally the agreeing pair must be congruent
-      mod 8 (equivalently, 2 must split in the one unramified subfield);
-    * pairwise distinct: 2 is totally ramified and the principle holds.
-
-    Conditions at p = 2 (an even component) use the Kronecker symbol.
-    """
-    parts = (t.m, t.a1, t.b1)
-    r = tuple(v % 4 for v in parts)
-    if r[0] == r[1] == r[2]:
-        pass
-    elif r[0] != r[1] and r[0] != r[2] and r[1] != r[2]:
-        return HnpStatus(HOLDS, witness=2)
-    else:
-        if r[0] == r[1]:
-            pair = (parts[0], parts[1])
-        elif r[0] == r[2]:
-            pair = (parts[0], parts[2])
-        else:
-            pair = (parts[1], parts[2])
-        if pair[0] % 8 != pair[1] % 8:
-            return HnpStatus(HOLDS, witness=2)
-    others = (t.a1 * t.b1, t.m * t.b1, t.m * t.a1)
-    for comp, other in zip(parts, others):
-        for p in prime_factors(comp, sieve):
-            sym = kronecker(other, 2) if p == 2 else jacobi(other % p, p)
-            if sym != 1:
-                return HnpStatus(HOLDS, witness=p)
-    return HnpStatus(FAILS)

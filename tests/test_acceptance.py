@@ -34,7 +34,7 @@ import pytest
 from biquad_hnp import asymptotics, enumeration
 from biquad_hnp.arith import build_sieve
 from biquad_hnp.fields import canonical_key, subfield_data
-from biquad_hnp.hnp import classify_by_congruences, classify_by_splitting
+from biquad_hnp.hnp import classify_by_splitting
 
 CHECKPOINTS = (10**6, 10**8, 10**10)
 
@@ -62,7 +62,7 @@ def _criterion(number: int, title: str):
 
 @pytest.fixture(scope="module")
 def reports():
-    return {x: enumeration.enumerate_fields(x, threads=4) for x in CHECKPOINTS}
+    return {x: enumeration.enumerate_fields(x) for x in CHECKPOINTS}
 
 
 @pytest.fixture(scope="module")
@@ -91,22 +91,26 @@ def test_criterion_3_exact_cancellation():
 
 
 def test_criterion_4_classifier_equivalence():
-    with _criterion(4, "classifier equivalence to |m a1 b1| <= 2000"):
+    with _criterion(4, "kernel verdict = splitting oracle to |m a1 b1| <= 2000"):
         bound = 2000
         sieve = build_sieve(bound)
+        verdicts = {}
+        for chunk in enumeration.tuple_records(bound):
+            for m, a1, b1, _, _, fails in chunk.tolist():
+                assert (m, a1, b1) not in verdicts
+                verdicts[(m, a1, b1)] = bool(fails)
+        triples = [(t.m, t.a1, t.b1) for t in enumeration.iter_valid_triples(bound)]
+        assert set(verdicts) == set(triples)
         checked = 0
         for t in enumeration.iter_valid_triples(bound):
             checked += 1
-            assert (
-                classify_by_splitting(t, sieve).verdict
-                == classify_by_congruences(t, sieve).verdict
-            ), t
+            assert classify_by_splitting(t, sieve).fails == verdicts[(t.m, t.a1, t.b1)], t
         assert checked == 64140  # tens of thousands of cases, all sign patterns
 
 
 def test_criterion_5_discriminant_identity():
     with _criterion(5, "discriminant identity and parity law to disc 1e8"):
-        records = enumeration.field_records(10**8, threads=4)
+        records = enumeration.field_records(10**8)
         v1, v2, v3 = records[:, 0], records[:, 1], records[:, 2]
         k = np.stack((v1 * v2, v1 * v3, v2 * v3), axis=1)
         d = np.where(k % 4 == 1, k, 4 * k)
@@ -129,7 +133,7 @@ def test_criterion_5_discriminant_identity():
 def test_criterion_6_dedup_consistency():
     with _criterion(6, "ordered count = 6 x canonical dedup at 1e4, 1e6, 1e8"):
         for x in (10**4, 10**6, 10**8):
-            records = enumeration.field_records(x, threads=4)
+            records = enumeration.field_records(x)
             assert len(records) % 6 == 0
             rows, _keys = enumeration.unique_field_rows(records)
             assert len(records) == 6 * len(rows)

@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from biquad_hnp import _kernels
 from biquad_hnp.arith import (
     build_sieve,
     is_squarefree,
@@ -54,14 +55,26 @@ class TestSieve:
             assert sieve.mobius[n] == 0
 
     def test_mobius_divisor_sums_vanish(self):
-        # sum_{d | n} mu(d) = 0 for n >= 2
-        limit = 10_000
-        mob = build_sieve(limit).mobius
-        acc = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
-            acc[d::d] += mob[d]
-        assert acc[1] == 1
-        assert not acc[2:].any()
+        # sum_{d | n} mu(d) = 0 for n >= 2, which with mu(1) = 1 determines mu
+        for limit in (10_000, 10**6):
+            mob = build_sieve(limit).mobius
+            acc = np.zeros(limit + 1, dtype=np.int64)
+            for d in np.flatnonzero(mob).tolist():
+                acc[d::d] += mob[d]
+            assert acc[1] == 1
+            assert not acc[2:].any()
+
+    def test_spf_is_least_prime_factor(self):
+        # spf[n] is a prime dividing n and no prime of n / spf[n] is smaller
+        limit = 10**6
+        spf = build_sieve(limit).smallest_prime_factor
+        n = np.arange(2, limit + 1)
+        p = spf[2:]
+        assert np.array_equal(n[p == n], _kernels.primes_up_to(limit))
+        assert np.array_equal(spf[p], p)
+        assert not (n % p).any()
+        rest = n // p
+        assert np.all((rest == 1) | (spf[rest] >= p))
 
     def test_factor(self):
         sieve = build_sieve(1000)

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biquad_hnp import enumeration
@@ -130,13 +131,18 @@ class TestCount:
         assert "2^63" in captured.err
         assert "Traceback" not in captured.err
 
-    def test_threads_match_serial(self, capsys):
-        assert main(["count", "--max-disc", "1e6", "--threads", "3", "--format", "json"]) == EXIT_OK
-        with_threads = json.loads(capsys.readouterr().out)
-        assert main(["count", "--max-disc", "1e6", "--format", "json"]) == EXIT_OK
-        serial = json.loads(capsys.readouterr().out)
-        for key in ("S", "S_tilde", "ordered_total", "classes"):
-            assert with_threads[key] == serial[key]
+    @pytest.mark.parametrize(
+        "option, path",
+        [("--records", "."), ("--records", "missing/x.ndjson"), ("--out", ".")],
+    )
+    def test_unwritable_path_is_usage_error(self, option, path, tmp_path, capsys):
+        # a directory, or a file in a directory that does not exist
+        target = str(tmp_path / path)
+        assert main(["count", "--max-disc", "1e4", option, target]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and option in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestClassify:
@@ -158,7 +164,6 @@ class TestClassify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "fails"
         assert payload["disc"] == 48841
-        assert payload["classifiers_agree"] is True
         assert payload["kernels"] == [13, 17, 221]
 
     def test_non_squarefree_rejected(self, capsys):
@@ -200,7 +205,6 @@ class TestClassify:
         assert main([*argv, "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "holds"
-        assert payload["classifiers_agree"] is True
         assert payload["witness"] == 999999999959
 
 
@@ -252,7 +256,7 @@ class TestCompare:
 
 class TestVerify:
     def test_full_suite_passes(self, capsys):
-        assert main(["verify", "--threads", "2"]) == EXIT_OK
+        assert main(["verify"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "expected 23, got 23" in out
@@ -287,3 +291,23 @@ class TestVerify:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "expected 23" in out
+
+    def test_kernel_fault_is_caught(self, capsys, monkeypatch):
+        # a flipped kernel verdict on one tuple in the sweep must fail check 6
+        from biquad_hnp import _kernels
+
+        true_block = _kernels.enumerate_block
+
+        def faulty(*args):
+            total, fails, records = true_block(*args)
+            hit = np.flatnonzero(
+                (records[:, 0] == 1) & (records[:, 1] == 13) & (records[:, 2] == 17)
+            )
+            records[hit, 5] ^= 1
+            return total, fails, records
+
+        monkeypatch.setattr(_kernels, "enumerate_block", faulty)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  classifier equivalence" in out
+        assert "got 1 disagreements" in out

@@ -2,8 +2,8 @@
 
 Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
-between the two dedup strategies, monotonicity, and independence from
-work partitioning.
+between the two dedup strategies, monotonicity, and agreement of the
+chunked tuple records with the triple iterator.
 """
 
 import hashlib
@@ -19,6 +19,8 @@ from biquad_hnp.enumeration import (
     count_by_generator_pairs,
     enumerate_fields,
     field_records,
+    iter_valid_triples,
+    tuple_records,
     unique_field_rows,
 )
 from biquad_hnp.fields import canonical_key
@@ -83,20 +85,20 @@ class TestConsistency:
         assert s == sorted(s)
         assert st == sorted(st)
 
-    def test_partition_independence(self):
-        one = enumerate_fields(10**6, threads=1)
-        four = enumerate_fields(10**6, threads=4)
-        assert one.S == four.S
-        assert one.S_tilde == four.S_tilde
-        assert one.per_class == four.per_class
-        assert one.per_class_failing == four.per_class_failing
-
     def test_bound_must_fit_int64(self):
         for fn in (enumerate_fields, field_records):
             with pytest.raises(ValueError, match="2\\^63"):
                 fn(2**63)
             with pytest.raises(ValueError, match=">= 1"):
                 fn(0)
+
+    @pytest.mark.parametrize("bound", [0, 2, 105, 714])
+    def test_tuple_records_are_the_valid_triples(self, bound):
+        # squarefree bounds, so that tuples sit on the bound; 714 spans two
+        # kernel chunks of odd cores
+        rows = [r for chunk in tuple_records(bound) for r in chunk[:, :3].tolist()]
+        want = [[t.m, t.a1, t.b1] for t in iter_valid_triples(bound)]
+        assert sorted(rows) == sorted(want)
 
     def test_per_class_pin_1e10(self):
         # S, S~ and every per-class (count, failing) pair at X = 10^10, as
@@ -170,18 +172,6 @@ class TestSinkAndAudit:
                 assert s.witness is not None and d.field_disc % s.witness == 0
             else:
                 assert s.witness is None
-
-    def test_sink_order_independent_of_threads(self):
-        runs = []
-        for threads in (1, 3):
-            acc = []
-            enumerate_fields(
-                2 * 10**5,
-                sink=lambda t, d, s: acc.append((t.m, t.a1, t.b1, d.field_disc, s.verdict)),
-                threads=threads,
-            )
-            runs.append(acc)
-        assert runs[0] == runs[1]
 
     def test_audit_passes(self):
         # oracle re-check of every field, failing ones included

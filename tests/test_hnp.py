@@ -1,10 +1,10 @@
-"""Tests for the two Hasse-norm-principle classifiers.
+"""Tests for the splitting-criterion classifiers.
 
 classify_by_splitting is the ground truth (it reads off decomposition
-groups at ramified primes); classify_by_congruences must agree with it
-everywhere.  The exhaustive sweep to the acceptance bound lives in
-test_acceptance; here we cover the documented examples, the case
-structure, and a medium sweep.
+groups at ramified primes); splitting_witnesses is the same test on
+arrays.  The exhaustive sweep of the production kernel against the
+oracle, to the acceptance bound, lives in test_acceptance; here we cover
+the documented examples and the structure of the verdicts.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from biquad_hnp.arith import build_sieve, kronecker
 from biquad_hnp.enumeration import iter_valid_triples
 from biquad_hnp.fields import FieldTriple, subfield_data
-from biquad_hnp.hnp import classify_by_congruences, classify_by_splitting, splitting_witnesses
+from biquad_hnp.hnp import classify_by_splitting, splitting_witnesses
 
 
 class TestSplittingOracle:
@@ -32,6 +32,32 @@ class TestSplittingOracle:
         status = classify_by_splitting(FieldTriple(1, 2, 3))
         assert status.verdict == "holds"
         assert status.witness == 2
+
+    @pytest.mark.parametrize(
+        "triple, verdict",
+        [
+            # residues (1, 1, 3) mod 4; the agreeing pair (1, 5) differs mod 8
+            ((1, 5, -1), "holds"),
+            # the even component is the odd one out; (1, 17) agree mod 8
+            ((2, 1, 17), "fails"),
+            # unit components impose no symbol condition, but (-1|7) = -1
+            ((1, -1, -7), "holds"),
+        ],
+        ids=["mod8_pair_differs", "even_component", "unit_components"],
+    )
+    def test_congruence_examples(self, triple, verdict):
+        assert classify_by_splitting(FieldTriple(*triple)).verdict == verdict
+
+    def test_distinct_residues_mod_4_hold_with_witness_2(self):
+        # pairwise distinct residues mod 4: 2 is totally ramified
+        checked = 0
+        for t in iter_valid_triples(150):
+            if len({v % 4 for v in (t.m, t.a1, t.b1)}) == 3:
+                checked += 1
+                status = classify_by_splitting(t)
+                assert status.verdict == "holds"
+                assert status.witness == 2
+        assert checked > 0
 
     def test_witness_divides_disc(self):
         for t in iter_valid_triples(200):
@@ -85,49 +111,3 @@ class TestSplittingWitnesses:
     def test_sieve_must_cover_the_fields(self):
         with pytest.raises(ValueError, match="sieve"):
             splitting_witnesses(*self._columns([FieldTriple(1, 13, 17)]), build_sieve(100))
-
-
-class TestCongruenceClassifier:
-    def test_case1_example(self):
-        assert classify_by_congruences(FieldTriple(1, 13, 17)).fails
-
-    def test_case2_mod8_condition_fails(self):
-        # residues (1, 1, 3); pair (1, 5) not congruent mod 8
-        status = classify_by_congruences(FieldTriple(1, 5, -1))
-        assert status.verdict == "holds"
-
-    def test_case2_even_component(self):
-        # residues (2, 1, 1): even component is the odd one out
-        assert classify_by_congruences(FieldTriple(2, 1, 17)).fails
-
-    def test_case3_distinct_residues(self):
-        status = classify_by_congruences(FieldTriple(1, 2, 3))
-        assert status.verdict == "holds"
-        assert status.witness == 2
-
-    def test_unit_components_impose_no_symbol_conditions(self):
-        # (1, -1, d): only primes of d are constrained
-        fails = classify_by_congruences(FieldTriple(1, -1, -7))
-        # residues (1, 3, 1): pair (m, b1) = (1, -7) = (1, 1) mod 8 -> check d's primes
-        assert fails.fails == (kronecker(-1, 7) == 1)
-
-    def test_case3_shortcut_matches_oracle(self):
-        for t in iter_valid_triples(150):
-            r = tuple(v % 4 for v in (t.m, t.a1, t.b1))
-            if len(set(r)) == 3:
-                oracle = classify_by_splitting(t)
-                assert oracle.verdict == "holds"
-                assert oracle.witness == 2
-
-
-class TestEquivalence:
-    def test_sweep_medium(self):
-        sieve = build_sieve(400)
-        count = 0
-        for t in iter_valid_triples(400):
-            count += 1
-            assert (
-                classify_by_splitting(t, sieve).verdict
-                == classify_by_congruences(t, sieve).verdict
-            ), t
-        assert count > 5000
