@@ -1,8 +1,9 @@
-"""Tests for the splitting-criterion classifiers.
+"""Tests for the Hasse-norm-principle classifiers.
 
 classify_by_splitting is the ground truth (it reads off decomposition
 groups at ramified primes); splitting_witnesses is the same test on
-arrays.  The exhaustive sweep of the production kernel against the
+arrays.  The production kernel classifies by congruences (class tables
+plus symbol bitmasks).  The exhaustive sweep of the kernel against the
 oracle, to the acceptance bound, lives in test_acceptance; here we cover
 the documented examples and the structure of the verdicts.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from biquad_hnp.arith import build_sieve, kronecker
-from biquad_hnp.enumeration import iter_valid_triples
+from biquad_hnp.enumeration import iter_valid_triples, tuple_records
 from biquad_hnp.fields import FieldTriple, subfield_data
 from biquad_hnp.hnp import classify_by_splitting, splitting_witnesses
 
@@ -47,17 +48,6 @@ class TestSplittingOracle:
     )
     def test_congruence_examples(self, triple, verdict):
         assert classify_by_splitting(FieldTriple(*triple)).verdict == verdict
-
-    def test_distinct_residues_mod_4_hold_with_witness_2(self):
-        # pairwise distinct residues mod 4: 2 is totally ramified
-        checked = 0
-        for t in iter_valid_triples(150):
-            if len({v % 4 for v in (t.m, t.a1, t.b1)}) == 3:
-                checked += 1
-                status = classify_by_splitting(t)
-                assert status.verdict == "holds"
-                assert status.witness == 2
-        assert checked > 0
 
     def test_witness_divides_disc(self):
         for t in iter_valid_triples(200):
@@ -111,3 +101,49 @@ class TestSplittingWitnesses:
     def test_sieve_must_cover_the_fields(self):
         with pytest.raises(ValueError, match="sieve"):
             splitting_witnesses(*self._columns([FieldTriple(1, 13, 17)]), build_sieve(100))
+
+
+def _kernel_fails(m, a1, b1):
+    """The production kernel's verdict on the ordered tuple (m, a1, b1)."""
+    for chunk in tuple_records(abs(m * a1 * b1)):
+        for v1, v2, v3, _, _, fails in chunk.tolist():
+            if (v1, v2, v3) == (m, a1, b1):
+                return bool(fails)
+    raise AssertionError(f"kernel did not admit {(m, a1, b1)}")
+
+
+class TestCongruenceClassifier:
+    """The production kernel's congruence verdicts on the documented examples."""
+
+    def test_case1_example(self):
+        assert _kernel_fails(1, 13, 17)
+
+    def test_case2_mod8_condition_fails(self):
+        # residues (1, 1, 3); pair (1, 5) not congruent mod 8
+        assert not _kernel_fails(1, 5, -1)
+
+    def test_case2_even_component(self):
+        # residues (2, 1, 1): even component is the odd one out
+        assert _kernel_fails(2, 1, 17)
+
+    def test_case3_distinct_residues(self):
+        assert not _kernel_fails(1, 2, 3)
+        assert classify_by_splitting(FieldTriple(1, 2, 3)).witness == 2
+
+    def test_unit_components_impose_no_symbol_conditions(self):
+        # (1, -1, d): only primes of d are constrained
+        # residues (1, 3, 1): pair (m, b1) = (1, -7) = (1, 1) mod 8 -> check d's primes
+        assert _kernel_fails(1, -1, -7) == (kronecker(-1, 7) == 1)
+
+    def test_case3_shortcut_matches_oracle(self):
+        # pairwise distinct residues mod 4: 2 is totally ramified
+        checked = 0
+        for chunk in tuple_records(150):
+            for m, a1, b1, _, _, fails in chunk.tolist():
+                if len({v % 4 for v in (m, a1, b1)}) == 3:
+                    checked += 1
+                    assert not fails
+                    oracle = classify_by_splitting(FieldTriple(m, a1, b1))
+                    assert oracle.verdict == "holds"
+                    assert oracle.witness == 2
+        assert checked > 0
