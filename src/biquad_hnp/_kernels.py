@@ -122,7 +122,11 @@ def jacobi_array(a, n) -> np.ndarray:
 @cache
 def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per class id: the weight factor c, and whether the tuple passes the
-    mod-4/mod-8 prefilter and the slot-of-2 condition."""
+    mod-4/mod-8 prefilter and the slot-of-2 condition.
+
+    The exact class sums in asymptotics read the same cached arrays, so
+    both are read-only.
+    """
     cid = np.arange(CLASS_SPACE, dtype=np.int64)
     ecode = cid & 63
     even_slot = (cid >> 6) & 3

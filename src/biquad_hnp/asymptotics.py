@@ -8,9 +8,12 @@ The two counting asymptotics are
 with C_total = prod_p (1-1/p)^3 (1+3/p) and
 C_failing = prod_p (1-1/p)^(3/2) (1+3/(2p)).  The integers 23 and 112 are
 exact weighted counts over the finite class decomposition of the
-enumeration (sign pair, factor-of-2 slot, odd residues); they are
-recomputed here by exhaustive rational summation, together with the
-signed variant that cancels to zero.
+enumeration (sign pair, factor-of-2 slot, odd residues mod 8).  That
+decomposition is the kernel's class table (``_kernels._class_tables``:
+the weight factor c and failure compatibility of each of its 1024 ids),
+and every exact sum here (23, 112, the signed variant that cancels to
+zero, the class moments and the degenerate weight) is a rational sum over
+that table, so the identities check the classes every count uses.
 
 The all-fields count has the three-term expansion
 
@@ -34,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from ._kernels import primes_up_to
+from . import _kernels
 from .arith import kronecker, reciprocity_exponent
 
 DEFAULT_PRIME_LIMIT = 10_000_000
@@ -42,7 +45,6 @@ DEFAULT_PRIME_LIMIT = 10_000_000
 # factor-of-2 placements: slot 0 = all components odd, slot i = component i even
 EVEN_SLOTS = (0, 1, 2, 3)
 SIGN_PAIRS = tuple(product((1, -1), repeat=2))
-ODD_RESIDUES = (1, 3, 5, 7)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class EulerProductValue:
     prime_limit: int
 
 
-_primes_up_to = lru_cache(maxsize=8)(primes_up_to)
+_primes_up_to = lru_cache(maxsize=8)(_kernels.primes_up_to)
 
 
 def euler_product_total(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductValue:
@@ -148,115 +150,47 @@ def u_factor(
     )
 
 
-def in_failure_class(even_slot: int, eps: tuple[int, int, int]) -> bool:
-    """Membership of signed residues (mod 8) in the failure-compatible set.
+def _class_rows():
+    """(sign2, sign3, slot, residues, scale, ok) for every id of the kernel's
+    class table.
 
-    eps is the residue triple of the signed components.  With all
-    components odd (slot 0): either all residues agree mod 4, or two are
-    equal mod 8 and opposite to the third mod 4.  With an even component,
-    the two odd residues must be equal mod 8.
+    residues are the odd parts of the three components mod 8, ok is the
+    kernel's failure compatibility, and scale = c 2^[slot > 0] bounds the
+    class's cores: it admits n <= isqrt(X) / scale.
     """
-    if even_slot not in EVEN_SLOTS:
-        raise ValueError("even_slot must be 0..3")
-    if any(e not in ODD_RESIDUES for e in eps):
-        raise ValueError(f"residues must lie in {ODD_RESIDUES}")
-    e1, e2, e3 = eps
-    if even_slot == 0:
-        if e1 % 4 == e2 % 4 == e3 % 4:
-            return True
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            if eps[i] == eps[j] and eps[i] % 4 == (-eps[k]) % 4:
-                return True
-        return False
-    if even_slot == 1:
-        return e2 == e3
-    if even_slot == 2:
-        return e1 == e3
-    return e1 == e2
+    c_table, ok_table = _kernels._class_tables()
+    for cid in range(_kernels.CLASS_SPACE):
+        sign2, sign3, slot, residues = _kernels.decode_class_index(cid)
+        scale = int(c_table[cid]) * (1 if slot == 0 else 2)
+        yield sign2, sign3, slot, residues, scale, bool(ok_table[cid])
 
 
-def class_c(
-    sign2: int,
-    sign3: int,
-    eps: tuple[int, int, int],
-    even_slot: int,
-    context: str = "mod8",
-) -> int:
-    """The scale factor c of a class.
-
-    context "mod4": eps lies in {+1, -1}^3 (mod-4 sign classes of the odd
-    parts) and the full {1, 4, 8} table applies.  context "mod8": eps lies
-    in {1,3,5,7}^3 and only failure-compatible classes occur, collapsing
-    the table to 1 (slot 0, all signed residues equal mod 4) or 4.
-    """
-    if context == "mod4":
-        if any(e not in (1, -1) for e in eps):
-            raise ValueError("mod4 context expects residues in {+1, -1}")
-        e1, e2, e3 = eps[0], sign2 * eps[1], sign3 * eps[2]
-        if even_slot == 0:
-            return 1 if e1 == e2 == e3 else 4
-        if even_slot == 1:
-            return 4 if e2 == e3 else 8
-        if even_slot == 2:
-            return 4 if e1 == e3 else 8
-        if even_slot == 3:
-            return 4 if e1 == e2 else 8
-        raise ValueError("even_slot must be 0..3")
-    if context == "mod8":
-        if any(e not in ODD_RESIDUES for e in eps):
-            raise ValueError(f"mod8 context expects residues in {ODD_RESIDUES}")
-        e1, e2, e3 = eps[0], (sign2 * eps[1]) % 8, (sign3 * eps[2]) % 8
-        if even_slot == 0 and e1 % 4 == e2 % 4 == e3 % 4:
-            return 1
-        return 4
-    raise ValueError(f"unknown context {context!r}")
-
-
-def _classes_mod4():
-    """Every class of the mod-4 decomposition, as (slot, eps, t).
-
-    A class is a sign pair, the slot of the factor 2, and the odd parts
-    mod 4, eps.  2^t = c 2^[slot > 0] is the scale of the admission bound:
-    a class admits cores n <= isqrt(X) / 2^t.
-    """
-    for sign2, sign3 in SIGN_PAIRS:
-        for slot in EVEN_SLOTS:
-            for eps in product((1, -1), repeat=3):
-                scale = class_c(sign2, sign3, eps, slot, context="mod4") * (1 if slot == 0 else 2)
-                yield slot, eps, scale.bit_length() - 1
-
-
-def _mod4_weight(even_slots: tuple[int, ...] = EVEN_SLOTS) -> Fraction:
-    return sum(
-        (Fraction(1, 2**t) for slot, _, t in _classes_mod4() if slot in even_slots),
-        Fraction(0),
-    )
-
-
-def _mod8_weight(
+def _class_weight(
     even_slots: tuple[int, ...] = EVEN_SLOTS,
     sign_pairs: tuple[tuple[int, int], ...] = SIGN_PAIRS,
+    failing: bool = False,
     signed: bool = False,
 ) -> Fraction:
+    """Sum of 1/scale over the classes of the given slots and sign pairs.
+
+    With failing false the sum runs over the classes mod 4, each of which
+    holds 8 ids of the mod-8 table.  With failing true it runs over the
+    failure-compatible ids, and signed weights each by its u_factor.
+    """
     total = Fraction(0)
-    for sign2, sign3 in sign_pairs:
-        for slot in even_slots:
-            two_power = 1 if slot == 0 else 2
-            for eps in product(ODD_RESIDUES, repeat=3):
-                signed_eps = (eps[0], (sign2 * eps[1]) % 8, (sign3 * eps[2]) % 8)
-                if not in_failure_class(slot, signed_eps):
-                    continue
-                c = class_c(sign2, sign3, eps, slot, context="mod8")
-                weight = Fraction(1, c * two_power)
-                if signed:
-                    weight *= u_factor(eps[0], eps[1], eps[2], slot, sign2, sign3)
-                total += weight
+    for sign2, sign3, slot, residues, scale, ok in _class_rows():
+        if slot not in even_slots or (sign2, sign3) not in sign_pairs:
+            continue
+        if not failing:
+            total += Fraction(1, 8 * scale)
+        elif ok:
+            total += Fraction(u_factor(*residues, slot, sign2, sign3) if signed else 1, scale)
     return total
 
 
 def total_class_weight() -> int:
     """Sum of 1/(c 2^k) over all classes; must equal 23 exactly."""
-    value = _mod4_weight()
+    value = _class_weight()
     if value.denominator != 1:
         raise AssertionError(f"class weight sum is not an integer: {value}")
     return int(value)
@@ -264,7 +198,7 @@ def total_class_weight() -> int:
 
 def failing_class_weight() -> int:
     """Sum of 1/(c 2^k) over failure-compatible classes; must equal 112."""
-    value = _mod8_weight()
+    value = _class_weight(failing=True)
     if value.denominator != 1:
         raise AssertionError(f"class weight sum is not an integer: {value}")
     return int(value)
@@ -278,7 +212,7 @@ def signed_failing_class_weight(
     Restricting sign_pairs to a single pair still gives 0: the
     cancellation happens block by block.
     """
-    return _mod8_weight(sign_pairs=sign_pairs, signed=True)
+    return _class_weight(sign_pairs=sign_pairs, failing=True, signed=True)
 
 
 @dataclass(frozen=True)
@@ -410,12 +344,14 @@ def class_moments() -> list[list[Fraction]]:
     each monomial of e_k changes sign under one of these maps.
     """
     moments = [[Fraction(0)] * 3 for _ in range(4)]
-    for _slot, eps, t in _classes_mod4():
-        e1, e2, e3 = eps
+    for _s2, _s3, _slot, residues, scale, _ok in _class_rows():
+        e1, e2, e3 = (1 if r % 4 == 1 else -1 for r in residues)
+        t = scale.bit_length() - 1
         sym = (1, e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, e1 * e2 * e3)
         for k in range(4):
             for j in range(3):
-                moments[k][j] += Fraction(sym[k] * t**j, 8 * 2**t)
+                # a class mod 4 is 8 ids of the table: 1/(8 2^t) / 8
+                moments[k][j] += Fraction(sym[k] * t**j, 64 * scale)
     return moments
 
 
@@ -425,22 +361,16 @@ def degenerate_class_weight() -> Fraction:
     A degenerate tuple has two equal components +-1 (it names a quadratic
     field, and the enumeration skips it): one component holds the whole
     core m and carries the factor 2, if any, and the other two are units
-    of the same sign.  Summed over the two classes of m mod 4.
+    of the same sign, with odd parts 1.  Summed over the classes of m mod 8.
     """
     total = Fraction(0)
-    for sign2, sign3 in SIGN_PAIRS:
+    for sign2, sign3, slot, residues, scale, _ok in _class_rows():
         units = (1, sign2, sign3)
-        for slot in EVEN_SLOTS:
-            for j in range(3):
-                if slot not in (0, j + 1):
-                    continue
-                pair = [units[i] for i in range(3) if i != j]
-                if pair[0] != pair[1]:
-                    continue
-                for e in (1, -1):
-                    eps = tuple(e if i == j else 1 for i in range(3))
-                    c = class_c(sign2, sign3, eps, slot, context="mod4")
-                    total += Fraction(1, c * (1 if slot == 0 else 2))
+        for j in range(3):
+            i, k = [x for x in range(3) if x != j]
+            if slot in (0, j + 1) and residues[i] == residues[k] == 1 and units[i] == units[k]:
+                # the core m lies in one of the 2 ids of its class mod 4
+                total += Fraction(1, 2 * scale)
     return total
 
 

@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
+from typing import TextIO
 
 from . import asymptotics, enumeration
 from .arith import build_sieve
@@ -68,12 +69,23 @@ def _float15(x: float) -> str:
     return format(x, ".15g")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
+def _open_output(option: str, path: str | None) -> AbstractContextManager[TextIO | None]:
+    """The file an output option names, opened for writing (None if unset).
+
+    Commands open their outputs once their options are checked and before
+    any counting, so that an unwritable path fails at once.
+    """
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {option} {path}: {exc.strerror}") from exc
+
+
+def _emit(text: str, out: TextIO | None) -> None:
+    if out:
+        out.write(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -107,67 +119,63 @@ def cmd_count(args: argparse.Namespace) -> int:
         audit_bound=args.audit_bound,
         output_path=args.out,
     )
-    # RunConfig has checked every option, so a usage error cannot leave
-    # an existing records file truncated
-    try:
-        records_file = open(args.records, "w", encoding="utf-8") if args.records else None
-    except OSError as exc:
-        raise ValueError(f"cannot open --records {args.records}: {exc.strerror}") from exc
+    # RunConfig has checked every option, so a bad bound cannot leave an
+    # existing records or --out file truncated
+    with (
+        _open_output("--records", args.records) as records_file,
+        _open_output("--out", config.output_path) as out_file,
+    ):
 
-    def record_sink(triple, data, status):
-        # the bytes json.dumps gives for this dict of ints and a verdict
-        # string that needs no escaping, built without the encoder
-        records_file.write(
-            f'{{"m": {triple.m}, "a1": {triple.a1}, "b1": {triple.b1}, '
-            f'"disc": {data.field_disc}, "c": {data.c}, "verdict": "{status.verdict}"}}\n'
-        )
+        def record_sink(triple, data, status):
+            # the bytes json.dumps gives for this dict of ints and a verdict
+            # string that needs no escaping, built without the encoder
+            records_file.write(
+                f'{{"m": {triple.m}, "a1": {triple.a1}, "b1": {triple.b1}, '
+                f'"disc": {data.field_disc}, "c": {data.c}, "verdict": "{status.verdict}"}}\n'
+            )
 
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         report = enumeration.enumerate_fields(
             config.max_disc,
             sink=record_sink if records_file else None,
             audit_bound=config.audit_bound,
         )
-    finally:
-        if records_file:
-            records_file.close()
-    elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
 
-    if config.output_format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "X": report.X,
-            "S": report.S,
-            "S_tilde": report.S_tilde,
-            "ordered_total": report.ordered_total,
-            "fail_fraction": report.fail_fraction,
-            "wall_time_s": elapsed,
-            "classes": [
-                _label_dict(
-                    enumeration.ClassLabel(r[0], r[1], r[2], r[3]), r[4], r[5]
-                )
-                for r in _sorted_classes(report)
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), config.output_path)
-    elif config.output_format == "csv":
-        lines = ["sign2,sign3,even_slot,res1,res2,res3,count,failing"]
-        for s2, s3, slot, res, count, failing in _sorted_classes(report):
-            lines.append(f"{s2},{s3},{slot},{res[0]},{res[1]},{res[2]},{count},{failing}")
-        _emit("\r\n".join(lines) + "\r\n", config.output_path)
-    else:
-        lines = [
-            f"X = {report.X}",
-            f"S (all fields)      = {report.S}",
-            f"S~ (HNP failures)   = {report.S_tilde}",
-            f"ordered tuples      = {report.ordered_total}",
-            f"fail fraction       = {_float15(report.fail_fraction)}",
-            f"classes represented = {len(report.per_class)}",
-            f"wall time           = {elapsed:.3f} s",
-        ]
-        _emit("\n".join(lines) + "\n", config.output_path)
-    return EXIT_OK
+        if config.output_format == "json":
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "X": report.X,
+                "S": report.S,
+                "S_tilde": report.S_tilde,
+                "ordered_total": report.ordered_total,
+                "fail_fraction": report.fail_fraction,
+                "wall_time_s": elapsed,
+                "classes": [
+                    _label_dict(
+                        enumeration.ClassLabel(r[0], r[1], r[2], r[3]), r[4], r[5]
+                    )
+                    for r in _sorted_classes(report)
+                ],
+            }
+            _emit(json.dumps(payload, indent=2), out_file)
+        elif config.output_format == "csv":
+            lines = ["sign2,sign3,even_slot,res1,res2,res3,count,failing"]
+            for s2, s3, slot, res, count, failing in _sorted_classes(report):
+                lines.append(f"{s2},{s3},{slot},{res[0]},{res[1]},{res[2]},{count},{failing}")
+            _emit("\r\n".join(lines) + "\r\n", out_file)
+        else:
+            lines = [
+                f"X = {report.X}",
+                f"S (all fields)      = {report.S}",
+                f"S~ (HNP failures)   = {report.S_tilde}",
+                f"ordered tuples      = {report.ordered_total}",
+                f"fail fraction       = {_float15(report.fail_fraction)}",
+                f"classes represented = {len(report.per_class)}",
+                f"wall time           = {elapsed:.3f} s",
+            ]
+            _emit("\n".join(lines) + "\n", out_file)
+        return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -366,56 +374,60 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if sorted(checkpoints) != checkpoints:
         print("error: checkpoints must be ascending", file=sys.stderr)
         return EXIT_USAGE
-    c_total = asymptotics.euler_product_total(args.prime_limit).value
-    c_failing = asymptotics.euler_product_failing(args.prime_limit).value
-    rows = []
-    for x in checkpoints:
-        report = enumeration.enumerate_fields(x)
-        s_main = asymptotics.main_term_total(x, c_total)
-        st_main = asymptotics.main_term_failing(x, c_failing)
-        rows.append(
-            {
-                "X": x,
-                "S": report.S,
-                "S_main": s_main,
-                "S_ratio": report.S / s_main if s_main else 0.0,
-                "Stilde": report.S_tilde,
-                "Stilde_main": st_main,
-                "Stilde_ratio": report.S_tilde / st_main if st_main else 0.0,
-                "fail_fraction": report.fail_fraction,
-            }
-        )
-    if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
-        _emit(json.dumps(payload, indent=2), args.out)
-    elif args.format == "text":
-        header = f"{'X':>14} {'S':>10} {'S_ratio':>9} {'Stilde':>8} {'St_ratio':>9} {'fail_frac':>10}"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                f"{r['X']:>14} {r['S']:>10} {r['S_ratio']:>9.4f} "
-                f"{r['Stilde']:>8} {r['Stilde_ratio']:>9.4f} {r['fail_fraction']:>10.6f}"
+    if checkpoints and checkpoints[-1] >= enumeration.MAX_DISC_EXCLUSIVE:
+        print(f"error: checkpoints must be below 2^63, got {checkpoints[-1]}", file=sys.stderr)
+        return EXIT_USAGE
+    with _open_output("--out", args.out) as out_file:
+        c_total = asymptotics.euler_product_total(args.prime_limit).value
+        c_failing = asymptotics.euler_product_failing(args.prime_limit).value
+        rows = []
+        for x in checkpoints:
+            report = enumeration.enumerate_fields(x)
+            s_main = asymptotics.main_term_total(x, c_total)
+            st_main = asymptotics.main_term_failing(x, c_failing)
+            rows.append(
+                {
+                    "X": x,
+                    "S": report.S,
+                    "S_main": s_main,
+                    "S_ratio": report.S / s_main if s_main else 0.0,
+                    "Stilde": report.S_tilde,
+                    "Stilde_main": st_main,
+                    "Stilde_ratio": report.S_tilde / st_main if st_main else 0.0,
+                    "fail_fraction": report.fail_fraction,
+                }
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = ["X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r["X"]),
-                        str(r["S"]),
-                        _float15(r["S_main"]),
-                        _float15(r["S_ratio"]),
-                        str(r["Stilde"]),
-                        _float15(r["Stilde_main"]),
-                        _float15(r["Stilde_ratio"]),
-                        _float15(r["fail_fraction"]),
-                    ]
+        if args.format == "json":
+            payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
+            _emit(json.dumps(payload, indent=2), out_file)
+        elif args.format == "text":
+            header = f"{'X':>14} {'S':>10} {'S_ratio':>9} {'Stilde':>8} {'St_ratio':>9} {'fail_frac':>10}"
+            lines = [header]
+            for r in rows:
+                lines.append(
+                    f"{r['X']:>14} {r['S']:>10} {r['S_ratio']:>9.4f} "
+                    f"{r['Stilde']:>8} {r['Stilde_ratio']:>9.4f} {r['fail_fraction']:>10.6f}"
                 )
-            )
-        _emit("\r\n".join(lines) + "\r\n", args.out)
-    return EXIT_OK
+            _emit("\n".join(lines) + "\n", out_file)
+        else:
+            lines = ["X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction"]
+            for r in rows:
+                lines.append(
+                    ",".join(
+                        [
+                            str(r["X"]),
+                            str(r["S"]),
+                            _float15(r["S_main"]),
+                            _float15(r["S_ratio"]),
+                            str(r["Stilde"]),
+                            _float15(r["Stilde_main"]),
+                            _float15(r["Stilde_ratio"]),
+                            _float15(r["fail_fraction"]),
+                        ]
+                    )
+                )
+            _emit("\r\n".join(lines) + "\r\n", out_file)
+        return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,6 +487,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _size_bounds(args: argparse.Namespace) -> str:
+    """The options that size a command's sieves, as given."""
+    parts = []
+    for dest in ("max_disc", "checkpoints", "prime_limit"):
+        value = getattr(args, dest, None)
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            parts.append(f"--{dest.replace('_', '-')} {value}")
+    return ", ".join(parts) or args.command
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -482,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, InvalidFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # a bound below 2^63 can still ask for sieves larger than memory
+        print(f"error: not enough memory for {_size_bounds(args)}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,0 +1,75 @@
+"""Scalar reference for the kernel's class table, ``_kernels._class_tables``.
+
+These are the per-class functions the exact class sums in ``asymptotics``
+used before they were computed over the kernel's table, kept as plain
+Python so the tests can compare the table with them entry by entry: the
+weight factor c of a class, and whether its signed residues are failure
+compatible.
+"""
+
+EVEN_SLOTS = (0, 1, 2, 3)
+ODD_RESIDUES = (1, 3, 5, 7)
+
+
+def in_failure_class(even_slot: int, eps: tuple[int, int, int]) -> bool:
+    """Membership of signed residues (mod 8) in the failure-compatible set.
+
+    eps is the residue triple of the signed components.  With all
+    components odd (slot 0): either all residues agree mod 4, or two are
+    equal mod 8 and opposite to the third mod 4.  With an even component,
+    the two odd residues must be equal mod 8.
+    """
+    if even_slot not in EVEN_SLOTS:
+        raise ValueError("even_slot must be 0..3")
+    if any(e not in ODD_RESIDUES for e in eps):
+        raise ValueError(f"residues must lie in {ODD_RESIDUES}")
+    e1, e2, e3 = eps
+    if even_slot == 0:
+        if e1 % 4 == e2 % 4 == e3 % 4:
+            return True
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if eps[i] == eps[j] and eps[i] % 4 == (-eps[k]) % 4:
+                return True
+        return False
+    if even_slot == 1:
+        return e2 == e3
+    if even_slot == 2:
+        return e1 == e3
+    return e1 == e2
+
+
+def class_c(
+    sign2: int,
+    sign3: int,
+    eps: tuple[int, int, int],
+    even_slot: int,
+    context: str = "mod8",
+) -> int:
+    """The scale factor c of a class.
+
+    context "mod4": eps lies in {+1, -1}^3 (mod-4 sign classes of the odd
+    parts) and the full {1, 4, 8} table applies.  context "mod8": eps lies
+    in {1,3,5,7}^3 and only failure-compatible classes occur, collapsing
+    the table to 1 (slot 0, all signed residues equal mod 4) or 4.
+    """
+    if context == "mod4":
+        if any(e not in (1, -1) for e in eps):
+            raise ValueError("mod4 context expects residues in {+1, -1}")
+        e1, e2, e3 = eps[0], sign2 * eps[1], sign3 * eps[2]
+        if even_slot == 0:
+            return 1 if e1 == e2 == e3 else 4
+        if even_slot == 1:
+            return 4 if e2 == e3 else 8
+        if even_slot == 2:
+            return 4 if e1 == e3 else 8
+        if even_slot == 3:
+            return 4 if e1 == e2 else 8
+        raise ValueError("even_slot must be 0..3")
+    if context == "mod8":
+        if any(e not in ODD_RESIDUES for e in eps):
+            raise ValueError(f"mod8 context expects residues in {ODD_RESIDUES}")
+        e1, e2, e3 = eps[0], (sign2 * eps[1]) % 8, (sign3 * eps[2]) % 8
+        if even_slot == 0 and e1 % 4 == e2 % 4 == e3 % 4:
+            return 1
+        return 4
+    raise ValueError(f"unknown context {context!r}")

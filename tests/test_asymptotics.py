@@ -1,4 +1,8 @@
-"""Tests for Euler products, main terms and the exact class-weight identities."""
+"""Tests for Euler products, main terms and the exact class-weight identities.
+
+The class sums run over the kernel's class table; the scalar class
+functions they replaced are kept as the oracle ``_reference_classes``.
+"""
 
 import math
 import random
@@ -7,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _reference_classes import class_c, in_failure_class
 from biquad_hnp.asymptotics import (
     EULER_GAMMA,
     L1_CHI4,
@@ -14,11 +19,9 @@ from biquad_hnp.asymptotics import (
     SIGN_PAIRS,
     STIELTJES_GAMMA1,
     ConstantCrossCheck,
+    _class_weight,
     _f_k_polynomial,
-    _mod4_weight,
-    _mod8_weight,
     _primes_up_to,
-    class_c,
     class_moments,
     degenerate_class_weight,
     euler_product_failing,
@@ -26,7 +29,6 @@ from biquad_hnp.asymptotics import (
     expansion_total,
     expansion_total_coefficients,
     failing_class_weight,
-    in_failure_class,
     main_term_constant_crosscheck,
     main_term_failing,
     main_term_total,
@@ -192,15 +194,15 @@ class TestExactIdentities:
         assert total_class_weight() == 23
 
     def test_total_weight_splits_14_plus_9(self):
-        assert _mod4_weight(even_slots=(0,)) == 14
-        assert _mod4_weight(even_slots=(1, 2, 3)) == 9
+        assert _class_weight(even_slots=(0,)) == 14
+        assert _class_weight(even_slots=(1, 2, 3)) == 9
 
     def test_failing_class_weight_is_112(self):
         assert failing_class_weight() == 112
 
     def test_failing_weight_splits_88_plus_24(self):
-        assert _mod8_weight(even_slots=(0,)) == 88
-        assert _mod8_weight(even_slots=(1, 2, 3)) == 24
+        assert _class_weight(even_slots=(0,), failing=True) == 88
+        assert _class_weight(even_slots=(1, 2, 3), failing=True) == 24
 
     def test_signed_weight_cancels(self):
         value = signed_failing_class_weight()

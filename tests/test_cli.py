@@ -145,6 +145,45 @@ class TestCount:
         assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--max-disc", "1e12"], ["compare", "--checkpoints", "1e6,1e12"]],
+        ids=["count", "compare"],
+    )
+    def test_unwritable_out_fails_before_counting(self, argv, tmp_path, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the count ran before --out was opened")
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", no_count)
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out")
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["count", "--max-disc", "9e18"], "--max-disc 9000000000000000000"),
+            (["compare", "--checkpoints", "1e6,9e18"], "--checkpoints 1000000,9000000000000000000"),
+        ],
+        ids=["count", "compare"],
+    )
+    def test_sieve_beyond_memory_is_usage_error(self, argv, bound, capsys, monkeypatch):
+        from biquad_hnp import _kernels
+
+        # stands in for the allocation: a real sieve to this bound would
+        # take tens of GB
+        def no_memory(limit):
+            raise MemoryError
+
+        monkeypatch.setattr(_kernels, "build_spf", no_memory)
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and bound in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 class TestClassify:
     def test_gens_failing_field(self, capsys):
         assert main(["classify", "--gens", "13", "17"]) == EXIT_OK
@@ -223,6 +262,19 @@ class TestConstants:
         assert 0.11 < payload["euler_product_total"]["value"] < 0.12
 
 
+    def test_prime_limit_beyond_memory_is_usage_error(self, capsys, monkeypatch):
+        from biquad_hnp import asymptotics
+
+        def no_memory(limit):
+            raise MemoryError
+
+        monkeypatch.setattr(asymptotics, "_primes_up_to", no_memory)
+        assert main(["constants", "--prime-limit", "1e17"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not enough memory for --prime-limit 100000000000000000\n"
+
+
 class TestCompare:
     def test_csv_row_shape(self, capsys):
         assert main(["compare", "--checkpoints", "144,1e4"]) == EXIT_OK
@@ -244,6 +296,14 @@ class TestCompare:
 
     def test_unsorted_rejected(self, capsys):
         assert main(["compare", "--checkpoints", "1e4,1e3"]) == EXIT_USAGE
+
+    def test_checkpoint_beyond_int64_rejected_before_counting(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("a checkpoint was counted")
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", no_count)
+        assert main(["compare", "--checkpoints", "1e4,1e19"]) == EXIT_USAGE
+        assert "2^63" in capsys.readouterr().err
 
     def test_json(self, capsys):
         assert main(["compare", "--checkpoints", "1e5", "--format", "json"]) == EXIT_OK
@@ -276,21 +336,16 @@ class TestVerify:
             assert check["duration_s"] >= 0.0
 
     def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        # a perturbed c-table must break the 23 identity and exit nonzero
-        from biquad_hnp import asymptotics
+        # a perturbed c in the kernel's class table must break the 23 identity
+        # and exit nonzero
+        from biquad_hnp import _kernels
 
-        true_class_c = asymptotics.class_c
-
-        def perturbed(sign2, sign3, eps, even_slot, context="mod8"):
-            c = true_class_c(sign2, sign3, eps, even_slot, context)
-            if context == "mod4" and c == 8:
-                return 4
-            return c
-
-        monkeypatch.setattr(asymptotics, "class_c", perturbed)
+        class_c, class_ok = _kernels._class_tables()
+        perturbed = np.where(class_c == 8, 4, class_c)
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok))
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "expected 23" in out
+        assert "FAIL  class weight sum (all classes): expected 23" in out
 
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
         # a flipped kernel verdict on one tuple in the sweep must fail check 6

@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
+from _reference_classes import in_failure_class
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.asymptotics import in_failure_class
 from biquad_hnp.enumeration import (
     count_by_class,
     count_by_generator_pairs,

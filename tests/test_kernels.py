@@ -3,7 +3,9 @@
 ``enumerate_block`` is compared exactly with the per-tuple loop kept in
 ``_reference_kernel``: class tallies, failing tallies and the multiset
 of records, over whole and split core ranges.  ``jacobi_array`` is
-checked against Euler's criterion and against the scalar symbols.
+checked against Euler's criterion and against the scalar symbols, and
+the class tables entry by entry against the scalar class functions kept
+in ``_reference_classes``.
 """
 
 import math
@@ -12,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+import _reference_classes as reference_classes
 import _reference_kernel as reference
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve, jacobi
@@ -110,16 +113,25 @@ def test_class_index_roundtrip():
         assert _kernels.class_index(sign2, sign3, even_slot, residues) == cid
 
 
-def test_class_tables_match_asymptotics_entry_by_entry():
-    # the weight factor c and the failure prefilter exist twice: as the
-    # kernel's vectorized tables and as the scalar functions in asymptotics
-    from biquad_hnp import asymptotics
-
+def test_class_tables_match_reference_entry_by_entry():
+    # the kernel's table is the one definition of c and of the failure
+    # prefilter in the package; the scalar functions are the oracle
     class_c, class_ok = _kernels._class_tables()
     for cid in range(_kernels.CLASS_SPACE):
         sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
         eps4 = tuple(1 if r % 4 == 1 else -1 for r in residues)
-        assert class_c[cid] == asymptotics.class_c(sign2, sign3, eps4, even_slot, context="mod4")
+        assert class_c[cid] == reference_classes.class_c(
+            sign2, sign3, eps4, even_slot, context="mod4"
+        )
         signed = (residues[0], sign2 * residues[1] % 8, sign3 * residues[2] % 8)
-        assert class_ok[cid] == asymptotics.in_failure_class(even_slot, signed), cid
+        assert class_ok[cid] == reference_classes.in_failure_class(even_slot, signed), cid
+
+
+def test_class_tables_are_read_only():
+    # the kernel and asymptotics share the cached arrays, so a write by one
+    # caller would corrupt the other
+    for table in _kernels._class_tables():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = table[0]
 
