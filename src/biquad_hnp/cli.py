@@ -151,6 +151,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 "ordered_total": report.ordered_total,
                 "fail_fraction": report.fail_fraction,
                 "wall_time_s": elapsed,
+                "stats": report.stats,
                 "classes": [
                     _label_dict(
                         enumeration.ClassLabel(r[0], r[1], r[2], r[3]), r[4], r[5]

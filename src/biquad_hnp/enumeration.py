@@ -8,13 +8,15 @@ the unordered count is the ordered count divided by 6; deduplication by
 canonical key must, and does, give the same number.
 
 The tuple enumeration lives in ``_kernels.enumerate_block``; this module
-turns its tallies into reports, reconstructs field objects from the raw
-records, and cross-checks the two dedup strategies.
+turns its tallies into reports, keeps one record per field, checks that
+the fields kept number the ordered count over 6, and reconstructs field
+objects from the kept records.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -56,7 +58,12 @@ class ClassLabel:
 
 @dataclass
 class CountReport:
-    """Counting summary for all fields with disc <= X."""
+    """Counting summary for all fields with disc <= X.
+
+    stats holds the seconds spent in the stages sieve_s, kernel_s,
+    dedup_s and deliver_s; dedup and deliver run only with a sink or an
+    audit, and read 0 otherwise.
+    """
 
     X: int
     S: int
@@ -64,6 +71,7 @@ class CountReport:
     ordered_total: int
     per_class: dict[ClassLabel, int] = field(repr=False)
     per_class_failing: dict[ClassLabel, int] = field(repr=False)
+    stats: dict[str, float] = field(default_factory=dict, repr=False)
 
     @property
     def fail_fraction(self) -> float:
@@ -88,6 +96,11 @@ def _fundamental(k: np.ndarray) -> np.ndarray:
     return np.where(k % 4 == 1, k, 4 * k)
 
 
+def _lex_less(a: tuple, b: tuple) -> np.ndarray:
+    """Elementwise a < b in lexicographic order, for triples of arrays."""
+    return (a[0] < b[0]) | ((a[0] == b[0]) & ((a[1] < b[1]) | ((a[1] == b[1]) & (a[2] < b[2]))))
+
+
 def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One representative record per field, sorted by (disc, key).
 
@@ -95,20 +108,34 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     discriminants.  The representative is the lexicographically smallest
     record of each field, so the result does not depend on how the
     enumeration was partitioned.
+
+    The kernels v1 v2, v1 v3 and v2 v3 of a record share one component
+    pairwise, so its field's other five ordered records follow in closed
+    form, with s = sgn v2 and t = sgn v3: (v1, v3, v2), (|v2|, s v1, s v3),
+    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).  A
+    record is kept when none of them is smaller, and only the kept rows
+    are sorted.  A field kept twice raises AssertionError.
     """
     if len(records) == 0:
         return records.reshape(0, 6), np.empty((0, 3), dtype=np.int64)
     v1, v2, v3 = records[:, 0], records[:, 1], records[:, 2]
-    keys = np.stack(
-        (_fundamental(v1 * v2), _fundamental(v1 * v3), _fundamental(v2 * v3)), axis=1
-    )
+    row = (v1, v2, v3)
+    s, t = np.sign(v2), np.sign(v3)
+    a2, sv1, sv3 = np.abs(v2), s * v1, s * v3
+    a3, tv1, tv2 = np.abs(v3), t * v1, t * v2
+    beaten = v3 < v2  # the sibling (v1, v3, v2)
+    for sibling in ((a2, sv1, sv3), (a2, sv3, sv1), (a3, tv1, tv2), (a3, tv2, tv1)):
+        beaten |= _lex_less(sibling, row)
+    kept = records[~beaten]
+    u1, u2, u3 = kept[:, 0], kept[:, 1], kept[:, 2]
+    keys = np.stack((_fundamental(u1 * u2), _fundamental(u1 * u3), _fundamental(u2 * u3)), axis=1)
     keys.sort(axis=1)
-    order = np.lexsort((v3, v2, v1, keys[:, 2], keys[:, 1], keys[:, 0], records[:, 3]))
-    srec = records[order]
-    skey = keys[order]
-    first = np.ones(len(srec), dtype=bool)
-    first[1:] = np.any(skey[1:] != skey[:-1], axis=1)
-    return srec[first], skey[first]
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], kept[:, 3]))
+    rows, keys = kept[order], keys[order]
+    twice = np.all(keys[1:] == keys[:-1], axis=1)
+    if twice.any():
+        raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
+    return rows, keys
 
 
 def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
@@ -155,7 +182,9 @@ def _deliver_fields(
     if sink is None:
         # rows ascend in disc (column 10), so the audit needs only a prefix
         stop = int(np.searchsorted(columns[:, 10], audit_bound, side="right"))
+    # one frozen status per verdict and witness prime, shared by its fields
     fails = HnpStatus(FAILS)
+    holds: dict[int, HnpStatus] = {}
     for lo in range(0, stop, EMIT_CHUNK):
         # Python ints a chunk at a time: the whole table as lists would
         # raise the peak memory of the run
@@ -164,7 +193,12 @@ def _deliver_fields(
         ].tolist():
             t = FieldTriple(m, a1, b1)
             data = SubfieldData((k1, k2, k3), (d1, d2, d3), c, disc)
-            status = HnpStatus(HOLDS, witness=w) if w else fails
+            if w:
+                status = holds.get(w)
+                if status is None:
+                    status = holds[w] = HnpStatus(HOLDS, witness=w)
+            else:
+                status = fails
             if disc <= audit_bound and (
                 subfield_data(t) != data or classify_by_splitting(t, sieve) != status
             ):
@@ -200,11 +234,15 @@ def enumerate_fields(
     """
     root = _sieve_root(X)
     audit_bound = min(audit_bound, X)
+    t0 = time.perf_counter()
     sieve = build_sieve(max(root, 1))
+    t1 = time.perf_counter()
     collect = sink is not None or audit_bound > 0
     total, fails, records = _kernels.enumerate_block(
         1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect
     )
+    t2 = time.perf_counter()
+    stats = {"sieve_s": t1 - t0, "kernel_s": t2 - t1, "dedup_s": 0.0, "deliver_s": 0.0}
     ordered_total = int(total.sum())
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
@@ -217,15 +255,19 @@ def enumerate_fields(
         ordered_total=ordered_total,
         per_class=per_class,
         per_class_failing=per_fail,
+        stats=stats,
     )
     if collect:
+        t0 = time.perf_counter()
         rows, _ = unique_field_rows(records)
         del records  # six rows per field; free them before the per-field objects
         if len(rows) != report.S:
             raise AssertionError(
                 f"dedup mismatch: {len(rows)} unique fields vs ordered/6 = {report.S}"
             )
+        t1 = time.perf_counter()
         _deliver_fields(rows, sieve, sink, audit_bound)
+        stats["dedup_s"], stats["deliver_s"] = t1 - t0, time.perf_counter() - t1
     return report
 
 

@@ -55,6 +55,10 @@ class TestCount:
         assert payload["S_tilde"] == 5
         assert payload["ordered_total"] == 282
         assert sum(c["count"] for c in payload["classes"]) == 282
+        stats = payload["stats"]
+        assert set(stats) == {"sieve_s", "kernel_s", "dedup_s", "deliver_s"}
+        assert all(v >= 0 for v in stats.values())
+        assert stats["dedup_s"] == stats["deliver_s"] == 0
 
     def test_csv_classes(self, capsys):
         assert main(["count", "--max-disc", "1e4", "--format", "csv"]) == EXIT_OK

@@ -2,8 +2,9 @@
 
 Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
-between the two dedup strategies, monotonicity, and agreement of the
-chunked tuple records with the triple iterator.
+of the sibling-filter dedup with the sort-everything reference,
+monotonicity, and agreement of the chunked tuple records with the triple
+iterator.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import _reference_dedup as reference
 from _reference_classes import in_failure_class
 from biquad_hnp.arith import build_sieve
 from biquad_hnp.enumeration import (
@@ -75,8 +77,10 @@ class TestConsistency:
             assert len(records) % 6 == 0
             assert 6 * len(rows) == len(records)
             # keys are strictly increasing under (disc, key) order
-            discs = rows[:, 3]
-            assert np.all(np.diff(discs) >= 0)
+            step = np.diff(np.column_stack((rows[:, 3], keys)), axis=0)
+            moved = step != 0
+            assert moved.any(axis=1).all()
+            assert np.all(step[np.arange(len(step)), moved.argmax(axis=1)] > 0)
 
     def test_monotone_in_bound(self):
         values = [enumerate_fields(x) for x in (10**3, 10**4, 10**5, 5 * 10**5, 10**6)]
@@ -118,6 +122,57 @@ class TestConsistency:
         report = enumerate_fields(10**6)
         assert count_by_generator_pairs(10**6) == (report.S, report.S_tilde)
         assert (report.S, report.S_tilde) == (1014, 119)  # regression pin
+
+
+class TestDedup:
+    @staticmethod
+    def assert_same(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("x", [10**4, 10**6, 10**8])
+    def test_matches_sort_everything_reference(self, x):
+        records = field_records(x)
+        self.assert_same(unique_field_rows(records), reference.unique_field_rows(records))
+
+    def test_independent_of_record_order(self):
+        records = field_records(10**6)
+        shuffled = records[np.random.default_rng(7).permutation(len(records))]
+        self.assert_same(unique_field_rows(shuffled), reference.unique_field_rows(records))
+
+    def test_empty_records(self):
+        rows, keys = unique_field_rows(field_records(143))
+        assert rows.shape == (0, 6) and keys.shape == (0, 3)
+
+    def test_duplicated_representative_raises(self):
+        # the clean records dedup; the same records with one field's kept
+        # row written twice do not
+        records = field_records(10**6)
+        rows, _ = unique_field_rows(records)
+        assert len(rows) == 1014
+        doubled = np.concatenate((records, rows[500:501]))
+        with pytest.raises(AssertionError, match="kept twice"):
+            unique_field_rows(doubled)
+
+    def test_dropped_representative_is_a_dedup_mismatch(self, monkeypatch):
+        # without its least record a field keeps none of its other five,
+        # so the kept rows fall one short of ordered/6
+        from biquad_hnp import _kernels, enumeration
+
+        enumerate_fields(10**6, sink=lambda *a: None)
+        true_block = _kernels.enumerate_block
+
+        def dropped(*args):
+            total, fails, records = true_block(*args)
+            hit = np.flatnonzero(records[:, 3] == 48841)  # one field's six records
+            assert len(hit) == 6
+            least = hit[np.lexsort(records[hit, 2::-1].T)[0]]
+            return total, fails, np.delete(records, least, axis=0)
+
+        monkeypatch.setattr(enumeration._kernels, "enumerate_block", dropped)
+        with pytest.raises(AssertionError, match="dedup mismatch"):
+            enumerate_fields(10**6, sink=lambda *a: None)
 
 
 class TestClassTallies:
@@ -227,6 +282,11 @@ class TestSinkAndAudit:
         enumerate_fields(10**4, sink=lambda *a: None)
         with pytest.raises(RuntimeError):
             enumerate_fields(10**4, sink=lambda *a: None, audit_bound=10**4)
+
+    def test_sink_times_dedup_and_delivery(self):
+        # without a sink both read 0 (checked on count --format json)
+        stats = enumerate_fields(10**4, sink=lambda *a: None).stats
+        assert stats["dedup_s"] > 0 and stats["deliver_s"] > 0
 
     def test_field_count_matches_sink(self):
         report = enumerate_fields(3 * 10**4)
