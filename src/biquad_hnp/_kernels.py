@@ -5,8 +5,14 @@ Everything here is numpy array algebra; there is no compiled path.
 ``enumerate_block`` groups the odd squarefree cores of its range by the
 number of prime factors w = omega(n).  An ordered tuple is an assignment
 of the w primes to the three components (3^w of them) together with one
-of 16 (slot of the factor 2, sign pair) choices, and every test on it is
-an array operation over all cores of one group at once:
+of 16 (slot of the factor 2, sign pair) combos.  The combos that name
+biquadratic fields, with their class id base, twist masks and record
+factors, are tabulated per assignment once per omega (``_assignments``,
+built on first use).  Each assignment is then two array passes over a
+(combos, cores) grid, the combos stacked on the first axis and the cores
+of a slab on the second: the combos with all components odd over every
+core, and those with an even component over the cores small enough to
+admit one.  Every test on a tuple is an elementwise operation on a grid:
 
 * the tuple's class id, its weight factor c and the mod-4/mod-8
   congruence prefilter (with the slot-of-2 condition) depend only on the
@@ -17,7 +23,9 @@ an array operation over all cores of one group at once:
   times (-1|p) per negative one and (2|p) when one of them is even.  The
   symbols (p_k|p_i) of each core are computed once, with a vectorized
   Jacobi, and packed into one bitmask per prime, so that a tuple's test
-  is a popcount parity per prime and one comparison of bitmasks.
+  is a popcount parity per prime and one comparison of bitmasks;
+* one bincount per pass adds the admitted tuples to the class tallies,
+  one more the failing ones, and one nonzero picks the records.
 
 Each group is processed in slabs of at most ``SLAB`` cores, which bounds
 the working arrays independently of the range; records go into one
@@ -149,21 +157,55 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _assignments(w: int) -> tuple[tuple[tuple, tuple, np.ndarray], ...]:
-    """The 3^w prime-to-component assignments, in base-3 digit order.
+def _assignments(w: int) -> tuple[tuple[tuple, np.ndarray, tuple, tuple], ...]:
+    """The 3^w prime-to-component assignments, in base-3 digit order, with
+    the live (slot of 2, sign pair) combos of each.
 
-    Each entry holds the prime columns of each component, the bitmask of
-    each component, and per prime the bitmask of the other two components.
+    Each entry holds the prime columns of each component, per prime the
+    bitmask of the other two components, and two combo tables: the combos
+    with every component odd (slot 0), and the combos with an even
+    component, which apply only to the cores with 8 n <= root.  A combo
+    table is (cid0, n4, n8, factors): per combo its class id base, and the
+    masks of the primes twisted by (-1|p) and by (2|p), as (combos, 1)
+    columns; and per component the signed factor (+-1 or +-2) of its odd
+    part in a record, as a (3, combos) array.  Degenerate combos, which
+    name quadratic fields, are left out.  Built on first use per omega.
     """
+    # the 16 combos, slot-major: the component holding the 2 (slot[:, d])
+    # and the negative components (neg[:, d]); component 1 stays positive
+    pl = np.repeat(np.arange(4), 4)
+    s = np.tile(np.arange(4), 4)
+    neg = np.stack((np.zeros(16, dtype=bool), s >= 2, s % 2 == 1), axis=1)
+    slot = pl[:, None] == np.arange(1, 4)
+    digits = np.arange(3**w)[:, None] // 3 ** np.arange(w) % 3
+    masks = (digits[:, :, None] == np.arange(3)) * (1 << np.arange(w))[:, None]
+    masks = masks.sum(axis=1)
+    empty = masks == 0
+    table = np.empty((3**w, 16, 6), dtype=np.int64)
+    table[:, :, 0] = (s * 4 + pl) << 6
+    # (-1|p) twists the primes whose other components hold an odd number
+    # of negative signs, (2|p) those whose other components hold the 2
+    table[:, :, 1] = masks @ ((neg.sum(axis=1)[:, None] - neg) & 1).T
+    table[:, :, 2] = masks @ ((pl[:, None] > 0) & ~slot).T
+    table[:, :, 3:] = np.where(slot, 2, 1) * np.where(neg, -1, 1)
+    # degenerate tuples name quadratic, not biquadratic, fields: two
+    # subfield kernels collide or equal 1
+    unit2 = empty[:, 1:2] & ~slot[:, 1]
+    unit3 = empty[:, 2:3] & ~slot[:, 2]
+    dead = unit2 & unit3 & (neg[:, 1] == neg[:, 2])
+    dead |= empty[:, 0:1] & ~slot[:, 0] & ((unit2 & ~neg[:, 1]) | (unit3 & ~neg[:, 2]))
     full = (1 << w) - 1
     out = []
     for asg in range(3**w):
-        digits = [asg // 3**i % 3 for i in range(w)]
-        cols = tuple([i for i in range(w) if digits[i] == d] for d in range(3))
-        masks = tuple(sum(1 << i for i in c) for c in cols)
-        other_of = np.array([full ^ masks[d] for d in digits], dtype=np.int64)
+        row_digits = digits[asg].tolist()
+        cols = tuple([i for i in range(w) if row_digits[i] == d] for d in range(3))
+        other_of = full ^ masks[asg, digits[asg]]
         other_of.setflags(write=False)
-        out.append((cols, masks, other_of))
+        tables = []
+        for combos in (table[asg, :4][~dead[asg, :4]], table[asg, 4:][~dead[asg, 4:]]):
+            combos.setflags(write=False)
+            tables.append((combos[:, 0:1], combos[:, 1:2], combos[:, 2:3], combos[:, 3:].T))
+        out.append((cols, other_of, *tables))
     return tuple(out)
 
 
@@ -231,7 +273,10 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
     """Tally (and optionally record) every ordered tuple of one slab.
 
     n holds ascending cores with the same omega; primes[:, i] is the i-th
-    smallest prime of each core.
+    smallest prime of each core.  Per assignment, the live combos are
+    stacked on the first axis of two (combos, cores) passes: the odd-slot
+    combos over all cores, the even-slot combos over the cores that admit
+    an even component.
     """
     class_c, class_ok = _class_tables()
     w = primes.shape[1]
@@ -240,56 +285,39 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
     r8 = primes & 7
     # cores with an even component have c >= 4 and base 2n
     k_even = int(np.searchsorted(n, root // 8, side="right"))
-    for cols, masks, other_of in _assignments(w):
-        empty = [mask == 0 for mask in masks]
+    for cols, other_of, odd_combos, even_combos in _assignments(w):
         res = [np.prod(r8[:, c], axis=1) & 7 for c in cols]
         ecode = ((res[0] >> 1) << 4) | ((res[1] >> 1) << 2) | (res[2] >> 1)
         parity = (np.bitwise_count(B & other_of) & 1) @ weights
         if records is not None:
             m = [np.prod(primes[:, c], axis=1) for c in cols]
-        for pl in range(4):
-            k = len(n) if pl == 0 else k_even
-            if k == 0:
+        for (cid0, n4, n8, factors), k, mult in (
+            (odd_combos, len(n), 1),
+            (even_combos, k_even, 2),
+        ):
+            if k == 0 or len(cid0) == 0:
                 continue
-            mult = 1 if pl == 0 else 2
-            # (2|p) twists the primes whose other components hold the 2
-            n8 = 0 if pl == 0 else sum(masks[d] for d in range(3) if d != pl - 1)
-            for s in range(4):
-                neg = (0, s >> 1, s & 1)
-                # degenerate tuples name quadratic, not biquadratic, fields:
-                # two subfield kernels collide or equal 1
-                unit2 = empty[1] and pl != 2
-                unit3 = empty[2] and pl != 3
-                if unit2 and unit3 and neg[1] == neg[2]:
-                    continue
-                if empty[0] and pl != 1 and ((unit2 and not neg[1]) or (unit3 and not neg[2])):
-                    continue
-                # (-1|p) twists the primes whose other components hold an
-                # odd number of negative signs
-                n4 = sum(masks[d] for d in range(3) if (neg[0] + neg[1] + neg[2] - neg[d]) & 1)
-                cid0 = (s * 4 + pl) << 6
-                ek = ecode[:k]
-                c = class_c[cid0 + ek]
-                admitted = n[:k] * (mult * c) <= root
-                fails = class_ok[cid0 + ek] & (parity[:k] == ((B4[:k] & n4) ^ (B8[:k] & n8)))
-                fails &= admitted
-                tally = class_total[cid0 : cid0 + 64]
-                tally += np.bincount(ek[admitted], minlength=64)
-                tally = class_fail[cid0 : cid0 + 64]
-                tally += np.bincount(ek[fails], minlength=64)
-                if records is not None:
-                    sel = np.nonzero(admitted)[0]
-                    d_root = n[sel] * (mult * c[sel])
-                    records.append(
-                        [
-                            m[0][sel] * (2 if pl == 1 else 1),
-                            m[1][sel] * ((2 if pl == 2 else 1) * (-1 if neg[1] else 1)),
-                            m[2][sel] * ((2 if pl == 3 else 1) * (-1 if neg[2] else 1)),
-                            d_root * d_root,
-                            c[sel],
-                            fails[sel],
-                        ]
-                    )
+            cid = cid0 + ecode[:k]
+            c = class_c[cid]
+            admitted = n[:k] * (mult * c) <= root
+            fails = class_ok[cid] & (parity[:k] == ((B4[:k] & n4) ^ (B8[:k] & n8)))
+            fails &= admitted
+            class_total += np.bincount(cid[admitted], minlength=CLASS_SPACE)
+            class_fail += np.bincount(cid[fails], minlength=CLASS_SPACE)
+            if records is not None:
+                combo, core = np.nonzero(admitted)
+                c = c[combo, core]
+                d_root = n[core] * (mult * c)
+                records.append(
+                    [
+                        m[0][core] * factors[0][combo],
+                        m[1][core] * factors[1][combo],
+                        m[2][core] * factors[2][combo],
+                        d_root * d_root,
+                        c,
+                        fails[combo, core],
+                    ]
+                )
 
 
 def enumerate_block(n_lo, n_hi, root, spf, mob, collect):

@@ -82,10 +82,6 @@ def quadratic_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def _fundamental_disc_unchecked(d: int) -> int:
-    return d if d % 4 == 1 else 4 * d
-
-
 def from_generators(a: int, b: int) -> FieldTriple:
     """Triple for Q(sqrt(a), sqrt(b)) from squarefree generators a, b.
 
@@ -104,10 +100,18 @@ def from_generators(a: int, b: int) -> FieldTriple:
 
 
 def subfield_data(t: FieldTriple) -> SubfieldData:
-    """Kernels, fundamental discriminants, c and the field discriminant."""
-    kernels = t.kernels
-    discs = tuple(_fundamental_disc_unchecked(k) for k in kernels)
-    ones = sum(1 for k in kernels if k % 4 == 1)
+    """Kernels, fundamental discriminants, c and the field discriminant.
+
+    Straight-line integer code: this runs once per field in the audits
+    and once per tuple in ``verify``.
+    """
+    m, a1, b1 = t.m, t.a1, t.b1
+    k1, k2, k3 = m * a1, m * b1, a1 * b1
+    one1, one2, one3 = k1 % 4 == 1, k2 % 4 == 1, k3 % 4 == 1
+    d1 = k1 if one1 else 4 * k1
+    d2 = k2 if one2 else 4 * k2
+    d3 = k3 if one3 else 4 * k3
+    ones = one1 + one2 + one3
     if ones == 3:
         c = 1
     elif ones == 1:
@@ -117,11 +121,11 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
     else:
         # two kernels = 1 mod 4 force the third one too
         raise InvalidFieldError(f"kernel parity law violated for {t}")
-    field_disc = abs(discs[0] * discs[1] * discs[2])
-    expected = (c * t.m * abs(t.a1) * abs(t.b1)) ** 2
-    if field_disc != expected:
+    field_disc = abs(d1 * d2 * d3)
+    root = c * m * abs(k3)
+    if field_disc != root * root:
         raise InvalidFieldError(f"discriminant identity violated for {t}")
-    return SubfieldData(kernels=kernels, fundamental_discs=discs, c=c, field_disc=field_disc)
+    return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
 
 
 def canonical_key(t: FieldTriple) -> tuple[int, int, int]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import jacobi_array
-from .arith import FactorSieve, kronecker, prime_factors
+from .arith import FactorSieve, jacobi, kronecker, prime_factors
 from .fields import FieldTriple, subfield_data
 
 FAILS = "fails"
@@ -50,21 +50,29 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
     Fails iff for every prime p | disc some subfield discriminant d has
     kronecker(d, p) = +1.  The smallest prime with no split subfield is
     returned as the witness.
+
+    Straight-line integer code, pure Python and independent of the
+    kernel.  For odd p, kronecker(d, p) is jacobi(d, p).
     """
     data = subfield_data(t)
+    d1, d2, d3 = data.fundamental_discs
     # the components are pairwise coprime, so their primes are those of
     # the product; beyond the sieve, trial division of each component
     # stops at the square root of the largest one, not of the product
-    n = t.m * t.a1 * t.b1
-    if sieve is not None and abs(n) <= sieve.limit:
-        primes = set(sieve.factor(abs(n)))
+    n = abs(t.m * t.a1 * t.b1)
+    if sieve is not None and n <= sieve.limit:
+        primes = sieve.factor(n)  # ascending
     else:
-        primes = {p for part in (t.m, t.a1, t.b1) for p in prime_factors(part, sieve)}
-    if data.c > 1:
-        primes.add(2)
-    for p in sorted(primes):
-        if not any(kronecker(d, p) == 1 for d in data.fundamental_discs):
-            return HnpStatus(HOLDS, witness=p)
+        primes = sorted({p for part in (t.m, t.a1, t.b1) for p in prime_factors(part, sieve)})
+    if data.c > 1 and (not primes or primes[0] != 2):
+        primes = [2, *primes]
+    for p in primes:
+        if p == 2:
+            if kronecker(d1, 2) == 1 or kronecker(d2, 2) == 1 or kronecker(d3, 2) == 1:
+                continue
+        elif jacobi(d1, p) == 1 or jacobi(d2, p) == 1 or jacobi(d3, p) == 1:
+            continue
+        return HnpStatus(HOLDS, witness=p)
     return HnpStatus(FAILS)
 
 

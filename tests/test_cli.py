@@ -351,6 +351,44 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  class weight sum (all classes): expected 23" in out
 
+    @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
+    def test_malformed_identity_tuple_is_a_violation(self, capsys, monkeypatch, bad):
+        # a kernel record that names no field fails check 5; it is not a
+        # usage error
+        true_records = enumeration.field_records
+
+        def faulty(X):
+            records = true_records(X)
+            return np.vstack([records, [[*bad, 0, 8, 0]]])
+
+        monkeypatch.setattr(enumeration, "field_records", faulty)
+        monkeypatch.setattr(enumeration, "tuple_records", lambda max_core: iter(()))
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  discriminant identity" in out
+        assert "got 1 violations" in out
+        assert "PASS  classifier equivalence, 0 triples" in out
+
+    @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
+    def test_malformed_sweep_tuple_is_a_disagreement(self, capsys, monkeypatch, bad):
+        # a kernel record that names no field fails check 6; it is not a
+        # usage error
+        true_tuples = enumeration.tuple_records
+
+        def faulty(max_core):
+            yield from true_tuples(max_core)
+            yield np.array([[*bad, 0, 8, 0]], dtype=np.int64)
+
+        monkeypatch.setattr(enumeration, "tuple_records", faulty)
+        monkeypatch.setattr(
+            enumeration, "field_records", lambda X: np.empty((0, 6), dtype=np.int64)
+        )
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  classifier equivalence, 64141 triples" in out
+        assert "got 1 disagreements" in out
+        assert "PASS  discriminant identity, 0 tuples" in out
+
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
         # a flipped kernel verdict on one tuple in the sweep must fail check 6
         from biquad_hnp import _kernels

@@ -49,6 +49,24 @@ class TestSplittingOracle:
     def test_congruence_examples(self, triple, verdict):
         assert classify_by_splitting(FieldTriple(*triple)).verdict == verdict
 
+    def test_factorization_paths_agree(self):
+        # without a sieve the components are trial-divided; build_sieve(300)
+        # gives the product's ascending list; a sieve below |m a1 b1| sends
+        # the product to the component-wise path, with sieve lookups for the
+        # components it covers
+        full, small = build_sieve(300), build_sieve(17)
+        triples = [
+            FieldTriple(v1, v2, v3)
+            for chunk in tuple_records(300)
+            for v1, v2, v3 in chunk[:, :3].tolist()
+        ]
+        beyond = sum(1 for t in triples if abs(t.m * t.a1 * t.b1) > small.limit)
+        assert beyond > 0.9 * len(triples) > 1000
+        for t in triples:
+            want = classify_by_splitting(t)
+            assert classify_by_splitting(t, full) == want, t
+            assert classify_by_splitting(t, small) == want, t
+
     def test_witness_divides_disc(self):
         for t in iter_valid_triples(200):
             status = classify_by_splitting(t)
