@@ -239,16 +239,13 @@ def main_term_constant_crosscheck(prime_limit: int) -> ConstantCrossCheck:
     of prod (1-1/p^2); agreement is checked against the combined rigorous
     tail bounds.
     """
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
+    failing = euler_product_failing(prime_limit)
+    direct = failing.value / (3.0 * math.sqrt(2.0 * math.pi))
+    tail_direct = failing.tail_bound / (3.0 * math.sqrt(2.0 * math.pi))
     p = _primes_up_to(prime_limit).astype(np.float64)
-    x = 1.0 / p
-    direct_log = float(np.sum(1.5 * np.log1p(-x) + np.log1p(1.5 * x)))
-    direct = math.exp(direct_log) / (3.0 * math.sqrt(2.0 * math.pi))
-    assembled_log = float(np.sum(0.5 * np.log1p(-x) + np.log1p(1.0 / (2.0 * p + 2.0))))
+    assembled_log = float(np.sum(0.5 * np.log1p(-1.0 / p) + np.log1p(1.0 / (2.0 * p + 2.0))))
     coeff = (1.0 / 6.0) * 112.0 * (6.0 / math.pi**2) / (56.0 * math.sqrt(2.0 * math.pi))
     assembled = coeff * math.exp(assembled_log)
-    tail_direct = direct * (2.0 / prime_limit + 1.0 / prime_limit**2)
     tail_assembled = assembled * (1.0 / prime_limit + 1.0 / prime_limit**2)
     combined = tail_direct + tail_assembled
     diff = abs(direct - assembled)

@@ -12,14 +12,13 @@ import json
 import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import TextIO
 
 from . import asymptotics, enumeration
 from .arith import build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
-from .hnp import classify_by_splitting
+from .hnp import FAILS, HOLDS, classify_by_splitting
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -29,23 +28,6 @@ EXIT_USAGE = 2
 EQUIVALENCE_SWEEP_BOUND = 2000  # |m * a1 * b1| bound of the kernel-vs-oracle sweep
 DISC_IDENTITY_BOUND = 10**8  # disc bound of the discriminant identity sweep
 CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
-VERIFY_CHUNK = 4096  # records converted to Python ints at a time in verify
-
-
-@dataclass
-class RunConfig:
-    max_disc: int
-    output_format: str = "text"
-    audit_bound: int = 0
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_disc < 1:
-            raise ValueError("--max-disc must be a positive integer")
-        if self.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
-            raise ValueError(f"--max-disc must be below 2^63, got {self.max_disc}")
-        if self.audit_bound > self.max_disc:
-            raise ValueError("--audit-bound cannot exceed --max-disc")
 
 
 def parse_bound(text: str) -> int:
@@ -93,12 +75,13 @@ def _emit(text: str, out: TextIO | None) -> None:
             sys.stdout.write("\n")
 
 
-def _label_dict(label: enumeration.ClassLabel, count: int, failing: int) -> dict:
+def _label_dict(row: tuple) -> dict:
+    sign2, sign3, even_slot, residues, count, failing = row
     return {
-        "sign2": label.sign2,
-        "sign3": label.sign3,
-        "even_slot": label.even_slot,
-        "residues": list(label.residues),
+        "sign2": sign2,
+        "sign3": sign3,
+        "even_slot": even_slot,
+        "residues": list(residues),
         "count": count,
         "failing": failing,
     }
@@ -114,36 +97,37 @@ def _sorted_classes(report: enumeration.CountReport) -> list[tuple]:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        max_disc=args.max_disc,
-        output_format=args.format,
-        audit_bound=args.audit_bound,
-        output_path=args.out,
-    )
-    # RunConfig has checked every option, so a bad bound cannot leave an
-    # existing records or --out file truncated
+    # checked before the outputs are opened, so that a bad bound cannot
+    # leave an existing records or --out file truncated
+    if args.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
+        print(f"error: --max-disc must be below 2^63, got {args.max_disc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.audit_bound > args.max_disc:
+        print("error: --audit-bound cannot exceed --max-disc", file=sys.stderr)
+        return EXIT_USAGE
     with (
         _open_output("--records", args.records) as records_file,
-        _open_output("--out", config.output_path) as out_file,
+        _open_output("--out", args.out) as out_file,
     ):
 
-        def record_sink(triple, data, status):
+        def record_sink(columns):
             # the bytes json.dumps gives for this dict of ints and a verdict
             # string that needs no escaping, built without the encoder
-            records_file.write(
-                f'{{"m": {triple.m}, "a1": {triple.a1}, "b1": {triple.b1}, '
-                f'"disc": {data.field_disc}, "c": {data.c}, "verdict": "{status.verdict}"}}\n'
+            records_file.writelines(
+                f'{{"m": {m}, "a1": {a1}, "b1": {b1}, '
+                f'"disc": {disc}, "c": {c}, "verdict": "{HOLDS if w else FAILS}"}}\n'
+                for m, a1, b1, c, disc, w in columns[:, (0, 1, 2, 9, 10, 11)].tolist()
             )
 
         started = time.perf_counter()
         report = enumeration.enumerate_fields(
-            config.max_disc,
+            args.max_disc,
             sink=record_sink if records_file else None,
-            audit_bound=config.audit_bound,
+            audit_bound=args.audit_bound,
         )
         elapsed = time.perf_counter() - started
 
-        if config.output_format == "json":
+        if args.format == "json":
             payload = {
                 "schema_version": SCHEMA_VERSION,
                 "X": report.X,
@@ -153,15 +137,10 @@ def cmd_count(args: argparse.Namespace) -> int:
                 "fail_fraction": report.fail_fraction,
                 "wall_time_s": elapsed,
                 "stats": report.stats,
-                "classes": [
-                    _label_dict(
-                        enumeration.ClassLabel(r[0], r[1], r[2], r[3]), r[4], r[5]
-                    )
-                    for r in _sorted_classes(report)
-                ],
+                "classes": [_label_dict(r) for r in _sorted_classes(report)],
             }
             _emit(json.dumps(payload, indent=2), out_file)
-        elif config.output_format == "csv":
+        elif args.format == "csv":
             lines = ["sign2,sign3,even_slot,res1,res2,res3,count,failing"]
             for s2, s3, slot, res, count, failing in _sorted_classes(report):
                 lines.append(f"{s2},{s3},{slot},{res[0]},{res[1]},{res[2]},{count},{failing}")
@@ -236,10 +215,10 @@ def _disc_identity_violations() -> tuple[int, int]:
     """
     records = enumeration.field_records(DISC_IDENTITY_BOUND)
     bad = 0
-    for lo in range(0, len(records), VERIFY_CHUNK):
+    for lo in range(0, len(records), enumeration.EMIT_CHUNK):
         # one list per column and chunk: lists of the whole array would
         # raise the peak memory
-        for m, a1, b1, disc in zip(*records[lo : lo + VERIFY_CHUNK, :4].T.tolist()):
+        for m, a1, b1, disc in zip(*records[lo : lo + enumeration.EMIT_CHUNK, :4].T.tolist()):
             try:
                 if subfield_data(FieldTriple(m, a1, b1)).field_disc != disc:
                     bad += 1

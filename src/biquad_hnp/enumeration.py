@@ -9,8 +9,8 @@ canonical key must, and does, give the same number.
 
 The tuple enumeration lives in ``_kernels.enumerate_block``; this module
 turns its tallies into reports, keeps one record per field, checks that
-the fields kept number the ordered count over 6, and reconstructs field
-objects from the kept records.
+the fields kept number the ordered count over 6, and rebuilds each kept
+field's columns from its record.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from .arith import FactorSieve, build_sieve
 from .fields import FieldTriple, SubfieldData, subfield_data
 from .hnp import FAILS, HOLDS, HnpStatus, classify_by_splitting, splitting_witnesses
 
-Sink = Callable[[FieldTriple, SubfieldData, HnpStatus], None]
+# receives the field columns of _field_columns, at most EMIT_CHUNK rows a call
+Sink = Callable[[np.ndarray], None]
 
 MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
-EMIT_CHUNK = 4096  # fields converted to Python objects at a time
+# int64 rows turned into Python ints at a time: lists of a whole table
+# would raise the peak memory of a run
+EMIT_CHUNK = 4096
 TUPLE_CHUNK = 256  # odd cores per kernel call in tuple_records
 
 
@@ -61,8 +64,9 @@ class CountReport:
     """Counting summary for all fields with disc <= X.
 
     stats holds the seconds spent in the stages sieve_s, kernel_s,
-    dedup_s and deliver_s; dedup and deliver run only with a sink or an
-    audit, and read 0 otherwise.
+    dedup_s and deliver_s (the witness pass, the audit and the sink);
+    dedup and deliver run only with a sink or an audit, and read 0
+    otherwise.
     """
 
     X: int
@@ -142,13 +146,20 @@ def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     """Per field (m, a1, b1, three kernels, three fundamental discriminants,
     c, disc, witness) as the columns of one int64 array.
 
-    c and disc = |d1 d2 d3| are recomputed from the kernels and checked
-    against the kernel's columns, which hold (c m |a1| |b1|)^2 as disc:
-    this is the discriminant identity.  The witness (0 where the principle
-    fails) comes from the splitting oracle and is checked against the
-    kernel's verdict.  Any disagreement raises RuntimeError.
+    Each row must name a field, by the tests of FieldTriple: m >= 1,
+    nonzero pairwise coprime components, and no kernel equal to 1 or
+    repeated.  c and disc = |d1 d2 d3| are recomputed from the kernels and
+    checked against the kernel's columns, which hold (c m |a1| |b1|)^2 as
+    disc: this is the discriminant identity.  The witness (0 where the
+    principle fails) comes from the splitting oracle and is checked
+    against the kernel's verdict.  Any failure raises RuntimeError.
     """
     m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
+    bad = (m < 1) | (a1 == 0) | (b1 == 0)
+    bad |= (np.gcd(m, a1) != 1) | (np.gcd(m, b1) != 1) | (np.gcd(a1, b1) != 1)
+    bad |= ((a1 == b1) & (np.abs(a1) == 1)) | ((m == 1) & ((a1 == 1) | (b1 == 1)))
+    if bad.any():
+        raise RuntimeError(f"record {tuple(rows[np.argmax(bad), :3].tolist())} names no field")
     kernels = np.stack((m * a1, m * b1, a1 * b1), axis=1)
     discs = _fundamental(kernels)
     # 3, 1 or 0 kernels = 1 mod 4 give c = 1, 4 or 8; two is impossible
@@ -171,40 +182,25 @@ def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
 def _deliver_fields(
     rows: np.ndarray, sieve: FactorSieve, sink: Sink | None, audit_bound: int
 ) -> None:
-    """Build each field's objects from its columns and hand them to the sink.
+    """Check the fields' columns and hand them to the sink in chunks.
 
-    Fields with disc <= audit_bound are re-derived with the scalar
+    First, fields with disc <= audit_bound are re-derived with the scalar
     subfield_data and classify_by_splitting; a difference raises
     RuntimeError.
     """
     columns = _field_columns(rows, sieve)
-    stop = len(columns)
-    if sink is None:
-        # rows ascend in disc (column 10), so the audit needs only a prefix
-        stop = int(np.searchsorted(columns[:, 10], audit_bound, side="right"))
-    # one frozen status per verdict and witness prime, shared by its fields
-    fails = HnpStatus(FAILS)
-    holds: dict[int, HnpStatus] = {}
-    for lo in range(0, stop, EMIT_CHUNK):
-        # Python ints a chunk at a time: the whole table as lists would
-        # raise the peak memory of the run
-        for m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, w in columns[
-            lo : min(lo + EMIT_CHUNK, stop)
-        ].tolist():
+    # rows ascend in disc (column 10), so the audit needs only a prefix
+    audited = columns[: int(np.searchsorted(columns[:, 10], audit_bound, side="right"))]
+    for lo in range(0, len(audited), EMIT_CHUNK):
+        for m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, w in audited[lo : lo + EMIT_CHUNK].tolist():
             t = FieldTriple(m, a1, b1)
             data = SubfieldData((k1, k2, k3), (d1, d2, d3), c, disc)
-            if w:
-                status = holds.get(w)
-                if status is None:
-                    status = holds[w] = HnpStatus(HOLDS, witness=w)
-            else:
-                status = fails
-            if disc <= audit_bound and (
-                subfield_data(t) != data or classify_by_splitting(t, sieve) != status
-            ):
+            status = HnpStatus(HOLDS, witness=w) if w else HnpStatus(FAILS)
+            if subfield_data(t) != data or classify_by_splitting(t, sieve) != status:
                 raise RuntimeError(f"vectorized and scalar oracles disagree on {t}")
-            if sink is not None:
-                sink(t, data, status)
+    if sink is not None:
+        for lo in range(0, len(columns), EMIT_CHUNK):
+            sink(columns[lo : lo + EMIT_CHUNK])
 
 
 def _sieve_root(X: int) -> int:
@@ -221,14 +217,15 @@ def enumerate_fields(
 ) -> CountReport:
     """Count (and optionally stream) all fields with discriminant <= X.
 
-    When a sink is given, each field is delivered exactly once as
-    (FieldTriple, SubfieldData, HnpStatus), serialized in ascending
-    (disc, canonical key) order; the status of every non-failing field
-    carries a witness prime from the vectorized splitting oracle, which
-    must agree with the kernel's verdict on every field.  Fields with
-    disc <= audit_bound are additionally re-checked against the scalar
-    subfield_data and splitting oracle (verdict and witness), and a
-    disagreement raises RuntimeError.
+    When a sink is given, each field is delivered exactly once as a row
+    (m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, witness) of an int64
+    array: kernels, fundamental discriminants, c, disc and, 0 where the
+    principle fails, a witness prime from the vectorized splitting
+    oracle, which must agree with the kernel's verdict on every field.
+    The rows ascend in (disc, canonical key) and reach the sink in
+    chunks of at most EMIT_CHUNK.  Fields with disc <= audit_bound are
+    first re-checked against the scalar subfield_data and splitting
+    oracle (verdict and witness), and a disagreement raises RuntimeError.
 
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
@@ -260,7 +257,7 @@ def enumerate_fields(
     if collect:
         t0 = time.perf_counter()
         rows, _ = unique_field_rows(records)
-        del records  # six rows per field; free them before the per-field objects
+        del records  # six rows per field; free them before the field columns
         if len(rows) != report.S:
             raise AssertionError(
                 f"dedup mismatch: {len(rows)} unique fields vs ordered/6 = {report.S}"

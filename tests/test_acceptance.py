@@ -33,7 +33,7 @@ import pytest
 
 from biquad_hnp import asymptotics, enumeration
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.fields import canonical_key, subfield_data
+from biquad_hnp.fields import FieldTriple, canonical_key, subfield_data
 from biquad_hnp.hnp import classify_by_splitting
 
 CHECKPOINTS = (10**6, 10**8, 10**10)
@@ -179,10 +179,12 @@ def test_criterion_10_small_x_ground_truth():
         assert enumeration.count_by_generator_pairs(144) == (1, 0)
         assert enumeration.enumerate_fields(143).S == 0
         delivered = []
-        report = enumeration.enumerate_fields(144, sink=lambda *a: delivered.append(a))
+        report = enumeration.enumerate_fields(
+            144, sink=lambda columns: delivered.extend(columns.tolist())
+        )
         assert report.S == 1 and report.S_tilde == 0
-        triple, data, status = delivered[0]
-        assert sorted(data.fundamental_discs) == [-4, -3, 12]
-        assert data.field_disc == 144
-        assert canonical_key(triple) == (-4, -3, 12)
-        assert status.verdict == "holds"
+        m, a1, b1, _, _, _, d1, d2, d3, _, disc, witness = delivered[0]
+        assert sorted((d1, d2, d3)) == [-4, -3, 12]
+        assert disc == 144
+        assert canonical_key(FieldTriple(m, a1, b1)) == (-4, -3, 12)
+        assert witness != 0  # the principle holds

@@ -25,7 +25,7 @@ from biquad_hnp.enumeration import (
     tuple_records,
     unique_field_rows,
 )
-from biquad_hnp.fields import canonical_key
+from biquad_hnp.fields import FieldTriple, SubfieldData, canonical_key
 
 
 class TestSmallGroundTruth:
@@ -35,14 +35,14 @@ class TestSmallGroundTruth:
 
     def test_first_field_is_gaussian_sqrt3(self):
         collected = []
-        report = enumerate_fields(144, sink=lambda *args: collected.append(args))
+        report = enumerate_fields(144, sink=lambda columns: collected.extend(columns.tolist()))
         assert report.S == 1
         assert report.S_tilde == 0
         assert report.ordered_total == 6
-        (triple, data, status) = collected[0]
-        assert sorted(data.fundamental_discs) == [-4, -3, 12]
-        assert status.verdict == "holds"
-        assert canonical_key(triple) == (-4, -3, 12)
+        m, a1, b1, _, _, _, d1, d2, d3, _, _, witness = collected[0]
+        assert sorted((d1, d2, d3)) == [-4, -3, 12]
+        assert witness != 0  # the principle holds
+        assert canonical_key(FieldTriple(m, a1, b1)) == (-4, -3, 12)
 
     def test_first_failing_field(self):
         # (1, 13, 17) has disc 221^2 = 48841 and fails
@@ -216,17 +216,16 @@ class TestClassTallies:
 class TestSinkAndAudit:
     def test_sink_streams_each_field_once(self):
         seen = []
-        report = enumerate_fields(10**5, sink=lambda t, d, s: seen.append((t, d, s)))
+        report = enumerate_fields(10**5, sink=lambda columns: seen.extend(columns.tolist()))
         assert len(seen) == report.S
-        keys = [canonical_key(t) for t, _, _ in seen]
+        keys = [canonical_key(FieldTriple(*row[:3])) for row in seen]
         assert len(set(keys)) == len(keys)
-        discs = [d.field_disc for _, d, _ in seen]
+        discs = [row[10] for row in seen]
         assert discs == sorted(discs)
-        for t, d, s in seen:
-            if s.verdict == "holds":
-                assert s.witness is not None and d.field_disc % s.witness == 0
-            else:
-                assert s.witness is None
+        for row in seen:
+            disc, witness = row[10], row[11]
+            # 0 where the principle fails, else a prime dividing disc
+            assert witness == 0 or disc % witness == 0
 
     def test_audit_passes(self):
         # oracle re-check of every field, failing ones included
@@ -236,14 +235,16 @@ class TestSinkAndAudit:
     def test_sink_data_match_scalar_oracles(self):
         # the columns built in one array pass against the per-field code
         from biquad_hnp.fields import subfield_data
-        from biquad_hnp.hnp import classify_by_splitting
+        from biquad_hnp.hnp import FAILS, HOLDS, HnpStatus, classify_by_splitting
 
         seen = []
-        enumerate_fields(10**6, sink=lambda t, d, s: seen.append((t, d, s)))
+        enumerate_fields(10**6, sink=lambda columns: seen.extend(columns.tolist()))
         assert len(seen) == 1014
-        for t, d, s in seen:
-            assert d == subfield_data(t)
-            assert s == classify_by_splitting(t)
+        for m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, witness in seen:
+            t = FieldTriple(m, a1, b1)
+            assert SubfieldData((k1, k2, k3), (d1, d2, d3), c, disc) == subfield_data(t)
+            status = HnpStatus(HOLDS, witness) if witness else HnpStatus(FAILS)
+            assert classify_by_splitting(t) == status
 
     @pytest.mark.parametrize(
         "disc, column, value",
@@ -268,6 +269,25 @@ class TestSinkAndAudit:
         with pytest.raises(RuntimeError):
             enumerate_fields(10**5, sink=lambda *a: None)
 
+    @pytest.mark.parametrize(
+        "bad", [(3, 3, 5, 32400, 4, 0), (1, 1, 5, 25, 1, 1)], ids=["not_coprime", "kernel_one"]
+    )
+    def test_row_naming_no_field_raises(self, bad, monkeypatch):
+        # both rows pass the discriminant identity and the verdict check,
+        # so only the tests of FieldTriple, run on the columns, catch them
+        from biquad_hnp import enumeration
+
+        true_rows = enumeration.unique_field_rows
+
+        def faulty(records):
+            rows, keys = true_rows(records)
+            rows[-1] = bad  # keeps the count at ordered/6
+            return rows, keys
+
+        monkeypatch.setattr(enumeration, "unique_field_rows", faulty)
+        with pytest.raises(RuntimeError, match="names no field"):
+            enumerate_fields(10**6, sink=lambda columns: None)
+
     def test_audit_rechecks_witness(self, monkeypatch):
         # a wrong witness that keeps the verdict is caught only by the audit
         from biquad_hnp import enumeration
@@ -291,5 +311,5 @@ class TestSinkAndAudit:
     def test_field_count_matches_sink(self):
         report = enumerate_fields(3 * 10**4)
         n = [0]
-        enumerate_fields(3 * 10**4, sink=lambda *a: n.__setitem__(0, n[0] + 1))
+        enumerate_fields(3 * 10**4, sink=lambda columns: n.__setitem__(0, n[0] + len(columns)))
         assert n[0] == report.S
