@@ -15,7 +15,9 @@ field's columns from its record.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -305,6 +307,65 @@ def tuple_records(max_core: int) -> Iterator[np.ndarray]:
         # rebound, so that the kernel's buffer is freed before the next call
         records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
         yield records
+
+
+def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
+    """Element-wise sum of the counts work(part, parts) over the parts.
+
+    work(part, parts) counts its own share of a job whose counts add,
+    for example every parts-th block of rows starting at block part.
+    With os.fork and at least two usable CPUs, a forked child runs
+    work(1, 2) while this process runs work(0, 2), and the child sends
+    its ints back as JSON over a pipe; otherwise work(0, 1) runs here.
+    The child inherits everything built before the call copy-on-write.
+    A child that fails or sends back the wrong number of ints raises
+    RuntimeError.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return tuple(work(0, 1))
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return tuple(work(0, 1))
+    if pid == 0:
+        # The child leaves only through os._exit, also when work raises:
+        # returning into the caller would run its exit hooks and finally
+        # blocks a second time and flush its stdio buffers twice.
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(json.dumps([int(v) for v in work(1, 2)]).encode())
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        ours = tuple(work(0, 2))
+    finally:
+        # reaps the child also when this half raised
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(
+            f"worker process failed with exit code {os.waitstatus_to_exitcode(status)}"
+        )
+    try:
+        theirs = json.loads(payload)
+    except ValueError:  # cut short
+        theirs = []
+    if len(theirs) != len(ours):
+        raise RuntimeError(f"worker process sent {payload[:80]!r}, not {len(ours)} ints")
+    return tuple(a + b for a, b in zip(ours, theirs))
 
 
 def count_by_generator_pairs(X: int) -> tuple[int, int]:

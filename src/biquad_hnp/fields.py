@@ -20,7 +20,7 @@ class InvalidFieldError(ValueError):
     """Raised for inputs that do not define a genuine biquadratic field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldTriple:
     """Canonical generators (m, a1, b1); see module docstring.
 
@@ -35,20 +35,18 @@ class FieldTriple:
     b1: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InvalidFieldError(f"m must be positive, got {self.m}")
-        if self.a1 == 0 or self.b1 == 0:
+        # locals, not attribute reads: verify builds one triple per tuple
+        m, a1, b1 = self.m, self.a1, self.b1
+        if m < 1:
+            raise InvalidFieldError(f"m must be positive, got {m}")
+        if a1 == 0 or b1 == 0:
             raise InvalidFieldError("a1 and b1 must be nonzero")
-        if (
-            math.gcd(self.m, self.a1) != 1
-            or math.gcd(self.m, self.b1) != 1
-            or math.gcd(self.a1, self.b1) != 1
-        ):
+        if math.gcd(m, a1) != 1 or math.gcd(m, b1) != 1 or math.gcd(a1, b1) != 1:
             raise InvalidFieldError(f"components of {self} are not pairwise coprime")
         # degenerate exactly when two subfield kernels collide or equal 1
-        if self.a1 == self.b1 and abs(self.a1) == 1:
+        if a1 == b1 and abs(a1) == 1:
             raise InvalidFieldError(f"{self} has a repeated quadratic subfield")
-        if self.m == 1 and 1 in (self.a1, self.b1):
+        if m == 1 and 1 in (a1, b1):
             raise InvalidFieldError(f"{self} contains the kernel 1 (quadratic field)")
 
     @property

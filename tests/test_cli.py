@@ -1,6 +1,9 @@
 """CLI surface tests: subcommands, formats, exit codes, file outputs."""
 
+import contextlib
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biquad_hnp import enumeration
+from biquad_hnp import cli, enumeration
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, main, parse_bound
 
 
@@ -318,6 +321,16 @@ class TestCompare:
         assert row["fail_fraction"] == pytest.approx(30 / 243)
 
 
+VERIFY_TEXT = """\
+PASS  class weight sum (all classes): expected 23, got 23
+PASS  class weight sum (failure classes): expected 112, got 112
+PASS  signed class weight sum: expected 0, got 0
+PASS  signed class weight sum per sign pair: expected 0, 0, 0, 0, got 0, 0, 0, 0
+PASS  discriminant identity, 100074 tuples to disc 1e+08: expected 0 violations, got 0 violations
+PASS  classifier equivalence, 64140 triples to |m a1 b1| = 2000: expected 0 disagreements, got 0 disagreements
+"""
+
+
 class TestVerify:
     def test_full_suite_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK
@@ -389,6 +402,45 @@ class TestVerify:
         assert "got 1 disagreements" in out
         assert "PASS  discriminant identity, 0 tuples" in out
 
+    def test_malformed_row_in_the_childs_block_is_a_violation(self, capsys, monkeypatch, forked):
+        # block 1 of EMIT_CHUNK rows is checked by the forked child
+        true_records = enumeration.field_records
+        at = enumeration.EMIT_CHUNK + 1
+
+        def faulty(X):
+            return np.insert(true_records(X), at, [3, 3, 5, 0, 8, 0], axis=0)
+
+        monkeypatch.setattr(enumeration, "field_records", faulty)
+        monkeypatch.setattr(enumeration, "tuple_records", lambda max_core: iter(()))
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  discriminant identity, 100075 tuples" in out
+        assert "got 1 violations" in out
+
+    @pytest.mark.parametrize("path", ["forked", "unforked"])
+    def test_text_output_is_the_same_on_both_paths(self, capsys, request, path):
+        request.getfixturevalue(path)
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == VERIFY_TEXT
+
+    def test_forked_sweeps_sum_to_one_part(self, monkeypatch, forked):
+        # each sweep's forked halves add up to the counts of one part that
+        # walks every row
+        true_split = enumeration.split_sum
+        sums = []
+
+        def recorded(work):
+            forked_sums = true_split(work)
+            sums.append((forked_sums, tuple(work(0, 1)), tuple(work(0, 2))))
+            return forked_sums
+
+        monkeypatch.setattr(enumeration, "split_sum", recorded)
+        assert cli._disc_identity_violations() == (100074, 0)
+        assert cli._kernel_verdict_mismatches() == (64140, 0)
+        for forked_sums, one_part, parent_part in sums:
+            assert forked_sums == one_part
+            assert 0 < parent_part[0] < one_part[0]
+
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
         # a flipped kernel verdict on one tuple in the sweep must fail check 6
         from biquad_hnp import _kernels
@@ -408,3 +460,37 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  classifier equivalence" in out
         assert "got 1 disagreements" in out
+
+
+class TestClosedOutput:
+    def test_unwritable_stdout_is_exit_2(self, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        with contextlib.redirect_stdout(Closed()):
+            code = main(["count", "--max-disc", "144", "--format", "json"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_closed_pipe_exits_2_without_a_traceback(self):
+        # the reader of count's stdout has gone, as in `count ... | head -1`
+        src = Path(__file__).resolve().parents[1] / "src"
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from biquad_hnp.cli import main; sys.exit(main())",
+                 "count", "--max-disc", "1e6", "--format", "json"],
+                stdout=write_fd,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -4,11 +4,14 @@ Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
 of the sibling-filter dedup with the sort-everything reference,
 monotonicity, and agreement of the chunked tuple records with the triple
-iterator.
+iterator.  split_sum is tested on both of its paths: a forked child, and
+one process.
 """
 
+import errno
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from biquad_hnp.enumeration import (
     enumerate_fields,
     field_records,
     iter_valid_triples,
+    split_sum,
     tuple_records,
     unique_field_rows,
 )
@@ -313,3 +317,50 @@ class TestSinkAndAudit:
         n = [0]
         enumerate_fields(3 * 10**4, sink=lambda columns: n.__setitem__(0, n[0] + len(columns)))
         assert n[0] == report.S
+
+
+def _part_counts(part, parts):
+    return part, parts, 1
+
+
+class TestSplitSum:
+    def test_fork_sums_both_parts(self, forked):
+        assert split_sum(_part_counts) == (0 + 1, 2 + 2, 1 + 1)
+
+    def test_one_cpu_runs_in_process(self, unforked):
+        assert split_sum(_part_counts) == (0, 1, 1)
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert split_sum(_part_counts) == (0, 1, 1)
+
+    def test_failed_fork_runs_in_process(self, forked, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert split_sum(_part_counts) == (0, 1, 1)
+
+    def test_child_failure_raises_in_the_parent_only(self, forked, tmp_path):
+        pids = tmp_path / "pids"
+
+        def work(part, parts):
+            if part == 1:
+                raise ZeroDivisionError("the child's part fails")
+            return (1,)
+
+        try:
+            with pytest.raises(RuntimeError, match="exit code 1"):
+                split_sum(work)
+        finally:
+            # a child that returned into this test would add its own pid
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert pids.read_text().split() == [str(os.getpid())]
+
+    def test_short_payload_raises(self, forked):
+        def work(part, parts):
+            return (1, 2) if part == 0 else (1,)
+
+        with pytest.raises(RuntimeError, match="not 2 ints"):
+            split_sum(work)

@@ -1,5 +1,7 @@
 """Tests for field triples, subfield discriminants and canonical keys."""
 
+import dataclasses
+
 import pytest
 
 from biquad_hnp.enumeration import iter_valid_triples
@@ -69,6 +71,15 @@ class TestTripleValidation:
     def test_rejects(self, m, a1, b1):
         with pytest.raises(InvalidFieldError):
             FieldTriple(m, a1, b1)
+
+    def test_slotted_and_frozen(self):
+        t = FieldTriple(1, 13, 17)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.m = 3
+        assert (t.m, t.a1, t.b1) == (1, 13, 17)
+        assert t == FieldTriple(1, 13, 17) and hash(t) == hash(FieldTriple(1, 13, 17))
+        assert t != FieldTriple(1, 17, 13)
 
     def test_validate_flags_square_component(self):
         t = FieldTriple(9, 2, 5)  # coprime but 9 is not squarefree
