@@ -16,8 +16,6 @@ from .fields import (
     FieldTriple,
     InvalidFieldError,
     SubfieldData,
-    canonical_key,
-    class_label,
     from_generators,
     quadratic_discriminant,
     subfield_data,
@@ -41,8 +39,6 @@ __all__ = [
     "quadratic_discriminant",
     "from_generators",
     "subfield_data",
-    "canonical_key",
-    "class_label",
     "classify_by_splitting",
     "enumerate_fields",
     "count_by_class",

@@ -29,8 +29,10 @@ admit one.  Every test on a tuple is an elementwise operation on a grid:
 
 Each group is processed in slabs of at most ``SLAB`` cores, which bounds
 the working arrays independently of the range; records go into one
-growing buffer.  int64 is used throughout, which caps the discriminant
-bound at X < 2^63 (records hold disc = (c * 2^[even] * n)^2).
+growing buffer.  A call can take every parts-th slab only, so that two
+processes split one range without running any slab twice.  int64 is
+used throughout, which caps the discriminant bound at X < 2^63 (records
+hold disc = (c * 2^[even] * n)^2).
 """
 
 from __future__ import annotations
@@ -320,11 +322,16 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
                 )
 
 
-def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
+def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
     """Enumerate ordered tuples whose odd squarefree core lies in [n_lo, n_hi].
 
     root is floor(sqrt(X)); a tuple with weight factor c and 2-placement
     power pw is admitted when pw * c * core <= root, i.e. disc <= X.
+
+    The slabs, taken group by group in ascending omega, go to the parts
+    in turn, and only those of part ``part`` (of ``parts``) are
+    enumerated.  A field's ordered tuples share their odd core, so the
+    parts hold disjoint sets of whole fields.
 
     Returns (class_total, class_fail, records).  records has one int64 row
     (v1, v2, v3, disc, c, fails) per admitted tuple and is empty unless
@@ -334,9 +341,13 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
     records = _RecordBuffer() if collect else None
     cores, omega = _odd_cores(n_lo, n_hi, spf, mob)
+    slab = -1
     for w in np.flatnonzero(np.bincount(omega)):
         group = cores[omega == w]
         for lo in range(0, len(group), SLAB):
+            slab += 1
+            if slab % parts != part:
+                continue
             n = group[lo : lo + SLAB]
             primes = np.empty((len(n), int(w)), dtype=np.int64)
             t = n.copy()

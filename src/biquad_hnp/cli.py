@@ -141,6 +141,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 "ordered_total": report.ordered_total,
                 "fail_fraction": report.fail_fraction,
                 "wall_time_s": elapsed,
+                "parts": report.parts,
                 "stats": report.stats,
                 "classes": [_label_dict(r) for r in _sorted_classes(report)],
             }

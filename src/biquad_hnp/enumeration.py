@@ -11,11 +11,17 @@ The tuple enumeration lives in ``_kernels.enumerate_block``; this module
 turns its tallies into reports, keeps one record per field, checks that
 the fields kept number the ordered count over 6, and rebuilds each kept
 field's columns from its record.
+
+A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
+processes when it can (``fork_parts``): a forked child takes every other
+slab of cores, tallies them, dedups and checks its own fields, and sends
+back one int64 array.  This works because a field's six ordered records
+share their odd core, so the slabs split the fields too.  This process
+runs the other slabs, sums the tallies and merges the two field tables.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -37,6 +43,10 @@ MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 # would raise the peak memory of a run
 EMIT_CHUNK = 4096
 TUPLE_CHUNK = 256  # odd cores per kernel call in tuple_records
+FIELD_COLUMNS = 12  # columns of _field_columns
+# a part's result: the class totals, then the class failures, then the
+# flattened rows of its field columns
+TALLIES = 2 * _kernels.CLASS_SPACE
 
 
 @dataclass(frozen=True)
@@ -65,8 +75,16 @@ class ClassLabel:
 class CountReport:
     """Counting summary for all fields with disc <= X.
 
-    stats holds the seconds spent in the stages sieve_s, kernel_s,
-    dedup_s and deliver_s (the witness pass, the audit and the sink);
+    parts is the number of processes that counted: 2 when a forked
+    child took half of the slabs, else 1.
+
+    stats holds wall seconds measured in this process: sieve_s, kernel_s
+    (its kernel call), dedup_s (its dedup) and deliver_s (its field
+    columns and witnesses, then the merge of the field tables, the audit
+    and the sink).  With two parts, the wait for
+    the child counts toward deliver_s, or toward kernel_s when nothing is
+    collected.  With an audit but no sink, the audit's own kernel call,
+    dedup and columns count toward kernel_s, dedup_s and deliver_s.
     dedup and deliver run only with a sink or an audit, and read 0
     otherwise.
     """
@@ -78,6 +96,7 @@ class CountReport:
     per_class: dict[ClassLabel, int] = field(repr=False)
     per_class_failing: dict[ClassLabel, int] = field(repr=False)
     stats: dict[str, float] = field(default_factory=dict, repr=False)
+    parts: int = 1
 
     @property
     def fail_fraction(self) -> float:
@@ -102,9 +121,11 @@ def _fundamental(k: np.ndarray) -> np.ndarray:
     return np.where(k % 4 == 1, k, 4 * k)
 
 
-def _lex_less(a: tuple, b: tuple) -> np.ndarray:
-    """Elementwise a < b in lexicographic order, for triples of arrays."""
-    return (a[0] < b[0]) | ((a[0] == b[0]) & ((a[1] < b[1]) | ((a[1] == b[1]) & (a[2] < b[2]))))
+def _assert_once(keys: np.ndarray) -> None:
+    """Raise AssertionError when two consecutive sorted keys are equal."""
+    twice = np.all(keys[1:] == keys[:-1], axis=1)
+    if twice.any():
+        raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
 
 
 def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,29 +139,23 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The kernels v1 v2, v1 v3 and v2 v3 of a record share one component
     pairwise, so its field's other five ordered records follow in closed
     form, with s = sgn v2 and t = sgn v3: (v1, v3, v2), (|v2|, s v1, s v3),
-    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).  A
-    record is kept when none of them is smaller, and only the kept rows
-    are sorted.  A field kept twice raises AssertionError.
+    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).  The
+    components are pairwise coprime and v1 >= 1, so two leading entries
+    tie only at 1, and the record is the least of the six exactly when
+    v2 < v3, v1 < |v2| and either v1 < |v3| or (v1, v3) = (1, -1).  Only
+    the kept rows are sorted.  A field kept twice raises AssertionError.
     """
     if len(records) == 0:
         return records.reshape(0, 6), np.empty((0, 3), dtype=np.int64)
     v1, v2, v3 = records[:, 0], records[:, 1], records[:, 2]
-    row = (v1, v2, v3)
-    s, t = np.sign(v2), np.sign(v3)
-    a2, sv1, sv3 = np.abs(v2), s * v1, s * v3
-    a3, tv1, tv2 = np.abs(v3), t * v1, t * v2
-    beaten = v3 < v2  # the sibling (v1, v3, v2)
-    for sibling in ((a2, sv1, sv3), (a2, sv3, sv1), (a3, tv1, tv2), (a3, tv2, tv1)):
-        beaten |= _lex_less(sibling, row)
-    kept = records[~beaten]
+    least = (v2 < v3) & (v1 < np.abs(v2)) & ((v1 < np.abs(v3)) | ((v1 == 1) & (v3 == -1)))
+    kept = records[least]
     u1, u2, u3 = kept[:, 0], kept[:, 1], kept[:, 2]
     keys = np.stack((_fundamental(u1 * u2), _fundamental(u1 * u3), _fundamental(u2 * u3)), axis=1)
     keys.sort(axis=1)
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], kept[:, 3]))
     rows, keys = kept[order], keys[order]
-    twice = np.all(keys[1:] == keys[:-1], axis=1)
-    if twice.any():
-        raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
+    _assert_once(keys)
     return rows, keys
 
 
@@ -181,16 +196,44 @@ def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     return np.column_stack((rows[:, :3], kernels, discs, c, disc, witness))
 
 
+def _merged_fields(tables: list[np.ndarray], ordered: int) -> np.ndarray:
+    """The parts' field columns as one table sorted by (disc, key).
+
+    Each table is sorted by (disc, key) already, and none holds a field
+    twice.  disc = (2^j n)^2 fixes the odd core n that all of a field's
+    records share, and each core lies in one part, so the fields of one
+    disc are all in one table: the tables merge by disc alone, stably.
+    A disc found in two tables (a field kept twice, or a core counted in
+    both parts) raises AssertionError, and so do kept fields that do not
+    number the ordered count over 6.
+    """
+    if len(tables) == 1:
+        columns = tables[0]
+    else:
+        columns = np.concatenate(tables)
+        order = np.argsort(columns[:, 10], kind="stable")
+        columns = columns[order]
+        table = np.repeat(np.arange(len(tables)), [len(t) for t in tables])[order]
+        disc = columns[:, 10]
+        shared = (disc[1:] == disc[:-1]) & (table[1:] != table[:-1])
+        if shared.any():
+            raise AssertionError(f"disc {disc[np.argmax(shared)]} kept in two parts")
+    if 6 * len(columns) != ordered:
+        raise AssertionError(
+            f"dedup mismatch: {len(columns)} unique fields vs ordered/6 = {ordered // 6}"
+        )
+    return columns
+
+
 def _deliver_fields(
-    rows: np.ndarray, sieve: FactorSieve, sink: Sink | None, audit_bound: int
+    columns: np.ndarray, sieve: FactorSieve, sink: Sink | None, audit_bound: int
 ) -> None:
-    """Check the fields' columns and hand them to the sink in chunks.
+    """Audit the fields' columns and hand them to the sink in chunks.
 
     First, fields with disc <= audit_bound are re-derived with the scalar
     subfield_data and classify_by_splitting; a difference raises
     RuntimeError.
     """
-    columns = _field_columns(rows, sieve)
     # rows ascend in disc (column 10), so the audit needs only a prefix
     audited = columns[: int(np.searchsorted(columns[:, 10], audit_bound, side="right"))]
     for lo in range(0, len(audited), EMIT_CHUNK):
@@ -214,6 +257,37 @@ def _sieve_root(X: int) -> int:
     return math.isqrt(X)
 
 
+def _lap(stats: dict[str, float], key: str, since: float) -> float:
+    """Add the seconds since ``since`` to stats[key]; return the clock."""
+    now = time.perf_counter()
+    stats[key] += now - since
+    return now
+
+
+def _count_part(
+    root: int, sieve: FactorSieve, collect: bool, part: int, parts: int, stats: dict[str, float]
+) -> np.ndarray:
+    """One part's share of the count with root floor(sqrt(X)).
+
+    Returns the class totals and the class failures of its slabs,
+    followed, when collect is true, by the flattened field columns of
+    its fields, deduped and sorted.  Each stage's seconds go to stats.
+    """
+    t = time.perf_counter()
+    total, fails, records = _kernels.enumerate_block(
+        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect, part, parts
+    )
+    t = _lap(stats, "kernel_s", t)
+    if not collect:
+        return np.concatenate((total, fails))
+    rows, _ = unique_field_rows(records)
+    del records  # six rows per field; free them before the field columns
+    t = _lap(stats, "dedup_s", t)
+    columns = _field_columns(rows, sieve)
+    _lap(stats, "deliver_s", t)
+    return np.concatenate((total, fails, columns.ravel()))
+
+
 def enumerate_fields(
     X: int, sink: Sink | None = None, *, audit_bound: int = 0
 ) -> CountReport:
@@ -228,20 +302,34 @@ def enumerate_fields(
     chunks of at most EMIT_CHUNK.  Fields with disc <= audit_bound are
     first re-checked against the scalar subfield_data and splitting
     oracle (verdict and witness), and a disagreement raises RuntimeError.
+    Without a sink, only those fields are collected, by a second kernel
+    call with root floor(sqrt(audit_bound)).
+
+    With more than _kernels.SLAB odd squarefree cores up to sqrt(X), the
+    count is split with fork_parts; the result is the same either way.
 
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
     root = _sieve_root(X)
     audit_bound = min(audit_bound, X)
-    t0 = time.perf_counter()
+    stats = {"sieve_s": 0.0, "kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
+    t = time.perf_counter()
     sieve = build_sieve(max(root, 1))
-    t1 = time.perf_counter()
-    collect = sink is not None or audit_bound > 0
-    total, fails, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect
-    )
-    t2 = time.perf_counter()
-    stats = {"sieve_s": t1 - t0, "kernel_s": t2 - t1, "dedup_s": 0.0, "deliver_s": 0.0}
+    t = _lap(stats, "sieve_s", t)
+    collect = sink is not None
+
+    def work(part: int, parts: int) -> np.ndarray:
+        return _count_part(root, sieve, collect, part, parts, stats)
+
+    if np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB:
+        outs = fork_parts(work)
+    else:
+        outs = [work(0, 1)]
+    # this process's own part is in stats; the rest is the wait for the child
+    waited = time.perf_counter() - t - (sum(stats.values()) - stats["sieve_s"])
+    stats["deliver_s" if collect else "kernel_s"] += waited
+    total = np.sum([out[: _kernels.CLASS_SPACE] for out in outs], axis=0)
+    fails = np.sum([out[_kernels.CLASS_SPACE : TALLIES] for out in outs], axis=0)
     ordered_total = int(total.sum())
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
@@ -255,18 +343,17 @@ def enumerate_fields(
         per_class=per_class,
         per_class_failing=per_fail,
         stats=stats,
+        parts=len(outs),
     )
-    if collect:
-        t0 = time.perf_counter()
-        rows, _ = unique_field_rows(records)
-        del records  # six rows per field; free them before the field columns
-        if len(rows) != report.S:
-            raise AssertionError(
-                f"dedup mismatch: {len(rows)} unique fields vs ordered/6 = {report.S}"
-            )
-        t1 = time.perf_counter()
-        _deliver_fields(rows, sieve, sink, audit_bound)
-        stats["dedup_s"], stats["deliver_s"] = t1 - t0, time.perf_counter() - t1
+    if not collect and audit_bound > 0:
+        # the audit re-checks only the fields with disc <= audit_bound
+        outs = [_count_part(math.isqrt(audit_bound), sieve, True, 0, 1, stats)]
+    if collect or audit_bound > 0:
+        t = time.perf_counter()
+        ordered = int(sum(out[: _kernels.CLASS_SPACE].sum() for out in outs))
+        tables = [out[TALLIES:].reshape(-1, FIELD_COLUMNS) for out in outs]
+        _deliver_fields(_merged_fields(tables, ordered), sieve, sink, audit_bound)
+        _lap(stats, "deliver_s", t)
     return report
 
 
@@ -289,7 +376,7 @@ def tuple_records(max_core: int) -> Iterator[np.ndarray]:
     """Kernel records (v1, v2, v3, disc, c, fails) of every ordered tuple
     with |v1 v2 v3| <= max_core, in chunks.
 
-    These are the tuples of iter_valid_triples(max_core).  Each chunk
+    These are the valid triples with |m a1 b1| <= max_core.  Each chunk
     comes from one kernel call over TUPLE_CHUNK odd squarefree cores, so
     memory stays bounded.  The root 8 * max_core admits all of them: the
     kernel admits a tuple when c * |v1 v2 v3| <= root, and c <= 8.
@@ -309,28 +396,43 @@ def tuple_records(max_core: int) -> Iterator[np.ndarray]:
         yield records
 
 
-def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
-    """Element-wise sum of the counts work(part, parts) over the parts.
+def _pin(cpus: list[int]) -> None:
+    """Run this process on the given CPUs only, where the system allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # an unpinned part still counts correctly
 
-    work(part, parts) counts its own share of a job whose counts add,
-    for example every parts-th block of rows starting at block part.
+
+def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
+    """The int64 arrays work(part, parts) of every part, this process's first.
+
+    work(part, parts) does its own share of a job split into parts.
     With os.fork and at least two usable CPUs, a forked child runs
     work(1, 2) while this process runs work(0, 2), and the child sends
-    its ints back as JSON over a pipe; otherwise work(0, 1) runs here.
-    The child inherits everything built before the call copy-on-write.
-    A child that fails or sends back the wrong number of ints raises
-    RuntimeError.
+    its array back over a pipe as raw bytes behind a shape header
+    (ndim, then the dimensions, as int64); otherwise work(0, 1) runs
+    here alone.  The child inherits everything built before the call
+    copy-on-write.  A child that fails or sends back a short array
+    raises RuntimeError.
+
+    While the parts run, each process is pinned to one of the first two
+    usable CPUs, and this process gets its CPU set back afterwards.
+    Where the scheduler does not balance load between CPUs (a cpuset
+    with sched_load_balance off), it leaves a forked child on its
+    parent's CPU, and the two parts would take turns on one core.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
-        return tuple(work(0, 1))
+        return [np.asarray(work(0, 1), dtype=np.int64)]
+    cpus = sorted(affinity(0))
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return tuple(work(0, 1))
+        return [np.asarray(work(0, 1), dtype=np.int64)]
     if pid == 0:
         # The child leaves only through os._exit, also when work raises:
         # returning into the caller would run its exit hooks and finally
@@ -338,8 +440,12 @@ def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
         code = 1
         try:
             os.close(read_fd)
+            _pin(cpus[1:2])
+            theirs = np.ascontiguousarray(work(1, 2), dtype=np.int64)
+            header = np.array([theirs.ndim, *theirs.shape], dtype=np.int64)
             with open(write_fd, "wb") as pipe:
-                pipe.write(json.dumps([int(v) for v in work(1, 2)]).encode())
+                pipe.write(header.tobytes())
+                pipe.write(memoryview(theirs).cast("B"))
             code = 0
         except BaseException:
             import traceback
@@ -348,9 +454,11 @@ def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
         finally:
             os._exit(code)
     os.close(write_fd)
+    _pin(cpus[:1])
     try:
-        ours = tuple(work(0, 2))
+        ours = np.asarray(work(0, 2), dtype=np.int64)
     finally:
+        _pin(cpus)
         # reaps the child also when this half raised
         with open(read_fd, "rb") as pipe:
             payload = pipe.read()
@@ -359,77 +467,25 @@ def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
         raise RuntimeError(
             f"worker process failed with exit code {os.waitstatus_to_exitcode(status)}"
         )
-    try:
-        theirs = json.loads(payload)
-    except ValueError:  # cut short
-        theirs = []
-    if len(theirs) != len(ours):
-        raise RuntimeError(f"worker process sent {payload[:80]!r}, not {len(ours)} ints")
-    return tuple(a + b for a, b in zip(ours, theirs))
+    words = np.frombuffer(payload, dtype=np.int64, count=len(payload) // 8)
+    ndim = int(words[0]) if len(words) else -1
+    shape = tuple(words[1 : 1 + ndim].tolist())
+    if ndim < 0 or len(shape) != ndim or 8 * (1 + ndim + math.prod(shape)) != len(payload):
+        raise RuntimeError(f"worker process sent {len(payload)} bytes, not one int64 array")
+    return [ours, words[1 + ndim :].reshape(shape)]
 
 
-def count_by_generator_pairs(X: int) -> tuple[int, int]:
-    """Independent brute-force count over generator pairs (a, b).
+def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
+    """Element-wise sum of the counts work(part, parts) over the parts.
 
-    Walks all unordered pairs of distinct squarefree generators with
-    |a|, |b| <= sqrt(X) (any field with disc <= X has such generators,
-    since disc >= max(a, b)^2), dedups by canonical key and classifies
-    with the splitting oracle.  Slow but entirely separate from the
-    ordered-triple enumeration; used to pin its results.
+    work(part, parts) counts its own share of a job whose counts add,
+    for example every parts-th block of rows starting at block part.
+    The parts run through fork_parts: a forked child and this process
+    when two CPUs are usable, else this process alone.  A child that
+    fails or sends back the wrong number of ints raises RuntimeError.
     """
-    if X < 1:
-        raise ValueError(f"discriminant bound must be >= 1, got {X}")
-    root = math.isqrt(X)
-    sieve = build_sieve(max(root, 1))
-    squarefree = sieve.mobius != 0
-    seen: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for a in range(-root, root + 1):
-        if a in (0, 1) or not squarefree[abs(a)]:
-            continue
-        for b in range(a + 1, root + 1):
-            if b in (0, 1) or not squarefree[b if b > 0 else -b]:
-                continue
-            m = math.gcd(abs(a), abs(b))
-            a1 = a // m
-            b1 = b // m
-            k3 = a1 * b1
-            ones = (a % 4 == 1) + (b % 4 == 1) + (k3 % 4 == 1)
-            c = 1 if ones == 3 else (4 if ones == 1 else 8)
-            droot = c * m * abs(k3)
-            if droot * droot > X:
-                continue
-            d = sorted(
-                (v if v % 4 == 1 else 4 * v) for v in (a, b, k3)
-            )
-            seen.setdefault((d[0], d[1], d[2]), (m, a1, b1))
-    failing = 0
-    for m, a1, b1 in seen.values():
-        t = FieldTriple(m, a1, b1)
-        if classify_by_splitting(t, sieve).fails:
-            failing += 1
-    return len(seen), failing
-
-
-def iter_valid_triples(max_abs_product: int) -> Iterator[FieldTriple]:
-    """All valid triples with m * |a1| * |b1| <= bound, every sign pattern."""
-    if max_abs_product < 1:
-        return
-    sieve = build_sieve(max_abs_product)
-    squarefree = sieve.mobius != 0
-    for m in range(1, max_abs_product + 1):
-        if not squarefree[m]:
-            continue
-        for u in range(1, max_abs_product // m + 1):
-            if not squarefree[u] or math.gcd(m, u) != 1:
-                continue
-            mu = m * u
-            for v in range(1, max_abs_product // mu + 1):
-                if not squarefree[v] or math.gcd(mu, v) != 1:
-                    continue
-                for a1 in (u, -u):
-                    for b1 in (v, -v):
-                        if a1 == b1 and u == 1:
-                            continue
-                        if m == 1 and (a1 == 1 or b1 == 1):
-                            continue
-                        yield FieldTriple(m, a1, b1)
+    ours, *rest = fork_parts(lambda part, parts: np.array(work(part, parts), dtype=np.int64))
+    for theirs in rest:
+        if theirs.shape != ours.shape:
+            raise RuntimeError(f"worker process sent {theirs.size} ints, not {ours.size} ints")
+    return tuple(np.sum([ours, *rest], axis=0).tolist())

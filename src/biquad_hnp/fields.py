@@ -4,8 +4,8 @@ A field is stored as (m, a1, b1) with m = gcd(|a|, |b|) > 0 and
 a = m*a1, b = m*b1.  Its three quadratic subfields have squarefree
 kernels m*a1, m*b1 and a1*b1, and the field discriminant is the product
 of the three fundamental discriminants.  Distinct triples can name the
-same field (signs can migrate between components); canonical_key
-collapses them.
+same field (signs can migrate between components); the sorted
+fundamental discriminants of the three subfields tell them apart.
 """
 
 from __future__ import annotations
@@ -124,36 +124,3 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
     if field_disc != root * root:
         raise InvalidFieldError(f"discriminant identity violated for {t}")
     return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
-
-
-def canonical_key(t: FieldTriple) -> tuple[int, int, int]:
-    """Sorted fundamental discriminants; equal keys mean equal fields."""
-    data = subfield_data(t)
-    d = sorted(data.fundamental_discs)
-    return (d[0], d[1], d[2])
-
-
-def class_label(t: FieldTriple):
-    """Sign / factor-of-2 / odd-residue class of a triple.
-
-    At most one component is even (pairwise coprimality), so the factor
-    of 2 sits in slot 0 (none), 1, 2 or 3.  Residues are the positive odd
-    parts of the components mod 8.
-    """
-    from .enumeration import ClassLabel
-
-    parts = (t.m, t.a1, t.b1)
-    even_slot = 0
-    odd = []
-    for i, v in enumerate(parts, start=1):
-        u = abs(v)
-        if u % 2 == 0:
-            even_slot = i
-            u //= 2
-        odd.append(u % 8)
-    return ClassLabel(
-        sign2=1 if t.a1 > 0 else -1,
-        sign3=1 if t.b1 > 0 else -1,
-        even_slot=even_slot,
-        residues=(odd[0], odd[1], odd[2]),
-    )

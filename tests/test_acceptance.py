@@ -31,9 +31,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
+from _reference_fields import canonical_key
 from biquad_hnp import asymptotics, enumeration
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.fields import FieldTriple, canonical_key, subfield_data
+from biquad_hnp.fields import FieldTriple, subfield_data
 from biquad_hnp.hnp import classify_by_splitting
 
 CHECKPOINTS = (10**6, 10**8, 10**10)
@@ -99,10 +101,10 @@ def test_criterion_4_classifier_equivalence():
             for m, a1, b1, _, _, fails in chunk.tolist():
                 assert (m, a1, b1) not in verdicts
                 verdicts[(m, a1, b1)] = bool(fails)
-        triples = [(t.m, t.a1, t.b1) for t in enumeration.iter_valid_triples(bound)]
+        triples = [(t.m, t.a1, t.b1) for t in iter_valid_triples(bound)]
         assert set(verdicts) == set(triples)
         checked = 0
-        for t in enumeration.iter_valid_triples(bound):
+        for t in iter_valid_triples(bound):
             checked += 1
             assert classify_by_splitting(t, sieve).fails == verdicts[(t.m, t.a1, t.b1)], t
         assert checked == 64140  # tens of thousands of cases, all sign patterns
@@ -123,7 +125,7 @@ def test_criterion_5_discriminant_identity():
         # independent object-layer route, exhaustive over |m a1 b1| <= 10^4
         # (subfield_data recomputes c and asserts the identity internally)
         checked = 0
-        for t in enumeration.iter_valid_triples(10**4):
+        for t in iter_valid_triples(10**4):
             data = subfield_data(t)
             assert sum(1 for kk in data.kernels if kk % 4 == 1) in (0, 1, 3)
             checked += 1
@@ -175,8 +177,8 @@ def test_criterion_9_failing_count_trend(reports, euler_constants):
 
 def test_criterion_10_small_x_ground_truth():
     with _criterion(10, "S(143) = 0, S(144) = 1, first field is Q(i, sqrt(3))"):
-        assert enumeration.count_by_generator_pairs(143) == (0, 0)
-        assert enumeration.count_by_generator_pairs(144) == (1, 0)
+        assert count_by_generator_pairs(143) == (0, 0)
+        assert count_by_generator_pairs(144) == (1, 0)
         assert enumeration.enumerate_fields(143).S == 0
         delivered = []
         report = enumeration.enumerate_fields(

