@@ -70,6 +70,35 @@ class TestCount:
         total = sum(int(line.split(",")[6]) for line in lines[1:])
         assert total == 282
 
+    # sha256 and line count of the whole class table, taken before the
+    # tallies were kept as arrays up to the output
+    @pytest.mark.parametrize(
+        "bound, lines, digest",
+        [
+            ("1e8", 977, "303ca6f8457150a81ad033d3da51f2cf81f303addfdd84124e8894f7348f414c"),
+            ("1e10", 1025, "84f5135cab2764afd7d17d77dcf7779e9e94c2314164c2258b6b756a2474e107"),
+        ],
+    )
+    def test_csv_classes_pinned(self, bound, lines, digest, capsys):
+        assert main(["count", "--max-disc", bound, "--format", "csv"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\r\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "bound, entries, digest",
+        [
+            ("1e6", 662, "9959cf99c87bd39220f299d6ac0590db2d924446e6cfe1caebda6fb98344e2ad"),
+            ("1e8", 976, "125c3f6aeefb6dc4546f3a38ae904cc9b557ac7dae8d7f79a47f2b6505a4562c"),
+            ("1e10", 1024, "36dd685b3c7c18c25c9f2c23e9eabb344c56c53584f63a3679de9c3812a827a7"),
+        ],
+    )
+    def test_json_classes_pinned(self, bound, entries, digest, capsys):
+        assert main(["count", "--max-disc", bound, "--format", "json"]) == EXIT_OK
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        assert len(classes) == entries
+        assert hashlib.sha256(json.dumps(classes, indent=2).encode()).hexdigest() == digest
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert (
