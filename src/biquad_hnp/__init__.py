@@ -11,7 +11,7 @@ Library surface:
 """
 
 from .arith import FactorSieve, build_sieve, jacobi, kronecker, reciprocity_exponent
-from .enumeration import ClassLabel, CountReport, count_by_class, enumerate_fields
+from .enumeration import CountReport, enumerate_fields
 from .fields import (
     FieldTriple,
     InvalidFieldError,
@@ -30,7 +30,6 @@ __all__ = [
     "InvalidFieldError",
     "SubfieldData",
     "HnpStatus",
-    "ClassLabel",
     "CountReport",
     "build_sieve",
     "jacobi",
@@ -41,6 +40,5 @@ __all__ = [
     "subfield_data",
     "classify_by_splitting",
     "enumerate_fields",
-    "count_by_class",
     "__version__",
 ]

@@ -47,7 +47,7 @@ USING_NUMBA = False
 
 # Ordered-tuple classes: 4 sign pairs x 4 factor-of-2 placements x 4^3 odd
 # residues mod 8.  Class ids index the tally arrays returned by
-# enumerate_block; see class_index/decode_class_index.
+# enumerate_block; see class_labels.
 CLASS_SPACE = 4 * 4 * 64
 
 SLAB = 2048  # cores per slab in enumerate_block
@@ -130,6 +130,27 @@ def jacobi_array(a, n) -> np.ndarray:
 
 
 @cache
+def class_labels() -> np.ndarray:
+    """Per class id, (sign2, sign3, even_slot, r1, r2, r3) as the rows of
+    a read-only (CLASS_SPACE, 6) int64 array.
+
+    sign2 and sign3 are the signs of the last two components, even_slot
+    is 0 when all components are odd and otherwise the 1-based index of
+    the even one, and r1, r2, r3 are the odd parts of the components mod
+    8.  The id is ((s * 4 + even_slot) << 6) | ecode, with s = 2 [sign2 <
+    0] + [sign3 < 0] and ecode holding r_i >> 1 in two bits each, r1
+    highest; _assignments and _enumerate_slab build ids this way, and
+    this is the one place that reads an id back.
+    """
+    cid = np.arange(CLASS_SPACE, dtype=np.int64)
+    s = cid >> 8
+    residues = [((cid >> shift) & 3) * 2 + 1 for shift in (4, 2, 0)]
+    labels = np.column_stack((1 - 2 * (s >> 1), 1 - 2 * (s & 1), (cid >> 6) & 3, *residues))
+    labels.setflags(write=False)
+    return labels
+
+
+@cache
 def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per class id: the weight factor c, and whether the tuple passes the
     mod-4/mod-8 prefilter and the slot-of-2 condition.
@@ -137,12 +158,8 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     The exact class sums in asymptotics read the same cached arrays, so
     both are read-only.
     """
-    cid = np.arange(CLASS_SPACE, dtype=np.int64)
-    ecode = cid & 63
-    even_slot = (cid >> 6) & 3
-    s = cid >> 8
-    m = [((ecode >> shift) & 3) * 2 + 1 for shift in (4, 2, 0)]
-    sign = [1, np.where(s < 2, 1, -1), np.where((s & 1) == 0, 1, -1)]
+    sign2, sign3, even_slot, *m = class_labels().T
+    sign = [1, sign2, sign3]
     v = [(sign[i] * m[i] * np.where(even_slot == i + 1, 2, 1)) & 7 for i in range(3)]
     r = [vi & 3 for vi in v]
     eq12, eq13, eq23 = r[0] == r[1], r[0] == r[2], r[1] == r[2]
@@ -358,19 +375,3 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
     rows = records.rows[: records.n] if records is not None else np.empty((0, 6), np.int64)
     return class_total, class_fail, rows
 
-
-def class_index(sign2: int, sign3: int, even_slot: int, residues) -> int:
-    """Flat index of a tuple class in the kernel tally arrays."""
-    s = (0 if sign2 > 0 else 2) + (0 if sign3 > 0 else 1)
-    ecode = ((residues[0] >> 1) << 4) | ((residues[1] >> 1) << 2) | (residues[2] >> 1)
-    return ((s * 4 + even_slot) << 6) | ecode
-
-
-def decode_class_index(cid: int) -> tuple[int, int, int, tuple[int, int, int]]:
-    """Inverse of class_index: (sign2, sign3, even_slot, residues)."""
-    ecode = cid & 63
-    head = cid >> 6
-    even_slot = head & 3
-    s = head >> 2
-    residues = (((ecode >> 4) & 3) * 2 + 1, ((ecode >> 2) & 3) * 2 + 1, (ecode & 3) * 2 + 1)
-    return (1 if s < 2 else -1, 1 if (s & 1) == 0 else -1, even_slot, residues)

@@ -159,10 +159,11 @@ def _class_rows():
     class's cores: it admits n <= isqrt(X) / scale.
     """
     c_table, ok_table = _kernels._class_tables()
+    labels = _kernels.class_labels()
+    scales = c_table * np.where(labels[:, 2] == 0, 1, 2)
     for cid in range(_kernels.CLASS_SPACE):
-        sign2, sign3, slot, residues = _kernels.decode_class_index(cid)
-        scale = int(c_table[cid]) * (1 if slot == 0 else 2)
-        yield sign2, sign3, slot, residues, scale, bool(ok_table[cid])
+        sign2, sign3, slot, *residues = labels[cid].tolist()
+        yield sign2, sign3, slot, residues, int(scales[cid]), bool(ok_table[cid])
 
 
 def _class_weight(

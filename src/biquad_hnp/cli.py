@@ -2,8 +2,8 @@
 
 Exit status: 0 on success, 1 when a verification check fails, 2 for
 usage errors such as malformed bounds, non-squarefree classify inputs or
-an output that cannot be written (a bad path, or a pipe whose reader
-has gone).
+an output that cannot be written (a bad path, a full device, or a pipe
+whose reader has gone).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from . import asymptotics, enumeration
+from . import _kernels, asymptotics, enumeration
 from .arith import build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
 from .hnp import FAILS, HOLDS, classify_by_splitting
@@ -33,6 +33,9 @@ EXIT_USAGE = 2
 EQUIVALENCE_SWEEP_BOUND = 2000  # |m * a1 * b1| bound of the kernel-vs-oracle sweep
 DISC_IDENTITY_BOUND = 10**8  # disc bound of the discriminant identity sweep
 CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
+# digits a bound literal may have: every bound is checked against 2^63 or
+# sized by memory, and int() of a longer literal can take minutes
+BOUND_DIGITS = 60
 
 
 def parse_bound(text: str) -> int:
@@ -41,6 +44,10 @@ def parse_bound(text: str) -> int:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a numeric bound: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"bound must be finite: {text!r}")
+    if value and value.adjusted() >= BOUND_DIGITS:
+        raise argparse.ArgumentTypeError(f"bound has more than {BOUND_DIGITS} digits: {text!r}")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"bound must be an integer: {text!r}")
     return int(value)
@@ -80,25 +87,17 @@ def _emit(text: str, out: TextIO | None) -> None:
             sys.stdout.write("\n")
 
 
-def _label_dict(row: tuple) -> dict:
-    sign2, sign3, even_slot, residues, count, failing = row
-    return {
-        "sign2": sign2,
-        "sign3": sign3,
-        "even_slot": even_slot,
-        "residues": list(residues),
-        "count": count,
-        "failing": failing,
-    }
-
-
-def _sorted_classes(report: enumeration.CountReport) -> list[tuple]:
-    rows = []
-    for label, count in report.per_class.items():
-        failing = report.per_class_failing.get(label, 0)
-        rows.append((label.sign2, label.sign3, label.even_slot, label.residues, count, failing))
-    rows.sort(key=lambda r: (r[2], -r[0], -r[1], r[3]))
-    return rows
+def _class_rows(report: enumeration.CountReport) -> list[list[int]]:
+    """(sign2, sign3, even_slot, r1, r2, r3, count, failing) of each class
+    that holds a tuple: by slot, then sign pair (+ before -), then residues.
+    """
+    labels = _kernels.class_labels()
+    sign2, sign3, even_slot, r1, r2, r3 = labels.T
+    order = np.lexsort((r3, r2, r1, -sign3, -sign2, even_slot))
+    ids = order[report.class_total[order] > 0]
+    return np.column_stack(
+        (labels[ids], report.class_total[ids], report.class_fail[ids])
+    ).tolist()
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -107,13 +106,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
         print(f"error: --max-disc must be below 2^63, got {args.max_disc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.audit_bound > args.max_disc:
-        print("error: --audit-bound cannot exceed --max-disc", file=sys.stderr)
+    if not 0 <= args.audit_bound <= args.max_disc:
+        print("error: --audit-bound must lie between 0 and --max-disc", file=sys.stderr)
         return EXIT_USAGE
     with (
         _open_output("--records", args.records) as records_file,
         _open_output("--out", args.out) as out_file,
     ):
+        if records_file and out_file and os.path.samefile(args.records, args.out):
+            print("error: --records and --out name the same file", file=sys.stderr)
+            return EXIT_USAGE
 
         def record_sink(columns):
             # the bytes json.dumps gives for this dict of ints and a verdict
@@ -131,6 +133,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             audit_bound=args.audit_bound,
         )
         elapsed = time.perf_counter() - started
+        if records_file:
+            records_file.flush()  # a records write that fails leaves no report
 
         if args.format == "json":
             payload = {
@@ -143,13 +147,15 @@ def cmd_count(args: argparse.Namespace) -> int:
                 "wall_time_s": elapsed,
                 "parts": report.parts,
                 "stats": report.stats,
-                "classes": [_label_dict(r) for r in _sorted_classes(report)],
+                "classes": [
+                    dict(sign2=s2, sign3=s3, even_slot=slot, residues=res, count=n, failing=f)
+                    for s2, s3, slot, *res, n, f in _class_rows(report)
+                ],
             }
             _emit(json.dumps(payload, indent=2), out_file)
         elif args.format == "csv":
             lines = ["sign2,sign3,even_slot,res1,res2,res3,count,failing"]
-            for s2, s3, slot, res, count, failing in _sorted_classes(report):
-                lines.append(f"{s2},{s3},{slot},{res[0]},{res[1]},{res[2]},{count},{failing}")
+            lines += [",".join(map(str, row)) for row in _class_rows(report)]
             _emit("\r\n".join(lines) + "\r\n", out_file)
         else:
             lines = [
@@ -158,7 +164,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 f"S~ (HNP failures)   = {report.S_tilde}",
                 f"ordered tuples      = {report.ordered_total}",
                 f"fail fraction       = {_float15(report.fail_fraction)}",
-                f"classes represented = {len(report.per_class)}",
+                f"classes represented = {np.count_nonzero(report.class_total)}",
                 f"wall time           = {elapsed:.3f} s",
             ]
             _emit("\n".join(lines) + "\n", out_file)
@@ -534,9 +540,10 @@ def main(argv: list[str] | None = None) -> int:
         # output is reported here and not at interpreter exit
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the interpreter flushes stdout again at exit; point it at devnull
-        # so that the unwritten buffer is dropped in silence
+    except OSError as exc:
+        # an output whose reader has gone, or a full device.  The
+        # interpreter flushes stdout again at exit; point it at devnull so
+        # that an unwritten buffer is dropped in silence
         try:
             stdout_fd = sys.stdout.fileno()
         except io.UnsupportedOperation:
@@ -545,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, stdout_fd)
             os.close(devnull)
-        print("error: an output was closed before all of it was written", file=sys.stderr)
+        print(f"error: cannot write an output: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, InvalidFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,31 +49,14 @@ FIELD_COLUMNS = 12  # columns of _field_columns
 TALLIES = 2 * _kernels.CLASS_SPACE
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    """Sign pattern, factor-of-2 slot and odd residues (mod 8) of a triple.
-
-    even_slot is 0 when all components are odd, otherwise the 1-based
-    index of the unique even component.
-    """
-
-    sign2: int
-    sign3: int
-    even_slot: int
-    residues: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if self.sign2 not in (1, -1) or self.sign3 not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-        if self.even_slot not in (0, 1, 2, 3):
-            raise ValueError("even_slot must be 0..3")
-        if any(r not in (1, 3, 5, 7) for r in self.residues):
-            raise ValueError("residues must be odd mod 8")
-
-
 @dataclass
 class CountReport:
     """Counting summary for all fields with disc <= X.
+
+    class_total and class_fail are the kernel's tallies of admitted and
+    of failing ordered tuples, summed over the parts: read-only int64
+    arrays indexed by class id, whose labels are the rows of
+    _kernels.class_labels().  They sum to 6 S and 6 S~.
 
     parts is the number of processes that counted: 2 when a forked
     child took half of the slabs, else 1.
@@ -93,28 +76,14 @@ class CountReport:
     S: int
     S_tilde: int
     ordered_total: int
-    per_class: dict[ClassLabel, int] = field(repr=False)
-    per_class_failing: dict[ClassLabel, int] = field(repr=False)
+    class_total: np.ndarray = field(repr=False)
+    class_fail: np.ndarray = field(repr=False)
     stats: dict[str, float] = field(default_factory=dict, repr=False)
     parts: int = 1
 
     @property
     def fail_fraction(self) -> float:
         return self.S_tilde / self.S if self.S else 0.0
-
-
-def _per_class_dicts(
-    total: np.ndarray, fails: np.ndarray
-) -> tuple[dict[ClassLabel, int], dict[ClassLabel, int]]:
-    per_class: dict[ClassLabel, int] = {}
-    per_fail: dict[ClassLabel, int] = {}
-    for cid in np.nonzero(total)[0]:
-        sign2, sign3, even_slot, residues = _kernels.decode_class_index(int(cid))
-        label = ClassLabel(sign2=sign2, sign3=sign3, even_slot=even_slot, residues=residues)
-        per_class[label] = int(total[cid])
-        if fails[cid]:
-            per_fail[label] = int(fails[cid])
-    return per_class, per_fail
 
 
 def _fundamental(k: np.ndarray) -> np.ndarray:
@@ -334,14 +303,15 @@ def enumerate_fields(
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
         raise AssertionError("ordered tuple counts are not divisible by 6")
-    per_class, per_fail = _per_class_dicts(total, fails)
+    total.setflags(write=False)
+    fails.setflags(write=False)
     report = CountReport(
         X=X,
         S=ordered_total // 6,
         S_tilde=ordered_failing // 6,
         ordered_total=ordered_total,
-        per_class=per_class,
-        per_class_failing=per_fail,
+        class_total=total,
+        class_fail=fails,
         stats=stats,
         parts=len(outs),
     )
@@ -355,11 +325,6 @@ def enumerate_fields(
         _deliver_fields(_merged_fields(tables, ordered), sieve, sink, audit_bound)
         _lap(stats, "deliver_s", t)
     return report
-
-
-def count_by_class(X: int) -> dict[ClassLabel, int]:
-    """Ordered-tuple tallies per class; values sum to 6 * S(X)."""
-    return enumerate_fields(X).per_class
 
 
 def field_records(X: int) -> np.ndarray:

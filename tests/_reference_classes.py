@@ -4,11 +4,19 @@ These are the per-class functions the exact class sums in ``asymptotics``
 used before they were computed over the kernel's table, kept as plain
 Python so the tests can compare the table with them entry by entry: the
 weight factor c of a class, and whether its signed residues are failure
-compatible.
+compatible.  ``class_index`` is the scalar encoder of a class id, the
+oracle for ``_kernels.class_labels``.
 """
 
 EVEN_SLOTS = (0, 1, 2, 3)
 ODD_RESIDUES = (1, 3, 5, 7)
+
+
+def class_index(sign2: int, sign3: int, even_slot: int, residues) -> int:
+    """Flat index of a tuple class in the kernel tally arrays."""
+    s = (0 if sign2 > 0 else 2) + (0 if sign3 > 0 else 1)
+    ecode = ((residues[0] >> 1) << 4) | ((residues[1] >> 1) << 2) | (residues[2] >> 1)
+    return ((s * 4 + even_slot) << 6) | ecode
 
 
 def in_failure_class(even_slot: int, eps: tuple[int, int, int]) -> bool:

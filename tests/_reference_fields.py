@@ -5,7 +5,6 @@ the tests.
 ``class_label`` the scalar form of the kernel's class of a triple.
 """
 
-from biquad_hnp.enumeration import ClassLabel
 from biquad_hnp.fields import FieldTriple, subfield_data
 
 
@@ -16,8 +15,9 @@ def canonical_key(t: FieldTriple) -> tuple[int, int, int]:
     return (d[0], d[1], d[2])
 
 
-def class_label(t: FieldTriple):
-    """Sign / factor-of-2 / odd-residue class of a triple.
+def class_label(t: FieldTriple) -> tuple[int, int, int, tuple[int, int, int]]:
+    """Sign / factor-of-2 / odd-residue class of a triple, as
+    (sign2, sign3, even_slot, residues).
 
     At most one component is even (pairwise coprimality), so the factor
     of 2 sits in slot 0 (none), 1, 2 or 3.  Residues are the positive odd
@@ -32,9 +32,4 @@ def class_label(t: FieldTriple):
             even_slot = i
             u //= 2
         odd.append(u % 8)
-    return ClassLabel(
-        sign2=1 if t.a1 > 0 else -1,
-        sign3=1 if t.b1 > 0 else -1,
-        even_slot=even_slot,
-        residues=(odd[0], odd[1], odd[2]),
-    )
+    return (1 if t.a1 > 0 else -1, 1 if t.b1 > 0 else -1, even_slot, (odd[0], odd[1], odd[2]))

@@ -16,7 +16,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def forked(monkeypatch):
-    """enumeration.split_sum forks, whatever the host's CPU count."""
+    """enumeration.fork_parts forks, whatever the host's CPU count.
+
+    fork_parts splits both enumerate_fields and split_sum.
+    """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -24,10 +27,11 @@ def forked(monkeypatch):
 
 @pytest.fixture
 def unforked(monkeypatch):
-    """enumeration.split_sum sees one usable CPU; a fork would raise."""
+    """enumeration.fork_parts, under enumerate_fields and split_sum, sees
+    one usable CPU; a fork would raise."""
 
     def no_fork():
-        raise AssertionError("split_sum forked with one usable CPU")
+        raise AssertionError("fork_parts forked with one usable CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork, raising=False)

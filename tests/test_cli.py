@@ -17,6 +17,19 @@ import pytest
 from biquad_hnp import cli, enumeration
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, main, parse_bound
 
+CLI_ENTRY = "import sys; from biquad_hnp.cli import main; sys.exit(main())"
+
+
+def run_cli(argv, timeout=30, **kwargs):
+    """The CLI in a fresh process, with this checkout's src on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", CLI_ENTRY, *argv],
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        **kwargs,
+    )
+
 
 class TestParseBound:
     def test_exact_scientific(self):
@@ -32,6 +45,25 @@ class TestParseBound:
             parse_bound("2.5")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_bound("abc")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--max-disc", "inf"],
+            ["count", "--max-disc", "snan"],
+            ["count", "--max-disc", "1e2000000"],
+            ["count", "--max-disc", "1e100000"],
+            ["count", "--max-disc", "1e4", "--audit-bound", "inf"],
+            ["compare", "--checkpoints", "inf"],
+            ["constants", "--prime-limit", "inf"],
+        ],
+    )
+    def test_unbounded_literal_exits_2_at_once(self, argv):
+        # a fresh process under a timeout: int() of 1e2000000 runs for minutes
+        proc = run_cli(argv, capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert f"{argv[-1]!r}" in proc.stderr
 
 
 class TestCount:
@@ -153,6 +185,28 @@ class TestCount:
         )
         assert "audit-bound" in capsys.readouterr().err
 
+    def test_negative_audit_bound_is_usage_error(self, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the count ran with a negative audit bound")
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", no_count)
+        assert main(["count", "--max-disc", "1e4", "--audit-bound=-5"]) == EXIT_USAGE
+        assert "audit-bound" in capsys.readouterr().err
+
+    def test_records_and_out_on_one_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("the count ran with both outputs on one file")
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", no_count)
+        path = tmp_path / "report"
+        (tmp_path / "link").symlink_to(path)
+        argv = ["count", "--max-disc", "1e4", "--records", str(path), "--out"]
+        for out in (path, tmp_path / "link"):
+            assert main([*argv, str(out)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --records and --out name the same file\n"
+
     @pytest.mark.parametrize("bound", ["1e19", "1e30"])
     def test_bound_beyond_int64_is_usage_error(self, bound, capsys, monkeypatch):
         def no_sieve(limit):
@@ -261,16 +315,8 @@ class TestClassify:
     )
     def test_component_beyond_10_12_is_usage_error(self, argv):
         # a fresh process under a timeout: trial division to 10^9 would hang
-        src = Path(__file__).resolve().parents[1] / "src"
         started = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from biquad_hnp.cli import main; sys.exit(main())",
-             "classify", *argv],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        proc = run_cli(["classify", *argv], capture_output=True, text=True)
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error:") and "10^12" in proc.stderr
         assert time.perf_counter() - started < 5
@@ -505,24 +551,42 @@ class TestClosedOutput:
 
     def test_closed_pipe_exits_2_without_a_traceback(self):
         # the reader of count's stdout has gone, as in `count ... | head -1`
-        src = Path(__file__).resolve().parents[1] / "src"
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from biquad_hnp.cli import main; sys.exit(main())",
-                 "count", "--max-disc", "1e6", "--format", "json"],
+            proc = run_cli(
+                ["count", "--max-disc", "1e6", "--format", "json"],
+                timeout=60,
                 stdout=write_fd,
                 stderr=subprocess.PIPE,
                 text=True,
-                timeout=60,
-                env={**os.environ, "PYTHONPATH": str(src)},
             )
         finally:
             os.close(write_fd)
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFullDevice:
+    # every write to /dev/full fails with ENOSPC
+    @pytest.mark.parametrize(
+        "options", [["--records", "/dev/full"], ["--format", "json", "--out", "/dev/full"]]
+    )
+    def test_full_output_file_exits_2(self, options):
+        proc = run_cli(["count", "--max-disc", "1e4", *options], capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cannot write an output: No space left on device\n"
+
+    def test_full_stdout_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(
+                ["count", "--max-disc", "1e4"], stdout=full, stderr=subprocess.PIPE, text=True
+            )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: cannot write an output: No space left on device\n"
 
 
 class TestImport:

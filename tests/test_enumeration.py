@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import _reference_dedup as reference
-from _reference_classes import in_failure_class
+from _reference_classes import class_index, in_failure_class
 from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
-from _reference_fields import canonical_key
+from _reference_fields import canonical_key, class_label
+from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve
 from biquad_hnp.enumeration import (
-    count_by_class,
     enumerate_fields,
     field_records,
     fork_parts,
@@ -72,8 +72,8 @@ class TestConsistency:
         for x in (10**4, 10**5, 10**6):
             report = enumerate_fields(x)
             assert report.ordered_total == 6 * report.S
-            assert sum(report.per_class.values()) == report.ordered_total
-            assert sum(report.per_class_failing.values()) == 6 * report.S_tilde
+            assert report.class_total.sum() == report.ordered_total
+            assert report.class_fail.sum() == 6 * report.S_tilde
 
     def test_dedup_matches_ordered_division(self):
         for x in (10**4, 10**6):
@@ -114,10 +114,14 @@ class TestConsistency:
         # computed by the scalar per-tuple enumeration
         report = enumerate_fields(10**10)
         assert (report.S, report.S_tilde) == (242710, 22841)
-        failing = report.per_class_failing
         rows = sorted(
-            [lab.sign2, lab.sign3, lab.even_slot, list(lab.residues), n, failing.get(lab, 0)]
-            for lab, n in report.per_class.items()
+            [sign2, sign3, even_slot, residues, n, failing]
+            for (sign2, sign3, even_slot, *residues), n, failing in zip(
+                _kernels.class_labels().tolist(),
+                report.class_total.tolist(),
+                report.class_fail.tolist(),
+            )
+            if n
         )
         assert len(rows) == 1024
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
@@ -182,28 +186,43 @@ class TestDedup:
 
 class TestClassTallies:
     def test_x144_classes(self):
-        per_class = count_by_class(144)
-        assert sum(per_class.values()) == 6
+        class_total = enumerate_fields(144).class_total
+        assert class_total.sum() == 6
         # the six ordered triples of the single field land in six classes
-        assert len(per_class) == 6
-        assert all(v == 1 for v in per_class.values())
+        assert np.count_nonzero(class_total) == 6
+        assert all(v == 1 for v in class_total[class_total > 0])
 
     def test_class_structure(self):
         report = enumerate_fields(10**6)
-        for label in report.per_class:
-            assert label.even_slot in (0, 1, 2, 3)
-            assert all(r in (1, 3, 5, 7) for r in label.residues)
+        for table in (report.class_total, report.class_fail):
+            assert table.shape == (_kernels.CLASS_SPACE,) and table.dtype == np.int64
+            assert not table.flags.writeable
+        assert np.all(report.class_fail <= report.class_total)
+        labels = _kernels.class_labels()[report.class_total > 0]
+        for _, _, even_slot, *residues in labels.tolist():
+            assert even_slot in (0, 1, 2, 3)
+            assert all(r in (1, 3, 5, 7) for r in residues)
 
     def test_failing_classes_are_failure_compatible(self):
         report = enumerate_fields(10**6)
-        for label, count in report.per_class_failing.items():
-            assert count > 0
-            signed = (
-                label.residues[0],
-                (label.sign2 * label.residues[1]) % 8,
-                (label.sign3 * label.residues[2]) % 8,
-            )
-            assert in_failure_class(label.even_slot, signed)
+        failing = np.flatnonzero(report.class_fail)
+        assert len(failing) > 0
+        for sign2, sign3, even_slot, r1, r2, r3 in _kernels.class_labels()[failing].tolist():
+            signed = (r1, (sign2 * r2) % 8, (sign3 * r3) % 8)
+            assert in_failure_class(even_slot, signed)
+
+    def test_tallies_match_scalar_class_labels(self):
+        # the kernel's class of each ordered record, read with the scalar
+        # label and encoder, gives back both tallies
+        records = field_records(10**6)
+        ids = np.array(
+            [class_index(*class_label(FieldTriple(*row))) for row in records[:, :3].tolist()]
+        )
+        report = enumerate_fields(10**6)
+        total = np.bincount(ids, minlength=_kernels.CLASS_SPACE)
+        fails = np.bincount(ids[records[:, 5] != 0], minlength=_kernels.CLASS_SPACE)
+        assert np.array_equal(total, report.class_total)
+        assert np.array_equal(fails, report.class_fail)
 
     def test_emitted_cores_odd_squarefree(self):
         # mu^2(2 m1' m2' m3') = 1 for every admitted tuple
@@ -447,8 +466,10 @@ class TestSplitCount:
         request.getfixturevalue("unforked")  # overrides the forked patches
         serial, serial_table = self.count(x)
         assert (forked.parts, serial.parts) == (2, 1)
-        for name in ("S", "S_tilde", "ordered_total", "per_class", "per_class_failing"):
+        for name in ("S", "S_tilde", "ordered_total"):
             assert getattr(forked, name) == getattr(serial, name)
+        for name in ("class_total", "class_fail"):
+            assert np.array_equal(getattr(forked, name), getattr(serial, name))
         assert forked_table.tobytes() == serial_table.tobytes()
         assert enumerate_fields(x).S == serial.S
 

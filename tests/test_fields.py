@@ -165,22 +165,22 @@ def _is_sf(n):
 
 class TestClassLabel:
     def test_examples(self):
-        lab = class_label(FieldTriple(1, -1, 2))
-        assert (lab.sign2, lab.sign3, lab.even_slot) == (-1, 1, 3)
-        assert lab.residues == (1, 1, 1)
+        sign2, sign3, even_slot, residues = class_label(FieldTriple(1, -1, 2))
+        assert (sign2, sign3, even_slot) == (-1, 1, 3)
+        assert residues == (1, 1, 1)
 
-        lab = class_label(FieldTriple(13, 2, 3))
-        assert (lab.sign2, lab.sign3, lab.even_slot) == (1, 1, 2)
-        assert lab.residues == (5, 1, 3)
+        sign2, sign3, even_slot, residues = class_label(FieldTriple(13, 2, 3))
+        assert (sign2, sign3, even_slot) == (1, 1, 2)
+        assert residues == (5, 1, 3)
 
-        lab = class_label(FieldTriple(1, 13, 17))
-        assert (lab.sign2, lab.sign3, lab.even_slot) == (1, 1, 0)
-        assert lab.residues == (1, 5, 1)
+        sign2, sign3, even_slot, residues = class_label(FieldTriple(1, 13, 17))
+        assert (sign2, sign3, even_slot) == (1, 1, 0)
+        assert residues == (1, 5, 1)
 
     def test_at_most_one_even_component(self):
         for t in iter_valid_triples(120):
-            lab = class_label(t)
+            _, _, even_slot, residues = class_label(t)
             evens = sum(1 for v in (t.m, t.a1, t.b1) if v % 2 == 0)
             assert evens <= 1
-            assert (lab.even_slot == 0) == (evens == 0)
-            assert all(r in (1, 3, 5, 7) for r in lab.residues)
+            assert (even_slot == 0) == (evens == 0)
+            assert all(r in (1, 3, 5, 7) for r in residues)

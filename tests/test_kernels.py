@@ -122,17 +122,17 @@ def test_jacobi_array_matches_python_jacobi():
 
 
 def test_class_index_roundtrip():
-    for cid in range(_kernels.CLASS_SPACE):
-        sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
-        assert _kernels.class_index(sign2, sign3, even_slot, residues) == cid
+    labels = _kernels.class_labels()
+    assert labels.shape == (_kernels.CLASS_SPACE, 6) and labels.dtype == np.int64
+    for cid, (sign2, sign3, even_slot, *residues) in enumerate(labels.tolist()):
+        assert reference_classes.class_index(sign2, sign3, even_slot, residues) == cid
 
 
 def test_class_tables_match_reference_entry_by_entry():
     # the kernel's table is the one definition of c and of the failure
     # prefilter in the package; the scalar functions are the oracle
     class_c, class_ok = _kernels._class_tables()
-    for cid in range(_kernels.CLASS_SPACE):
-        sign2, sign3, even_slot, residues = _kernels.decode_class_index(cid)
+    for cid, (sign2, sign3, even_slot, *residues) in enumerate(_kernels.class_labels().tolist()):
         eps4 = tuple(1 if r % 4 == 1 else -1 for r in residues)
         assert class_c[cid] == reference_classes.class_c(
             sign2, sign3, eps4, even_slot, context="mod4"
@@ -144,7 +144,7 @@ def test_class_tables_match_reference_entry_by_entry():
 def test_class_tables_are_read_only():
     # the kernel and asymptotics share the cached arrays, so a write by one
     # caller would corrupt the other
-    for table in _kernels._class_tables():
+    for table in (*_kernels._class_tables(), _kernels.class_labels()):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = table[0]
