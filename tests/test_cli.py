@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -394,6 +395,163 @@ class TestCompare:
         assert row["S"] == 243
         assert row["Stilde"] == 30
         assert row["fail_fraction"] == pytest.approx(30 / 243)
+
+
+TIMING = re.compile(
+    r'("(?:wall_time_s|sieve_s|kernel_s|dedup_s|deliver_s|duration_s)": )[-+0-9.e]+'
+)
+
+
+def untimed(text):
+    """A report with each timing value in a JSON object set to 0."""
+    return TIMING.sub(r"\g<1>0", text)
+
+
+CLASSIFY_13_17 = """\
+triple        (m, a1, b1) = (1, 13, 17)
+kernels       (13, 17, 221)
+fundamental   (13, 17, 221)
+disc          48841   (c = 1)
+splitting     fails
+"""
+
+
+# whole reports, taken before the one report writer replaced the
+# per-command format branches; timing values are set to 0 or dropped
+class TestOutputPins:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["compare", "--checkpoints", "144,1e4,1e6"],
+                "X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction\r\n"
+                "144,1,0.815788778512603,1.22580749617966,0,1.52211443117455,0,0\r\n"
+                "10000,47,23.348968176559,2.01293691629531,5,17.2676747789595,"
+                "0.289558383743273,0.106382978723404\r\n"
+                "1000000,1014,525.351783972578,1.93013525590869,119,211.484961263886,"
+                "0.562687764126712,0.117357001972387\r\n",
+            ),
+            (
+                ["compare", "--checkpoints", "144,1e4,1e6", "--format", "text"],
+                "             X          S   S_ratio   Stilde  St_ratio  fail_frac\n"
+                "           144          1    1.2258        0    0.0000   0.000000\n"
+                "         10000         47    2.0129        5    0.2896   0.106383\n"
+                "       1000000       1014    1.9301      119    0.5627   0.117357\n",
+            ),
+            (
+                ["compare", "--checkpoints", ""],
+                "X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction\r\n",
+            ),
+            (
+                ["compare", "--checkpoints", "", "--format", "text"],
+                "             X          S   S_ratio   Stilde  St_ratio  fail_frac\n",
+            ),
+            (
+                ["compare", "--checkpoints", "", "--format", "json"],
+                '{\n  "schema_version": 1,\n  "rows": []\n}\n',
+            ),
+            (["classify", "--gens", "13", "17"], CLASSIFY_13_17),
+            (["classify", "--triple", "1", "13", "17"], CLASSIFY_13_17),
+            (
+                ["classify", "--gens", "2", "3"],
+                "triple        (m, a1, b1) = (1, 2, 3)\n"
+                "kernels       (2, 3, 6)\n"
+                "fundamental   (8, 12, 24)\n"
+                "disc          2304   (c = 8)\n"
+                "splitting     holds\n"
+                "witness       2\n",
+            ),
+            (
+                ["constants", "--prime-limit", "1e5"],
+                "prime limit                   100000\n"
+                "Euler product (all fields)    0.114884597071403 +- 6.89e-06\n"
+                "Euler product (failures)      0.427866079683989 +- 8.56e-06\n"
+                "failing main-term coefficient 0.0568979565118506\n"
+                "assembled closed form         0.0568979108655395\n"
+                "relative residual             8.02e-07\n"
+                "agreement within tails        True\n",
+            ),
+            (
+                ["count", "--max-disc", "1", "--format", "csv"],
+                "sign2,sign3,even_slot,res1,res2,res3,count,failing\r\n",
+            ),
+        ],
+    )
+    def test_literal(self, argv, expected, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["compare", "--checkpoints", "144,1e4,1e6", "--format", "json"],
+                "ce532ad1e7fb5343a1f25c18234ef327b181377a100580e26f7ac964f93bf898",
+            ),
+            (
+                ["classify", "--gens", "13", "17", "--format", "json"],
+                "728a04c2ff66dfd42e7cc2c0d2c9abae6df7df809e3384fb9468ea96edba5126",
+            ),
+            (
+                ["classify", "--triple", "1", "13", "17", "--format", "json"],
+                "728a04c2ff66dfd42e7cc2c0d2c9abae6df7df809e3384fb9468ea96edba5126",
+            ),
+            (
+                ["classify", "--gens", "2", "3", "--format", "json"],
+                "d878c6e6c7239146aec99bf3613f1d9d4d6ac13763ed8382496e4fda81494873",
+            ),
+            (
+                ["constants", "--prime-limit", "1e5", "--format", "json"],
+                "9ac643bd22854e5ff457f7af90da4e8925e95911b52291d65a1a5f3ae41a3036",
+            ),
+            (
+                ["verify", "--format", "json"],
+                "b4525ff004c9477d45c05e12a467973ad176e4a7c0a590480bba9acace0a8f65",
+            ),
+            (
+                ["count", "--max-disc", "1", "--format", "json"],
+                "cef2dc56ba63e16cc367c498e80b9405b996b0d5bc8f905c59d71c574131ebda",
+            ),
+            (
+                # "parts" reads 2 only where the count forks
+                ["count", "--max-disc", "1e8", "--format", "json"],
+                "29d48186c612bfe817a8fd403ada9e46c63195ea252cee2339538aaf4114f943",
+            ),
+        ],
+    )
+    def test_digest(self, argv, digest, capsys, forked):
+        assert main(argv) == EXIT_OK
+        out = untimed(capsys.readouterr().out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "bound, expected",
+        [
+            (
+                "1",
+                "X = 1\n"
+                "S (all fields)      = 0\n"
+                "S~ (HNP failures)   = 0\n"
+                "ordered tuples      = 0\n"
+                "fail fraction       = 0\n"
+                "classes represented = 0\n",
+            ),
+            (
+                "1e8",
+                "X = 100000000\n"
+                "S (all fields)      = 16679\n"
+                "S~ (HNP failures)   = 1807\n"
+                "ordered tuples      = 100074\n"
+                "fail fraction       = 0.10833982852689\n"
+                "classes represented = 976\n",
+            ),
+        ],
+    )
+    def test_count_text(self, bound, expected, capsys):
+        assert main(["count", "--max-disc", bound]) == EXIT_OK
+        *lines, wall = capsys.readouterr().out.splitlines(keepends=True)
+        assert re.fullmatch(r"wall time           = \d+\.\d{3} s\n", wall)
+        assert "".join(lines) == expected
 
 
 VERIFY_TEXT = """\
