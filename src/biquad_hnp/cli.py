@@ -3,7 +3,9 @@
 Exit status: 0 on success, 1 when a verification check fails, 2 for
 usage errors such as malformed bounds, non-squarefree classify inputs or
 an output that cannot be written (a bad path, a full device, or a pipe
-whose reader has gone).
+whose reader has gone).  Each command builds its report once, as a JSON
+payload, text lines and, for count and compare, a CSV table; _write
+renders the chosen format to stdout or to --out, which get the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal, InvalidOperation
-from typing import Iterator, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -36,6 +38,10 @@ CLASSIFY_INPUT_BOUND = 10**12  # |v| bound of classify inputs (trial division)
 # digits a bound literal may have: every bound is checked against 2^63 or
 # sized by memory, and int() of a longer literal can take minutes
 BOUND_DIGITS = 60
+CLASS_COLUMNS = tuple("sign2,sign3,even_slot,res1,res2,res3,count,failing".split(","))
+COMPARE_COLUMNS = tuple(
+    "X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction".split(",")
+)
 
 
 def parse_bound(text: str) -> int:
@@ -53,11 +59,16 @@ def parse_bound(text: str) -> int:
     return int(value)
 
 
-def positive_bound(text: str) -> int:
-    value = parse_bound(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"bound must be positive: {text!r}")
-    return value
+def bound_at_least(least: int) -> Callable[[str], int]:
+    """The argparse type of a bound: parse_bound, refusing values below least."""
+
+    def parse(text: str) -> int:
+        value = parse_bound(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"bound must be at least {least}: {text!r}")
+        return value
+
+    return parse
 
 
 def _float15(x: float) -> str:
@@ -78,13 +89,28 @@ def _open_output(option: str, path: str | None) -> AbstractContextManager[TextIO
         raise ValueError(f"cannot write {option} {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str, out: TextIO | None) -> None:
-    if out:
-        out.write(text)
+def _write(
+    fmt: str,
+    payload: dict,
+    text: list[str],
+    table: tuple[tuple[str, ...], list[list]] | None = None,
+    out: TextIO | None = None,
+) -> None:
+    """Write one report to out, or to stdout, in the format fmt.
+
+    json: payload after schema_version.  csv: the (header, rows) table,
+    each int cell as str and each float cell to 15 significant digits,
+    lines ended by CRLF.  text: the lines, each ended by a newline.
+    """
+    stream = out or sys.stdout
+    if fmt == "json":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2), file=stream)
+    elif fmt == "csv":
+        header, rows = table
+        cells = [[_float15(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+        stream.writelines(",".join(line) + "\r\n" for line in [header, *cells])
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        stream.writelines(line + "\n" for line in text)
 
 
 def _class_rows(report: enumeration.CountReport) -> list[list[int]]:
@@ -136,38 +162,31 @@ def cmd_count(args: argparse.Namespace) -> int:
         if records_file:
             records_file.flush()  # a records write that fails leaves no report
 
-        if args.format == "json":
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "X": report.X,
-                "S": report.S,
-                "S_tilde": report.S_tilde,
-                "ordered_total": report.ordered_total,
-                "fail_fraction": report.fail_fraction,
-                "wall_time_s": elapsed,
-                "parts": report.parts,
-                "stats": report.stats,
-                "classes": [
-                    dict(sign2=s2, sign3=s3, even_slot=slot, residues=res, count=n, failing=f)
-                    for s2, s3, slot, *res, n, f in _class_rows(report)
-                ],
-            }
-            _emit(json.dumps(payload, indent=2), out_file)
-        elif args.format == "csv":
-            lines = ["sign2,sign3,even_slot,res1,res2,res3,count,failing"]
-            lines += [",".join(map(str, row)) for row in _class_rows(report)]
-            _emit("\r\n".join(lines) + "\r\n", out_file)
-        else:
-            lines = [
-                f"X = {report.X}",
-                f"S (all fields)      = {report.S}",
-                f"S~ (HNP failures)   = {report.S_tilde}",
-                f"ordered tuples      = {report.ordered_total}",
-                f"fail fraction       = {_float15(report.fail_fraction)}",
-                f"classes represented = {np.count_nonzero(report.class_total)}",
-                f"wall time           = {elapsed:.3f} s",
-            ]
-            _emit("\n".join(lines) + "\n", out_file)
+        rows = _class_rows(report)
+        payload = {
+            "X": report.X,
+            "S": report.S,
+            "S_tilde": report.S_tilde,
+            "ordered_total": report.ordered_total,
+            "fail_fraction": report.fail_fraction,
+            "wall_time_s": elapsed,
+            "parts": report.parts,
+            "stats": report.stats,
+            "classes": [
+                dict(sign2=s2, sign3=s3, even_slot=slot, residues=res, count=n, failing=f)
+                for s2, s3, slot, *res, n, f in rows
+            ],
+        }
+        text = [
+            f"X = {report.X}",
+            f"S (all fields)      = {report.S}",
+            f"S~ (HNP failures)   = {report.S_tilde}",
+            f"ordered tuples      = {report.ordered_total}",
+            f"fail fraction       = {_float15(report.fail_fraction)}",
+            f"classes represented = {len(rows)}",
+            f"wall time           = {elapsed:.3f} s",
+        ]
+        _write(args.format, payload, text, (CLASS_COLUMNS, rows), out_file)
         return EXIT_OK
 
 
@@ -191,99 +210,57 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     data = subfield_data(triple)
     status = classify_by_splitting(triple)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "m": triple.m,
-            "a1": triple.a1,
-            "b1": triple.b1,
-            "kernels": list(data.kernels),
-            "fundamental_discs": list(data.fundamental_discs),
-            "disc": data.field_disc,
-            "c": data.c,
-            "verdict": status.verdict,
-            "witness": status.witness,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"triple        (m, a1, b1) = ({triple.m}, {triple.a1}, {triple.b1})")
-        print(f"kernels       {data.kernels}")
-        print(f"fundamental   {data.fundamental_discs}")
-        print(f"disc          {data.field_disc}   (c = {data.c})")
-        print(f"splitting     {status.verdict}")
-        if status.witness is not None:
-            print(f"witness       {status.witness}")
+    payload = {
+        "m": triple.m,
+        "a1": triple.a1,
+        "b1": triple.b1,
+        "kernels": list(data.kernels),
+        "fundamental_discs": list(data.fundamental_discs),
+        "disc": data.field_disc,
+        "c": data.c,
+        "verdict": status.verdict,
+        "witness": status.witness,
+    }
+    text = [
+        f"triple        (m, a1, b1) = ({triple.m}, {triple.a1}, {triple.b1})",
+        f"kernels       {data.kernels}",
+        f"fundamental   {data.fundamental_discs}",
+        f"disc          {data.field_disc}   (c = {data.c})",
+        f"splitting     {status.verdict}",
+    ]
+    if status.witness is not None:
+        text.append(f"witness       {status.witness}")
+    _write(args.format, payload, text)
     return EXIT_OK
 
 
-def _row_blocks(
-    records: np.ndarray, columns: tuple[int, ...], part: int, parts: int
-) -> Iterator[list[list[int]]]:
-    """Column lists of blocks part, part + parts, ... of EMIT_CHUNK rows.
+def _oracle_mismatches(
+    records: np.ndarray, column: int, mismatch: Callable[[FieldTriple, int], bool]
+) -> tuple[int, int]:
+    """(rows, mismatches) of a scalar oracle against one column of the
+    kernel's records, over every row (m, a1, b1, ...).
 
-    The blocks of parts 0 .. parts - 1 cover every row once.  One list
-    per column and block: lists of the whole array would raise the peak
-    memory.
+    mismatch(triple, value) is true where the oracle disagrees with the
+    row's value; a row that FieldTriple or the oracle rejects counts as one
+    mismatch.  enumeration.split_sum checks alternate blocks of EMIT_CHUNK
+    rows in two processes when two CPUs are usable: part p of parts checks
+    blocks p, p + parts, ..., so the parts cover every row once.
     """
     step = enumeration.EMIT_CHUNK
-    for lo in range(part * step, len(records), parts * step):
-        yield records[lo : lo + step, columns].T.tolist()
-
-
-def _disc_identity_violations() -> tuple[int, int]:
-    """(tuples, violations) of the discriminant identity and the kernel
-    parity law over all tuples with disc <= DISC_IDENTITY_BOUND, checked
-    from the raw enumeration records.
-
-    subfield_data raises on either law; a tuple it or FieldTriple rejects
-    counts as one violation.  The records are built once; then
-    enumeration.split_sum checks alternate blocks of rows in two
-    processes when two CPUs are usable.  A function of its own, so that
-    the records are freed on return.
-    """
-    records = enumeration.field_records(DISC_IDENTITY_BOUND)
 
     def work(part: int, parts: int) -> tuple[int, int]:
         seen = bad = 0
-        for block in _row_blocks(records, (0, 1, 2, 3), part, parts):
+        for lo in range(part * step, len(records), parts * step):
+            # one list per column and block: lists of the whole array would
+            # raise the peak memory
+            block = records[lo : lo + step, (0, 1, 2, column)].T.tolist()
             seen += len(block[0])
-            for m, a1, b1, disc in zip(*block):
+            for m, a1, b1, value in zip(*block):
                 try:
-                    if subfield_data(FieldTriple(m, a1, b1)).field_disc != disc:
-                        bad += 1
+                    bad += mismatch(FieldTriple(m, a1, b1), value)
                 except InvalidFieldError:
                     bad += 1
         return seen, bad
-
-    return enumeration.split_sum(work)
-
-
-def _kernel_verdict_mismatches() -> tuple[int, int]:
-    """(tuples, disagreements) of the kernel's verdict against the scalar
-    splitting oracle on every ordered tuple with |m a1 b1| <=
-    EQUIVALENCE_SWEEP_BOUND.  A tuple the oracle rejects as no field
-    counts as one disagreement.
-
-    The kernel's chunks are joined into one array (64,140 rows, 3 MB);
-    then enumeration.split_sum checks alternate blocks of rows in two
-    processes when two CPUs are usable.
-    """
-    sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
-    records = np.concatenate(
-        [*enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND)] or [np.empty((0, 6), np.int64)]
-    )
-
-    def work(part: int, parts: int) -> tuple[int, int]:
-        seen = mismatches = 0
-        for block in _row_blocks(records, (0, 1, 2, 5), part, parts):
-            seen += len(block[0])
-            for m, a1, b1, fails in zip(*block):
-                try:
-                    if classify_by_splitting(FieldTriple(m, a1, b1), sieve).fails != bool(fails):
-                        mismatches += 1
-                except InvalidFieldError:
-                    mismatches += 1
-        return seen, mismatches
 
     return enumeration.split_sum(work)
 
@@ -321,7 +298,14 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         all(b == 0 for b in blocks),
     )
 
-    total, bad = _disc_identity_violations()
+    # subfield_data raises on a broken discriminant identity or kernel
+    # parity law.  Each records array is an argument only, so that it is
+    # freed before the next check
+    total, bad = _oracle_mismatches(
+        enumeration.field_records(DISC_IDENTITY_BOUND),
+        3,
+        lambda triple, disc: subfield_data(triple).field_disc != disc,
+    )
     add(
         f"discriminant identity, {total} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
         "0 violations",
@@ -329,7 +313,16 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         bad == 0,
     )
 
-    total, mismatches = _kernel_verdict_mismatches()
+    sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
+    total, mismatches = _oracle_mismatches(
+        # the kernel's chunks joined into one array (64,140 rows, 3 MB)
+        np.concatenate(
+            [*enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND)]
+            or [np.empty((0, 6), np.int64)]
+        ),
+        5,
+        lambda triple, fails: classify_by_splitting(triple, sieve).fails != fails,
+    )
     add(
         f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
         "0 disagreements",
@@ -342,26 +335,18 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = _verify_checks()
     ok = all(passed for _, _, _, passed, _ in checks)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "passed": ok,
-            "checks": [
-                {
-                    "name": name,
-                    "expected": exp,
-                    "actual": act,
-                    "passed": passed,
-                    "duration_s": duration,
-                }
-                for name, exp, act, passed, duration in checks
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, expected, actual, passed, _ in checks:
-            tag = "PASS" if passed else "FAIL"
-            print(f"{tag}  {name}: expected {expected}, got {actual}")
+    payload = {
+        "passed": ok,
+        "checks": [
+            {"name": name, "expected": exp, "actual": act, "passed": passed, "duration_s": duration}
+            for name, exp, act, passed, duration in checks
+        ],
+    }
+    text = [
+        f"{'PASS' if passed else 'FAIL'}  {name}: expected {exp}, got {act}"
+        for name, exp, act, passed, _ in checks
+    ]
+    _write(args.format, payload, text)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -369,42 +354,35 @@ def cmd_constants(args: argparse.Namespace) -> int:
     total = asymptotics.euler_product_total(args.prime_limit)
     failing = asymptotics.euler_product_failing(args.prime_limit)
     cross = asymptotics.main_term_constant_crosscheck(args.prime_limit)
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "prime_limit": args.prime_limit,
-            "euler_product_total": {
-                "value": total.value,
-                "tail_bound": total.tail_bound,
-            },
-            "euler_product_failing": {
-                "value": failing.value,
-                "tail_bound": failing.tail_bound,
-            },
-            "crosscheck": {
-                "agrees": cross.agrees,
-                "direct": cross.direct,
-                "assembled": cross.assembled,
-                "residual": cross.residual,
-                "combined_tail": cross.combined_tail,
-            },
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"prime limit                   {args.prime_limit}")
-        print(f"Euler product (all fields)    {_float15(total.value)} +- {total.tail_bound:.2e}")
-        print(f"Euler product (failures)      {_float15(failing.value)} +- {failing.tail_bound:.2e}")
-        print(f"failing main-term coefficient {_float15(cross.direct)}")
-        print(f"assembled closed form         {_float15(cross.assembled)}")
-        print(f"relative residual             {cross.residual:.2e}")
-        print(f"agreement within tails        {cross.agrees}")
+    payload = {
+        "prime_limit": args.prime_limit,
+        "euler_product_total": {"value": total.value, "tail_bound": total.tail_bound},
+        "euler_product_failing": {"value": failing.value, "tail_bound": failing.tail_bound},
+        "crosscheck": {
+            "agrees": cross.agrees,
+            "direct": cross.direct,
+            "assembled": cross.assembled,
+            "residual": cross.residual,
+            "combined_tail": cross.combined_tail,
+        },
+    }
+    text = [
+        f"prime limit                   {args.prime_limit}",
+        f"Euler product (all fields)    {_float15(total.value)} +- {total.tail_bound:.2e}",
+        f"Euler product (failures)      {_float15(failing.value)} +- {failing.tail_bound:.2e}",
+        f"failing main-term coefficient {_float15(cross.direct)}",
+        f"assembled closed form         {_float15(cross.assembled)}",
+        f"relative residual             {cross.residual:.2e}",
+        f"agreement within tails        {cross.agrees}",
+    ]
+    _write(args.format, payload, text)
     return EXIT_OK if cross.agrees else EXIT_VERIFY_FAILED
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     checkpoints = args.checkpoints
-    if sorted(checkpoints) != checkpoints:
-        print("error: checkpoints must be ascending", file=sys.stderr)
+    if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        print("error: checkpoints must be strictly ascending", file=sys.stderr)
         return EXIT_USAGE
     if checkpoints and checkpoints[-1] >= enumeration.MAX_DISC_EXCLUSIVE:
         print(f"error: checkpoints must be below 2^63, got {checkpoints[-1]}", file=sys.stderr)
@@ -417,48 +395,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
             report = enumeration.enumerate_fields(x)
             s_main = asymptotics.main_term_total(x, c_total)
             st_main = asymptotics.main_term_failing(x, c_failing)
+            s_ratio = report.S / s_main if s_main else 0.0
+            st_ratio = report.S_tilde / st_main if st_main else 0.0
             rows.append(
-                {
-                    "X": x,
-                    "S": report.S,
-                    "S_main": s_main,
-                    "S_ratio": report.S / s_main if s_main else 0.0,
-                    "Stilde": report.S_tilde,
-                    "Stilde_main": st_main,
-                    "Stilde_ratio": report.S_tilde / st_main if st_main else 0.0,
-                    "fail_fraction": report.fail_fraction,
-                }
+                [x, report.S, s_main, s_ratio, report.S_tilde, st_main, st_ratio,
+                 report.fail_fraction]
             )
-        if args.format == "json":
-            payload = {"schema_version": SCHEMA_VERSION, "rows": rows}
-            _emit(json.dumps(payload, indent=2), out_file)
-        elif args.format == "text":
-            header = f"{'X':>14} {'S':>10} {'S_ratio':>9} {'Stilde':>8} {'St_ratio':>9} {'fail_frac':>10}"
-            lines = [header]
-            for r in rows:
-                lines.append(
-                    f"{r['X']:>14} {r['S']:>10} {r['S_ratio']:>9.4f} "
-                    f"{r['Stilde']:>8} {r['Stilde_ratio']:>9.4f} {r['fail_fraction']:>10.6f}"
-                )
-            _emit("\n".join(lines) + "\n", out_file)
-        else:
-            lines = ["X,S,S_main,S_ratio,Stilde,Stilde_main,Stilde_ratio,fail_fraction"]
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        [
-                            str(r["X"]),
-                            str(r["S"]),
-                            _float15(r["S_main"]),
-                            _float15(r["S_ratio"]),
-                            str(r["Stilde"]),
-                            _float15(r["Stilde_main"]),
-                            _float15(r["Stilde_ratio"]),
-                            _float15(r["fail_fraction"]),
-                        ]
-                    )
-                )
-            _emit("\r\n".join(lines) + "\r\n", out_file)
+        text = [
+            f"{'X':>14} {'S':>10} {'S_ratio':>9} {'Stilde':>8} {'St_ratio':>9} {'fail_frac':>10}"
+        ]
+        text += [
+            f"{x:>14} {s:>10} {s_ratio:>9.4f} {st:>8} {st_ratio:>9.4f} {fail:>10.6f}"
+            for x, s, _, s_ratio, st, _, st_ratio, fail in rows
+        ]
+        payload = {"rows": [dict(zip(COMPARE_COLUMNS, row)) for row in rows]}
+        _write(args.format, payload, text, (COMPARE_COLUMNS, rows), out_file)
         return EXIT_OK
 
 
@@ -473,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="enumerate fields with disc <= X")
-    p_count.add_argument("--max-disc", type=positive_bound, required=True)
+    p_count.add_argument("--max-disc", type=bound_at_least(1), required=True)
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_count.add_argument("--out", default=None)
     p_count.add_argument("--audit-bound", type=parse_bound, default=0)
@@ -498,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="evaluate the Euler-product constants")
     p_const.add_argument(
-        "--prime-limit", type=positive_bound, default=asymptotics.DEFAULT_PRIME_LIMIT
+        "--prime-limit", type=bound_at_least(2), default=asymptotics.DEFAULT_PRIME_LIMIT
     )
     p_const.add_argument("--format", choices=("text", "json"), default="text")
     p_const.set_defaults(func=cmd_constants)
@@ -506,14 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="counts vs main terms at checkpoints")
     p_cmp.add_argument(
         "--checkpoints",
-        type=lambda s: [positive_bound(x) for x in s.split(",") if x],
+        type=lambda s: [bound_at_least(1)(x) for x in s.split(",") if x],
         required=True,
-        help="comma-separated ascending bounds, e.g. 1e6,1e8,1e10",
+        help="comma-separated strictly ascending bounds, e.g. 1e6,1e8,1e10",
     )
     p_cmp.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_cmp.add_argument("--out", default=None)
     p_cmp.add_argument(
-        "--prime-limit", type=positive_bound, default=asymptotics.DEFAULT_PRIME_LIMIT
+        "--prime-limit", type=bound_at_least(2), default=asymptotics.DEFAULT_PRIME_LIMIT
     )
     p_cmp.set_defaults(func=cmd_compare)
     return parser

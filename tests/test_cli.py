@@ -388,6 +388,47 @@ class TestCompare:
         assert main(["compare", "--checkpoints", "1e4,1e19"]) == EXIT_USAGE
         assert "2^63" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("checkpoints", ["1e4,1e3", "1e4,1e4", "1e3,1e4,1e4"])
+    def test_not_strictly_ascending_keeps_out_file(
+        self, checkpoints, tmp_path, capsys, monkeypatch
+    ):
+        def no_count(*args, **kwargs):
+            raise AssertionError("a checkpoint was counted")
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", no_count)
+        path = tmp_path / "report.csv"
+        path.write_text("keep\n")
+        argv = ["compare", "--checkpoints", checkpoints, "--out", str(path)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checkpoints must be strictly ascending\n"
+        assert path.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--checkpoints", "1e3", "--prime-limit", "1", "--out", "report"],
+            ["constants", "--prime-limit", "1"],
+        ],
+        ids=["compare", "constants"],
+    )
+    def test_prime_limit_below_2_is_refused_at_parse_time(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("report").write_text("keep\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"biquad-hnp {argv[0]}: error: argument --prime-limit: bound must be at least 2: '1'"
+        ]
+        assert "Traceback" not in captured.err
+        assert Path("report").read_text() == "keep\n"
+
     def test_json(self, capsys):
         assert main(["compare", "--checkpoints", "1e5", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
@@ -554,6 +595,26 @@ class TestOutputPins:
         assert "".join(lines) == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--checkpoints", "144,1e4"],
+        ["compare", "--checkpoints", "144,1e4", "--format", "json"],
+        ["compare", "--checkpoints", "144,1e4", "--format", "text"],
+        ["count", "--max-disc", "1e4", "--format", "json"],
+    ],
+    ids=["compare-csv", "compare-json", "compare-text", "count-json"],
+)
+def test_out_file_holds_the_bytes_of_stdout(argv, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("\n")
+    assert untimed(path.read_bytes().decode()) == untimed(stdout)
+
+
 VERIFY_TEXT = """\
 PASS  class weight sum (all classes): expected 23, got 23
 PASS  class weight sum (failure classes): expected 112, got 112
@@ -668,8 +729,9 @@ class TestVerify:
             return forked_sums
 
         monkeypatch.setattr(enumeration, "split_sum", recorded)
-        assert cli._disc_identity_violations() == (100074, 0)
-        assert cli._kernel_verdict_mismatches() == (64140, 0)
+        checks = cli._verify_checks()
+        assert all(passed for _, _, _, passed, _ in checks)
+        assert [forked_sums for forked_sums, _, _ in sums] == [(100074, 0), (64140, 0)]
         for forked_sums, one_part, parent_part in sums:
             assert forked_sums == one_part
             assert 0 < parent_part[0] < one_part[0]
