@@ -7,24 +7,22 @@ The two counting asymptotics are
 
 with C_total = prod_p (1-1/p)^3 (1+3/p) and
 C_failing = prod_p (1-1/p)^(3/2) (1+3/(2p)).  The integers 23 and 112 are
-exact weighted counts over the finite class decomposition of the
-enumeration (sign pair, factor-of-2 slot, odd residues mod 8).  That
-decomposition is the kernel's class table (``_kernels._class_tables``:
-the weight factor c and failure compatibility of each of its 1024 ids),
-and every exact sum here (23, 112, the signed variant that cancels to
-zero, the class moments and the degenerate weight) is a rational sum over
+exact weighted counts over the kernel's class table
+(``_kernels._class_tables``: the weight factor c and failure
+compatibility of each of its 1024 ids, by sign pair, factor-of-2 slot
+and odd residues mod 8).  Every exact sum here is a rational sum over
 that table, so the identities check the classes every count uses.
 
-The all-fields count has the three-term expansion
+Exactly, 6 S(X) = (1/64) sum_id F_0(isqrt(X) // scale(id)) - D(X), with
+F_0(y) the sum of 3^omega(n) over odd squarefree n <= y,
+scale = c 2^[slot > 0] and D the degenerate tuples.  Hence
 
     S(X) = sqrt(X) (A log^2 X + B log X + C) + O(X^(1/2 - delta)),
 
 A = (23/960) C_total = 0.0027524, B = 0.0513796, C = -0.214858, so that
-S/main - 1 is about (B/A) / log X = 18.67 / log X (expansion_total).  B and
-C come from the Laurent expansion of zeta(s)^3 times an Euler product at
-s = 1 and from exact class moments; see expansion_total_coefficients.
-Floating point appears only in the Euler products, the Laurent data and
-the main terms.
+S/main - 1 is about (B/A) / log X = 18.67 / log X; see
+expansion_total_coefficients.  Floating point appears only in the Euler
+products, the Laurent data and the main terms.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ DEFAULT_PRIME_LIMIT = 10_000_000
 
 # factor-of-2 placements: slot 0 = all components odd, slot i = component i even
 EVEN_SLOTS = (0, 1, 2, 3)
+# (sign2, sign3) of the sign pair s of a class id
 SIGN_PAIRS = tuple(product((1, -1), repeat=2))
 
 
@@ -63,6 +62,17 @@ class EulerProductValue:
 _primes_up_to = lru_cache(maxsize=8)(_kernels.primes_up_to)
 
 
+def _euler_product(a: float, tail: tuple[float, float], prime_limit: int) -> EulerProductValue:
+    """prod_{p <= limit} (1 - 1/p)^a (1 + a/p), with the relative tail
+    bound tail[0]/P + tail[1]/P^2 at P = prime_limit."""
+    if prime_limit < 2:
+        raise ValueError("prime_limit must be >= 2")
+    x = 1.0 / _primes_up_to(prime_limit)
+    value = math.exp(float(np.sum(a * np.log1p(-x) + np.log1p(a * x))))
+    tail_log = tail[0] / prime_limit + tail[1] / prime_limit**2
+    return EulerProductValue(value=value, tail_bound=value * tail_log, prime_limit=prime_limit)
+
+
 def euler_product_total(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductValue:
     """prod_{p <= limit} (1 - 1/p)^3 (1 + 3/p), the all-fields constant.
 
@@ -70,13 +80,7 @@ def euler_product_total(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductV
     (checked to hold from p = 3 on); the tail over p > limit is bounded by
     the corresponding integrals, 6/P + 4/P^2.
     """
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
-    x = 1.0 / _primes_up_to(prime_limit)
-    log_value = float(np.sum(3.0 * np.log1p(-x) + np.log1p(3.0 * x)))
-    value = math.exp(log_value)
-    tail_log = 6.0 / prime_limit + 4.0 / prime_limit**2
-    return EulerProductValue(value=value, tail_bound=value * tail_log, prime_limit=prime_limit)
+    return _euler_product(3.0, (6.0, 4.0), prime_limit)
 
 
 def euler_product_failing(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductValue:
@@ -85,13 +89,7 @@ def euler_product_failing(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProduc
     |log factor| <= 2/p^2 + 2/p^3 from p = 3 on (leading term is 15/(8p^2)),
     giving the tail bound 2/P + 1/P^2.
     """
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
-    x = 1.0 / _primes_up_to(prime_limit)
-    log_value = float(np.sum(1.5 * np.log1p(-x) + np.log1p(1.5 * x)))
-    value = math.exp(log_value)
-    tail_log = 2.0 / prime_limit + 1.0 / prime_limit**2
-    return EulerProductValue(value=value, tail_bound=value * tail_log, prime_limit=prime_limit)
+    return _euler_product(1.5, (2.0, 1.0), prime_limit)
 
 
 @lru_cache(maxsize=2)
@@ -150,59 +148,44 @@ def u_factor(
     )
 
 
-def _class_rows():
-    """(sign2, sign3, slot, residues, scale, ok) for every id of the kernel's
-    class table.
+def _scales() -> np.ndarray:
+    """scale = c 2^[slot > 0] of each class id (its cores are the
+    n <= isqrt(X) // scale), reshaped to (4, 4, 64): an id is
+    ((s * 4 + slot) << 6) | ecode, with sign pair SIGN_PAIRS[s]."""
+    c, _ok = _kernels._class_tables()
+    slot = _kernels.class_labels()[:, 2]
+    return (c * np.where(slot == 0, 1, 2)).reshape(4, 4, 64)
 
-    residues are the odd parts of the three components mod 8, ok is the
-    kernel's failure compatibility, and scale = c 2^[slot > 0] bounds the
-    class's cores: it admits n <= isqrt(X) / scale.
+
+def _block_sums(weights) -> np.ndarray:
+    """Sum of weight / scale over the 64 ids of each (sign pair, slot)
+    block, exactly: a (4, 4) object array of Fractions.
+
+    weights holds an int per class id, or one int for all.  Each block's
+    ids are grouped by scale, so the sums are exact for any positive c.
     """
-    c_table, ok_table = _kernels._class_tables()
-    labels = _kernels.class_labels()
-    scales = c_table * np.where(labels[:, 2] == 0, 1, 2)
-    for cid in range(_kernels.CLASS_SPACE):
-        sign2, sign3, slot, *residues = labels[cid].tolist()
-        yield sign2, sign3, slot, residues, int(scales[cid]), bool(ok_table[cid])
+    scales = _scales()
+    weights = np.broadcast_to(weights, (_kernels.CLASS_SPACE,)).reshape(scales.shape)
+    sums = np.empty(scales.shape[:2], dtype=object)
+    for block in np.ndindex(sums.shape):
+        w, s = weights[block], scales[block]
+        sums[block] = sum(
+            (Fraction(int(w[s == v].sum()), v) for v in set(s.tolist())), Fraction(0)
+        )
+    return sums
 
 
-def _class_weight(
-    even_slots: tuple[int, ...] = EVEN_SLOTS,
-    sign_pairs: tuple[tuple[int, int], ...] = SIGN_PAIRS,
-    failing: bool = False,
-    signed: bool = False,
-) -> Fraction:
-    """Sum of 1/scale over the classes of the given slots and sign pairs.
-
-    With failing false the sum runs over the classes mod 4, each of which
-    holds 8 ids of the mod-8 table.  With failing true it runs over the
-    failure-compatible ids, and signed weights each by its u_factor.
-    """
-    total = Fraction(0)
-    for sign2, sign3, slot, residues, scale, ok in _class_rows():
-        if slot not in even_slots or (sign2, sign3) not in sign_pairs:
-            continue
-        if not failing:
-            total += Fraction(1, 8 * scale)
-        elif ok:
-            total += Fraction(u_factor(*residues, slot, sign2, sign3) if signed else 1, scale)
-    return total
+def total_class_weight() -> Fraction:
+    """Sum of 1/(c 2^k) over all classes mod 4, each 8 ids of the table;
+    must equal 23 = 14 + 3 + 3 + 3 (by slot) exactly."""
+    return _block_sums(1).sum() / 8
 
 
-def total_class_weight() -> int:
-    """Sum of 1/(c 2^k) over all classes; must equal 23 exactly."""
-    value = _class_weight()
-    if value.denominator != 1:
-        raise AssertionError(f"class weight sum is not an integer: {value}")
-    return int(value)
-
-
-def failing_class_weight() -> int:
-    """Sum of 1/(c 2^k) over failure-compatible classes; must equal 112."""
-    value = _class_weight(failing=True)
-    if value.denominator != 1:
-        raise AssertionError(f"class weight sum is not an integer: {value}")
-    return int(value)
+def failing_class_weight() -> Fraction:
+    """Sum of 1/(c 2^k) over the failure-compatible ids; must equal
+    112 = 88 + 8 + 8 + 8 (by slot)."""
+    _c, ok = _kernels._class_tables()
+    return _block_sums(ok).sum()
 
 
 def signed_failing_class_weight(
@@ -213,7 +196,14 @@ def signed_failing_class_weight(
     Restricting sign_pairs to a single pair still gives 0: the
     cancellation happens block by block.
     """
-    return _class_weight(sign_pairs=sign_pairs, failing=True, signed=True)
+    _c, ok = _kernels._class_tables()
+    u = [
+        u_factor(r1, r2, r3, slot, s2, s3) if passed and (s2, s3) in sign_pairs else 0
+        for (s2, s3, slot, r1, r2, r3), passed in zip(
+            _kernels.class_labels().tolist(), ok.tolist()
+        )
+    ]
+    return _block_sums(u).sum()
 
 
 @dataclass(frozen=True)
@@ -260,16 +250,10 @@ def main_term_constant_crosscheck(prime_limit: int) -> ConstantCrossCheck:
     )
 
 
-# Laurent and Taylor data at s = 1:
-#   zeta(1+u)      = 1/u + gamma - gamma_1 u + O(u^2)   (Stieltjes constants)
-#   L(1+u, chi_4)  = pi/4 + L'(1, chi_4) u + O(u^2)
-# L'(1, chi_4) in closed form, from the Kronecker limit formula for Q(i).
+# Laurent data at s = 1: zeta(1+u) = 1/u + gamma - gamma_1 u + O(u^2),
+# with the Stieltjes constants gamma = gamma_0 and gamma_1.
 EULER_GAMMA = 0.5772156649015329
 STIELTJES_GAMMA1 = -0.0728158454836767
-L1_CHI4 = math.pi / 4.0
-L1_CHI4_DERIVATIVE = L1_CHI4 * (
-    EULER_GAMMA + 2.0 * math.log(2.0) + 3.0 * math.log(math.pi) - 4.0 * math.lgamma(0.25)
-)
 
 
 def _series_mul(a: list[float], b: list[float]) -> list[float]:
@@ -277,80 +261,44 @@ def _series_mul(a: list[float], b: list[float]) -> list[float]:
     return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(3)]
 
 
-def _euler_series(k: int, prime_limit: int) -> list[float]:
-    """Taylor coefficients [G, G', G''/2] at s = 1 of the Euler product G_k.
+def _f0_polynomial(prime_limit: int) -> list[float]:
+    """[c0, c1, c2] with F_0(y) = y (c2 L^2 + c1 L + c0) + o(y), L = log y.
 
-    G_k(s) = prod_p (1 + a_p p^-s) (1 - p^-s)^(3-k) (1 - chi_4(p) p^-s)^k
-    with a_p = (3-k) + k chi_4(p) for odd p and a_2 = 0, so that
-    zeta(s)^(3-k) L(s, chi_4)^k G_k(s) is the Dirichlet series of F_k.
-    Each log-factor is O(1/p^2), and so are its s-derivatives up to
-    powers of log p: the truncation error is O(log^2 P / P).
+    The Dirichlet series of F_0 is zeta(s)^3 G(s) with
+    G(s) = prod_p (1 + a_p p^-s) (1 - p^-s)^3, a_p = 3 for odd p, a_2 = 0.
+    The main part of F_0(y) is its residue times y^s / s at s = 1 + u:
+    y [u^2] of phi(u) e^(uL), phi = (u zeta)^3 G / (1+u), from G's Taylor
+    data [G, G', G''/2].  G's log-factors are O(1/p^2), and so are their
+    s-derivatives up to powers of log p: the error is O(log^2 P / P).
     """
     primes = _primes_up_to(prime_limit)
-    chi = np.where(primes % 4 == 1, 1.0, -1.0)
-    chi[primes == 2] = 0.0
-    a = (3 - k) + k * chi
-    a[primes == 2] = 0.0
+    a = np.where(primes == 2, 0.0, 3.0)
     x = 1.0 / primes
     ell = np.log(primes)
     # f(x) = log factor as a function of x = p^-s, and its x-derivatives
-    f0 = np.log1p(a * x) + (3 - k) * np.log1p(-x) + k * np.log1p(-chi * x)
-    f1 = a / (1 + a * x) - (3 - k) / (1 - x) - k * chi / (1 - chi * x)
-    f2 = -((a / (1 + a * x)) ** 2) - (3 - k) / (1 - x) ** 2 - k * (chi / (1 - chi * x)) ** 2
+    f0 = np.log1p(a * x) + 3 * np.log1p(-x)
+    f1 = a / (1 + a * x) - 3 / (1 - x)
+    f2 = -((a / (1 + a * x)) ** 2) - 3 / (1 - x) ** 2
     # dx/ds = -x log p
     log_g = float(np.sum(f0))
     d1 = float(np.sum(-ell * x * f1))
     d2 = float(np.sum(ell * ell * (x * x * f2 + x * f1)))
     g = math.exp(log_g)
-    return [g, g * d1, g * (d2 + d1 * d1) / 2.0]
-
-
-def _f_k_polynomial(k: int, prime_limit: int) -> list[float]:
-    """[c0, c1, c2] with F_k(y) = y (c2 L^2 + c1 L + c0) + o(y), L = log y.
-
-    F_k(y) sums prod_{p | n} ((3-k) + k chi_4(p)) over odd squarefree
-    n <= y.  Its Dirichlet series has a pole of order 3-k at s = 1, and
-    the main part of F_k(y) is the residue there of the series times
-    y^s / s.  Writing s = 1 + u, that residue is y [u^(2-k)] of
-    phi(u) e^(uL) with phi = (u zeta)^(3-k) L(., chi_4)^k G_k / (1+u).
-    F_3 has no pole and contributes nothing at this order.
-    """
-    order = 3 - k
-    if order <= 0:
-        return [0.0, 0.0, 0.0]
-    phi = _series_mul(_euler_series(k, prime_limit), [1.0, -1.0, 1.0])
-    for _ in range(order):
+    phi = _series_mul([g, g * d1, g * (d2 + d1 * d1) / 2.0], [1.0, -1.0, 1.0])
+    for _ in range(3):
         phi = _series_mul(phi, [1.0, EULER_GAMMA, -STIELTJES_GAMMA1])
-    for _ in range(k):
-        phi = _series_mul(phi, [L1_CHI4, L1_CHI4_DERIVATIVE, 0.0])
-    m = order - 1
-    out = [0.0, 0.0, 0.0]
-    for i in range(m + 1):
-        out[m - i] = phi[i] / math.factorial(m - i)
-    return out
+    return [phi[2], phi[1], phi[0] / 2]
 
 
-def class_moments() -> list[list[Fraction]]:
-    """M[k][j] = sum over classes of e_k(eps) t^j / (8 2^t), exactly.
+def class_moments() -> list[Fraction]:
+    """[M0, M1, M2], Mj = sum over the class ids of t^j / (64 2^t), exactly,
+    where 2^t is the id's scale.
 
-    e_k is the k-th elementary symmetric polynomial of the residues eps:
-    the character expansion of the class indicator
-    prod_i (1 + eps_i chi_4(m_i)) / 2 weights F_k by e_k / 8.  M[0][0] is
-    total_class_weight() / 8, and M[k] = 0 for every k >= 1: c depends only
-    on which signed residues agree, so it is unchanged by negating all of
-    eps, or eps_i together with the sign of component i (i = 2, 3), while
-    each monomial of e_k changes sign under one of these maps.
+    The character expansion of a class indicator weighs F_0 by 1/8, and a
+    class mod 4 is 8 ids of the table.  M0 is total_class_weight() / 8.
     """
-    moments = [[Fraction(0)] * 3 for _ in range(4)]
-    for _s2, _s3, _slot, residues, scale, _ok in _class_rows():
-        e1, e2, e3 = (1 if r % 4 == 1 else -1 for r in residues)
-        t = scale.bit_length() - 1
-        sym = (1, e1 + e2 + e3, e1 * e2 + e1 * e3 + e2 * e3, e1 * e2 * e3)
-        for k in range(4):
-            for j in range(3):
-                # a class mod 4 is 8 ids of the table: 1/(8 2^t) / 8
-                moments[k][j] += Fraction(sym[k] * t**j, 64 * scale)
-    return moments
+    t = np.frexp(_scales().ravel())[1] - 1  # the bit length of the scale, less 1
+    return [_block_sums(t**j).sum() / 64 for j in range(3)]
 
 
 def degenerate_class_weight() -> Fraction:
@@ -361,15 +309,18 @@ def degenerate_class_weight() -> Fraction:
     core m and carries the factor 2, if any, and the other two are units
     of the same sign, with odd parts 1.  Summed over the classes of m mod 8.
     """
-    total = Fraction(0)
-    for sign2, sign3, slot, residues, scale, _ok in _class_rows():
-        units = (1, sign2, sign3)
-        for j in range(3):
-            i, k = [x for x in range(3) if x != j]
-            if slot in (0, j + 1) and residues[i] == residues[k] == 1 and units[i] == units[k]:
-                # the core m lies in one of the 2 ids of its class mod 4
-                total += Fraction(1, 2 * scale)
-    return total
+    sign2, sign3, slot, *residues = _kernels.class_labels().T
+    units = (1, sign2, sign3)
+    # per id, the components j that can hold the core, with units i and k
+    patterns = sum(
+        ((slot == 0) | (slot == j + 1))
+        & (residues[i] == 1)
+        & (residues[k] == 1)
+        & (units[i] == units[k])
+        for j, (i, k) in enumerate(((1, 2), (0, 2), (0, 1)))
+    )
+    # the core m lies in one of the 2 ids of its class mod 4
+    return _block_sums(patterns).sum() / 2
 
 
 @dataclass(frozen=True)
@@ -386,27 +337,26 @@ class TotalExpansion:
 def expansion_total_coefficients(prime_limit: int = DEFAULT_PRIME_LIMIT) -> TotalExpansion:
     """The three coefficients of the expansion of S(X), from the classes.
 
-    6 S(X) = sum over classes of (1/8) sum_T eps_T F_|T|(isqrt(X) / 2^t)
-    minus the degenerate tuples, with T running over subsets of the three
-    components.  Substituting F_k(y) = y P_k(log y) with
-    log y = log X / 2 - t log 2 and collecting powers of log X gives A, B
-    and C through the exact moments of class_moments().  The degenerate
-    tuples are (2/pi^2) sqrt(X) degenerate_class_weight() + o(sqrt(X)),
-    since odd squarefree m <= y in one class mod 4 number (2/pi^2) y.
-    A equals (23/960) times the all-fields Euler product.
+    6 S(X) = (1/64) sum_id F_0(isqrt(X) // scale(id)) - D(X), scale = 2^t.
+    The character expansion of a class indicator also weighs F_k by the
+    elementary symmetric e_k of its residues mod 4 for k = 1, 2, 3, but
+    those weights sum to 0 over the ids of each scale: negating all
+    residues, or one of the last two with its component's sign, keeps c
+    and the slot, and each monomial of e_k changes sign under one of
+    these maps.  With F_0(y) = y P_0(log y)
+    and log y = log X / 2 - t log 2, the moments of class_moments() give
+    A, B and C.  D(X) = (2/pi^2) sqrt(X) degenerate_class_weight() +
+    o(sqrt(X)): odd squarefree m <= y in one class mod 4 number
+    (2/pi^2) y.  A equals (23/960) times the all-fields Euler product.
     """
     if prime_limit < 2:
         raise ValueError("prime_limit must be >= 2")
     log2 = math.log(2.0)
-    a = b = c = 0.0
-    for k, row in enumerate(class_moments()):
-        if not any(row):
-            continue  # every k >= 1: the chi_4 terms cancel over the classes
-        m0, m1, m2 = (float(m) for m in row)
-        c0, c1, c2 = _f_k_polynomial(k, prime_limit)
-        a += c2 * m0 / 4.0
-        b += c1 * m0 / 2.0 - c2 * log2 * m1
-        c += c0 * m0 - c1 * log2 * m1 + c2 * log2 * log2 * m2
+    m0, m1, m2 = (float(m) for m in class_moments())
+    c0, c1, c2 = _f0_polynomial(prime_limit)
+    a = c2 * m0 / 4.0
+    b = c1 * m0 / 2.0 - c2 * log2 * m1
+    c = c0 * m0 - c1 * log2 * m1 + c2 * log2 * log2 * m2
     c -= 2.0 / math.pi**2 * float(degenerate_class_weight())
     return TotalExpansion(A=a / 6.0, B=b / 6.0, C=c / 6.0, prime_limit=prime_limit)
 

@@ -75,6 +75,19 @@ def _float15(x: float) -> str:
     return format(x, ".15g")
 
 
+def _error(message: str) -> int:
+    """Write message to stderr as an error line, and return EXIT_USAGE.
+
+    A stderr whose reader has gone is ignored, as argparse does, so that
+    the exit status stays EXIT_USAGE and not that of an uncaught error.
+    """
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+    return EXIT_USAGE
+
+
 def _open_output(option: str, path: str | None) -> AbstractContextManager[TextIO | None]:
     """The file an output option names, opened for writing (None if unset).
 
@@ -130,18 +143,15 @@ def cmd_count(args: argparse.Namespace) -> int:
     # checked before the outputs are opened, so that a bad bound cannot
     # leave an existing records or --out file truncated
     if args.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
-        print(f"error: --max-disc must be below 2^63, got {args.max_disc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"--max-disc must be below 2^63, got {args.max_disc}")
     if not 0 <= args.audit_bound <= args.max_disc:
-        print("error: --audit-bound must lie between 0 and --max-disc", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("--audit-bound must lie between 0 and --max-disc")
     with (
         _open_output("--records", args.records) as records_file,
         _open_output("--out", args.out) as out_file,
     ):
         if records_file and out_file and os.path.samefile(args.records, args.out):
-            print("error: --records and --out name the same file", file=sys.stderr)
-            return EXIT_USAGE
+            return _error("--records and --out name the same file")
 
         def record_sink(columns):
             # the bytes json.dumps gives for this dict of ints and a verdict
@@ -193,11 +203,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     values = args.gens or args.triple
     if any(abs(v) > CLASSIFY_INPUT_BOUND for v in values):
-        print(
-            f"error: classify inputs must satisfy |v| <= 10^12, got {values}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        return _error(f"classify inputs must satisfy |v| <= 10^12, got {values}")
     try:
         if args.gens:
             triple = from_generators(args.gens[0], args.gens[1])
@@ -206,8 +212,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             triple = FieldTriple(m, a1, b1)
             triple.validate()
     except InvalidFieldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc))
     data = subfield_data(triple)
     status = classify_by_splitting(triple)
     payload = {
@@ -382,11 +387,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     checkpoints = args.checkpoints
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
-        print("error: checkpoints must be strictly ascending", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("checkpoints must be strictly ascending")
     if checkpoints and checkpoints[-1] >= enumeration.MAX_DISC_EXCLUSIVE:
-        print(f"error: checkpoints must be below 2^63, got {checkpoints[-1]}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"checkpoints must be below 2^63, got {checkpoints[-1]}")
     with _open_output("--out", args.out) as out_file:
         c_total = asymptotics.euler_product_total(args.prime_limit).value
         c_failing = asymptotics.euler_product_failing(args.prime_limit).value
@@ -503,15 +506,12 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, stdout_fd)
             os.close(devnull)
-        print(f"error: cannot write an output: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"cannot write an output: {exc.strerror or exc}")
     except (ValueError, InvalidFieldError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(str(exc))
     except MemoryError:
         # a bound below 2^63 can still ask for sieves larger than memory
-        print(f"error: not enough memory for {_size_bounds(args)}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"not enough memory for {_size_bounds(args)}")
 
 
 if __name__ == "__main__":

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from _reference_classes import class_c, in_failure_class
+from biquad_hnp import _kernels
 from biquad_hnp.asymptotics import (
     EULER_GAMMA,
-    L1_CHI4,
-    L1_CHI4_DERIVATIVE,
     SIGN_PAIRS,
     STIELTJES_GAMMA1,
     ConstantCrossCheck,
-    _class_weight,
-    _f_k_polynomial,
+    _block_sums,
+    _f0_polynomial,
     _primes_up_to,
+    _scales,
     class_moments,
     degenerate_class_weight,
     euler_product_failing,
@@ -194,15 +194,17 @@ class TestExactIdentities:
         assert total_class_weight() == 23
 
     def test_total_weight_splits_14_plus_9(self):
-        assert _class_weight(even_slots=(0,)) == 14
-        assert _class_weight(even_slots=(1, 2, 3)) == 9
+        by_slot = _block_sums(1).sum(axis=0) / 8
+        assert by_slot.tolist() == [14, 3, 3, 3]
+        assert by_slot[0] == 14 and by_slot[1:].sum() == 9
 
     def test_failing_class_weight_is_112(self):
         assert failing_class_weight() == 112
 
     def test_failing_weight_splits_88_plus_24(self):
-        assert _class_weight(even_slots=(0,), failing=True) == 88
-        assert _class_weight(even_slots=(1, 2, 3), failing=True) == 24
+        by_slot = _block_sums(_kernels._class_tables()[1]).sum(axis=0)
+        assert by_slot.tolist() == [88, 8, 8, 8]
+        assert by_slot[0] == 88 and by_slot[1:].sum() == 24
 
     def test_signed_weight_cancels(self):
         value = signed_failing_class_weight()
@@ -212,6 +214,24 @@ class TestExactIdentities:
     def test_signed_weight_cancels_per_sign_pair(self):
         for pair in SIGN_PAIRS:
             assert signed_failing_class_weight(sign_pairs=(pair,)) == 0
+
+    def test_blocks_are_sign_pair_and_slot(self):
+        # the (4, 4, 64) reshape of the class ids puts SIGN_PAIRS[s] and the
+        # slot on the first two axes
+        labels = _kernels.class_labels().reshape(4, 4, 64, 6)
+        for s, slot in np.ndindex(4, 4):
+            assert (labels[s, slot, :, :2] == SIGN_PAIRS[s]).all()
+            assert (labels[s, slot, :, 2] == slot).all()
+
+    def test_non_integer_sums_are_exact(self, monkeypatch):
+        # a weight factor that does not divide 16 still gives exact sums
+        c, ok = _kernels._class_tables()
+        perturbed = c.copy()
+        perturbed[0] = 3  # the all-positive, all-odd class of residues (1, 1, 1)
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok))
+        assert total_class_weight() == Fraction(275, 12)
+        assert failing_class_weight() == Fraction(334, 3)
+        assert signed_failing_class_weight() == Fraction(-2, 3)
 
 
 class TestConstantCrossCheck:
@@ -233,12 +253,12 @@ class TestConstantCrossCheck:
         assert r2 < r1
 
 
-def _f_k_direct(k, y):
-    """F_k(y) by a sieve: prod over p | n of (3-k) + k chi_4(p), odd squarefree n."""
+def _f0_direct(y):
+    """F_0(y) by a sieve: 3^omega(n) summed over odd squarefree n <= y."""
     values = np.ones(y + 1, dtype=np.int64)
     values[::2] = 0
     for p in _primes_up_to(y)[1:].tolist():
-        values[p::p] *= (3 - k) + k * (1 if p % 4 == 1 else -1)
+        values[p::p] *= 3
         values[p * p :: p * p] = 0
     return int(values.sum())
 
@@ -268,27 +288,32 @@ class TestExpansionTotal:
 
     def test_class_moments_exact(self):
         moments = class_moments()
-        assert moments[0] == [Fraction(23, 8), Fraction(21, 4), Fraction(63, 4)]
-        assert moments[0][0] == Fraction(total_class_weight(), 8)
-        # the chi_4 terms cancel over the classes
-        assert all(m == 0 for row in moments[1:] for m in row)
+        assert moments == [Fraction(23, 8), Fraction(21, 4), Fraction(63, 4)]
+        assert moments[0] == total_class_weight() / 8
+
+    def test_chi4_weights_vanish_within_each_scale(self):
+        # identity (A): the weight e_k(eps) of F_k, k = 1, 2, 3, sums to 0
+        # over the ids of each scale, so F_0 alone gives S exactly
+        scales = _scales().ravel()
+        eps = np.where(_kernels.class_labels()[:, 3:] % 4 == 1, 1, -1)
+        e1, e2, e3 = eps.sum(axis=1), (eps.sum(axis=1) ** 2 - 3) // 2, eps.prod(axis=1)
+        assert sorted(set(scales.tolist())) == [1, 4, 8, 16]
+        for scale in (1, 4, 8, 16):
+            at = scales == scale
+            assert at.any()
+            assert [int(e[at].sum()) for e in (e1, e2, e3)] == [0, 0, 0]
 
     def test_degenerate_class_weight_is_9(self):
         assert degenerate_class_weight() == 9
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_f_k_main_part_matches_direct_sum(self, k):
+    def test_f0_main_part_matches_direct_sum(self):
         y = 10**6
-        c0, c1, c2 = _f_k_polynomial(k, 10**7)
+        c0, c1, c2 = _f0_polynomial(10**7)
         log_y = math.log(y)
         main = y * (c2 * log_y**2 + c1 * log_y + c0)
         # the remainder is O(y^(1/2+o(1))); a wrong Laurent or Euler-product
         # coefficient shifts it by y / log^j y
-        assert abs(_f_k_direct(k, y) - main) <= math.sqrt(y)
-
-    def test_f_3_has_no_main_part(self):
-        assert _f_k_polynomial(3, 10**7) == [0.0, 0.0, 0.0]
-        assert abs(_f_k_direct(3, 10**6)) <= 10**6 / 100
+        assert abs(_f0_direct(y) - main) <= math.sqrt(y)
 
     @pytest.mark.parametrize(
         "x, count, tolerance", [(10**8, 16679, 5e-3), (10**10, 242710, 1e-3)]
@@ -301,17 +326,7 @@ class TestExpansionTotal:
 
     def test_constants_agree_with_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        chi4 = [0, 1, 0, -1]
         with mpmath.workdps(30):
             gamma1 = float(mpmath.stieltjes(1))
-            l1 = float(mpmath.dirichlet(1, chi4))
-            # L(s, chi_4) is a difference of Hurwitz zeta values with poles
-            # at s = 1; an explicit step keeps the cancellation within 30 digits
-            derivative = float(
-                mpmath.diff(lambda s: mpmath.dirichlet(s, chi4), 1, h=mpmath.mpf("1e-8"))
-            )
         assert EULER_GAMMA == pytest.approx(float(mpmath.euler), rel=1e-15)
         assert STIELTJES_GAMMA1 == pytest.approx(gamma1, rel=1e-14)
-        assert L1_CHI4 == pytest.approx(l1, rel=1e-14)
-        assert L1_CHI4_DERIVATIVE == pytest.approx(derivative, rel=1e-12)
-        assert L1_CHI4_DERIVATIVE == pytest.approx(0.192901316797, rel=1e-11)

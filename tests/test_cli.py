@@ -658,6 +658,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  class weight sum (all classes): expected 23" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_integer_class_sum_is_a_failure(self, fmt, capsys, monkeypatch):
+        # c = 3 for id 0 makes the exact sums non-integers; each is reported
+        # as it is, and every check still runs
+        from biquad_hnp import _kernels
+
+        class_c, class_ok = _kernels._class_tables()
+        perturbed = class_c.copy()
+        perturbed[0] = 3
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok))
+        assert main(["verify", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        got = ["275/12", "334/3", "-2/3", "-2/3, 0, 0, 0"]
+        if fmt == "json":
+            checks = json.loads(out)["checks"]
+            assert len(checks) == 6
+            assert [c["actual"] for c in checks[:4]] == got
+            assert not any(c["passed"] for c in checks[:4])
+        else:
+            lines = out.splitlines()
+            assert len(lines) == 6
+            for line, actual in zip(lines, got):
+                assert line.startswith("FAIL  ") and line.endswith(f"got {actual}")
+
     @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
     def test_malformed_identity_tuple_is_a_violation(self, capsys, monkeypatch, bad):
         # a kernel record that names no field fails check 5; it is not a
@@ -786,6 +810,29 @@ class TestClosedOutput:
         assert proc.returncode == EXIT_USAGE
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "argv, both",
+        [
+            (["count", "--max-disc", "1e4", "--audit-bound", "-1"], False),
+            (["classify", "--gens", "4", "5"], False),
+            (["count", "--max-disc", "1e4"], True),
+        ],
+        ids=["count_usage", "classify_usage", "stdout_and_stderr"],
+    )
+    def test_closed_stderr_keeps_exit_2(self, argv, both):
+        # the error line goes to a stderr whose reader has gone, as in
+        # `... 2>&1 | head`; with both, stdout is on that pipe too
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = run_cli(
+                argv, stdout=write_fd if both else subprocess.DEVNULL, stderr=write_fd
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == EXIT_USAGE
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
