@@ -193,9 +193,11 @@ def signed_failing_class_weight(
 ) -> Fraction:
     """u-weighted version of failing_class_weight; cancels to 0 exactly.
 
-    Restricting sign_pairs to a single pair still gives 0: the
-    cancellation happens block by block.
+    Each pair of SIGN_PAIRS alone still gives 0 (the cancellation is
+    block by block); any other entry, or none, raises ValueError.
     """
+    if not sign_pairs or any(pair not in SIGN_PAIRS for pair in sign_pairs):
+        raise ValueError(f"sign_pairs must be pairs of SIGN_PAIRS, got {sign_pairs!r}")
     _c, ok = _kernels._class_tables()
     u = [
         u_factor(r1, r2, r3, slot, s2, s3) if passed and (s2, s3) in sign_pairs else 0

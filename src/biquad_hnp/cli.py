@@ -1,11 +1,12 @@
 """Command-line interface: counting, classification, verification, reports.
 
-Exit status: 0 on success, 1 when a verification check fails, 2 for
-usage errors such as malformed bounds, non-squarefree classify inputs or
-an output that cannot be written (a bad path, a full device, or a pipe
-whose reader has gone).  Each command builds its report once, as a JSON
-payload, text lines and, for count and compare, a CSV table; _write
-renders the chosen format to stdout or to --out, which get the same bytes.
+Exit status: 0 on success, 1 when a verification check or a self-check
+of count fails, 2 for usage errors such as malformed bounds,
+non-squarefree classify inputs or an output that cannot be written (a
+bad path, a full device, or a pipe whose reader has gone).  Each command
+builds its report once, as a JSON payload, text lines and, for count and
+compare, a CSV table; _write renders the chosen format to stdout or to
+--out, which get the same bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -75,17 +77,25 @@ def _float15(x: float) -> str:
     return format(x, ".15g")
 
 
-def _error(message: str) -> int:
-    """Write message to stderr as an error line, and return EXIT_USAGE.
+def _error(message: str, code: int = EXIT_USAGE) -> int:
+    """Write message to stderr as an error line, and return code.
 
     A stderr whose reader has gone is ignored, as argparse does, so that
-    the exit status stays EXIT_USAGE and not that of an uncaught error.
+    the exit status stays code and not that of an uncaught error.
     """
     try:
         print(f"error: {message}", file=sys.stderr)
     except OSError:
         pass
-    return EXIT_USAGE
+    return code
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one file, also before either exists."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _open_output(option: str, path: str | None) -> AbstractContextManager[TextIO | None]:
@@ -146,12 +156,17 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _error(f"--max-disc must be below 2^63, got {args.max_disc}")
     if not 0 <= args.audit_bound <= args.max_disc:
         return _error("--audit-bound must lie between 0 and --max-disc")
+    if args.records and args.out and _same_file(args.records, args.out):
+        return _error("--records and --out name the same file")
     with (
         _open_output("--records", args.records) as records_file,
         _open_output("--out", args.out) as out_file,
     ):
-        if records_file and out_file and os.path.samefile(args.records, args.out):
-            return _error("--records and --out name the same file")
+        started = time.perf_counter()
+        fields, bad = _audit(args.audit_bound) if args.audit_bound else (0, 0)
+        if bad:
+            message = f"the scalar oracles disagree on {bad} of the {fields} fields"
+            return _error(f"{message} with disc <= {args.audit_bound}", EXIT_VERIFY_FAILED)
 
         def record_sink(columns):
             # the bytes json.dumps gives for this dict of ints and a verdict
@@ -162,11 +177,8 @@ def cmd_count(args: argparse.Namespace) -> int:
                 for m, a1, b1, c, disc, w in columns[:, (0, 1, 2, 9, 10, 11)].tolist()
             )
 
-        started = time.perf_counter()
         report = enumeration.enumerate_fields(
-            args.max_disc,
-            sink=record_sink if records_file else None,
-            audit_bound=args.audit_bound,
+            args.max_disc, sink=record_sink if records_file else None
         )
         elapsed = time.perf_counter() - started
         if records_file:
@@ -240,34 +252,52 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _oracle_mismatches(
-    records: np.ndarray, column: int, mismatch: Callable[[FieldTriple, int], bool]
+    rows: np.ndarray, columns: tuple[int, ...], mismatch: Callable[[FieldTriple, tuple], bool]
 ) -> tuple[int, int]:
-    """(rows, mismatches) of a scalar oracle against one column of the
-    kernel's records, over every row (m, a1, b1, ...).
+    """(rows, mismatches) of a scalar oracle against the given columns of
+    an int64 array, over every row (m, a1, b1, ...).
 
-    mismatch(triple, value) is true where the oracle disagrees with the
-    row's value; a row that FieldTriple or the oracle rejects counts as one
-    mismatch.  enumeration.split_sum checks alternate blocks of EMIT_CHUNK
-    rows in two processes when two CPUs are usable: part p of parts checks
-    blocks p, p + parts, ..., so the parts cover every row once.
+    mismatch(triple, values) is true where the oracle disagrees with
+    values, the row's entries in those columns as a tuple; a row that
+    FieldTriple or the oracle rejects counts as one mismatch.
+    enumeration.split_sum checks alternate blocks of EMIT_CHUNK rows in
+    two processes when two CPUs are usable: part p of parts checks blocks
+    p, p + parts, ..., so the parts cover every row once.
     """
     step = enumeration.EMIT_CHUNK
 
     def work(part: int, parts: int) -> tuple[int, int]:
         seen = bad = 0
-        for lo in range(part * step, len(records), parts * step):
+        for lo in range(part * step, len(rows), parts * step):
             # one list per column and block: lists of the whole array would
             # raise the peak memory
-            block = records[lo : lo + step, (0, 1, 2, column)].T.tolist()
+            block = rows[lo : lo + step, (0, 1, 2, *columns)].T.tolist()
             seen += len(block[0])
-            for m, a1, b1, value in zip(*block):
+            for m, a1, b1, values in zip(*block[:3], zip(*block[3:])):
                 try:
-                    bad += mismatch(FieldTriple(m, a1, b1), value)
+                    bad += mismatch(FieldTriple(m, a1, b1), values)
                 except InvalidFieldError:
                     bad += 1
         return seen, bad
 
     return enumeration.split_sum(work)
+
+
+def _audit(bound: int) -> tuple[int, int]:
+    """(fields, mismatches) of subfield_data and classify_by_splitting
+    against columns 3-11 of enumerate_fields(bound), on a sieve to
+    isqrt(bound), which covers |m a1 b1| = sqrt(disc) / c.
+    """
+    tables: list[np.ndarray] = [np.empty((0, enumeration.FIELD_COLUMNS), np.int64)]
+    enumeration.enumerate_fields(bound, sink=tables.append)
+    sieve = build_sieve(math.isqrt(bound))
+
+    def mismatch(triple, values):
+        data, status = subfield_data(triple), classify_by_splitting(triple, sieve)
+        derived = (*data.kernels, *data.fundamental_discs, data.c, data.field_disc)
+        return (*derived, status.witness or 0) != values  # witness 0 where it fails
+
+    return _oracle_mismatches(np.concatenate(tables), tuple(range(3, 12)), mismatch)
 
 
 def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
@@ -308,8 +338,8 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     # freed before the next check
     total, bad = _oracle_mismatches(
         enumeration.field_records(DISC_IDENTITY_BOUND),
-        3,
-        lambda triple, disc: subfield_data(triple).field_disc != disc,
+        (3,),
+        lambda triple, values: subfield_data(triple).field_disc != values[0],
     )
     add(
         f"discriminant identity, {total} tuples to disc {DISC_IDENTITY_BOUND:.0e}",
@@ -325,8 +355,8 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
             [*enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND)]
             or [np.empty((0, 6), np.int64)]
         ),
-        5,
-        lambda triple, fails: classify_by_splitting(triple, sieve).fails != fails,
+        (5,),
+        lambda triple, values: classify_by_splitting(triple, sieve).fails != values[0],
     )
     add(
         f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
@@ -509,6 +539,9 @@ def main(argv: list[str] | None = None) -> int:
         return _error(f"cannot write an output: {exc.strerror or exc}")
     except (ValueError, InvalidFieldError) as exc:
         return _error(str(exc))
+    except (RuntimeError, AssertionError) as exc:
+        # a self-check of the count failed: its records, dedup or merge
+        return _error(f"self-check failed: {exc}", EXIT_VERIFY_FAILED)
     except MemoryError:
         # a bound below 2^63 can still ask for sieves larger than memory
         return _error(f"not enough memory for {_size_bounds(args)}")

@@ -32,15 +32,14 @@ import numpy as np
 
 from . import _kernels
 from .arith import FactorSieve, build_sieve
-from .fields import FieldTriple, SubfieldData, subfield_data
-from .hnp import FAILS, HOLDS, HnpStatus, classify_by_splitting, splitting_witnesses
+from .hnp import splitting_witnesses
 
 # receives the field columns of _field_columns, at most EMIT_CHUNK rows a call
 Sink = Callable[[np.ndarray], None]
 
 MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
-# int64 rows turned into Python ints at a time: lists of a whole table
-# would raise the peak memory of a run
+# rows per sink call, and per block turned into Python ints by the
+# scalar-oracle sweeps: lists of a whole table would raise peak memory
 EMIT_CHUNK = 4096
 TUPLE_CHUNK = 256  # odd cores per kernel call in tuple_records
 FIELD_COLUMNS = 12  # columns of _field_columns
@@ -63,13 +62,10 @@ class CountReport:
 
     stats holds wall seconds measured in this process: sieve_s, kernel_s
     (its kernel call), dedup_s (its dedup) and deliver_s (its field
-    columns and witnesses, then the merge of the field tables, the audit
-    and the sink).  With two parts, the wait for
-    the child counts toward deliver_s, or toward kernel_s when nothing is
-    collected.  With an audit but no sink, the audit's own kernel call,
-    dedup and columns count toward kernel_s, dedup_s and deliver_s.
-    dedup and deliver run only with a sink or an audit, and read 0
-    otherwise.
+    columns and witnesses, then the merge of the field tables and the
+    sink).  With two parts, the wait for the child counts toward
+    deliver_s, or toward kernel_s when nothing is collected.  dedup and
+    deliver run only with a sink, and read 0 otherwise.
     """
 
     X: int
@@ -194,29 +190,6 @@ def _merged_fields(tables: list[np.ndarray], ordered: int) -> np.ndarray:
     return columns
 
 
-def _deliver_fields(
-    columns: np.ndarray, sieve: FactorSieve, sink: Sink | None, audit_bound: int
-) -> None:
-    """Audit the fields' columns and hand them to the sink in chunks.
-
-    First, fields with disc <= audit_bound are re-derived with the scalar
-    subfield_data and classify_by_splitting; a difference raises
-    RuntimeError.
-    """
-    # rows ascend in disc (column 10), so the audit needs only a prefix
-    audited = columns[: int(np.searchsorted(columns[:, 10], audit_bound, side="right"))]
-    for lo in range(0, len(audited), EMIT_CHUNK):
-        for m, a1, b1, k1, k2, k3, d1, d2, d3, c, disc, w in audited[lo : lo + EMIT_CHUNK].tolist():
-            t = FieldTriple(m, a1, b1)
-            data = SubfieldData((k1, k2, k3), (d1, d2, d3), c, disc)
-            status = HnpStatus(HOLDS, witness=w) if w else HnpStatus(FAILS)
-            if subfield_data(t) != data or classify_by_splitting(t, sieve) != status:
-                raise RuntimeError(f"vectorized and scalar oracles disagree on {t}")
-    if sink is not None:
-        for lo in range(0, len(columns), EMIT_CHUNK):
-            sink(columns[lo : lo + EMIT_CHUNK])
-
-
 def _sieve_root(X: int) -> int:
     """floor(sqrt(X)) after checking that X is in the supported range."""
     if X < 1:
@@ -257,9 +230,7 @@ def _count_part(
     return np.concatenate((total, fails, columns.ravel()))
 
 
-def enumerate_fields(
-    X: int, sink: Sink | None = None, *, audit_bound: int = 0
-) -> CountReport:
+def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     """Count (and optionally stream) all fields with discriminant <= X.
 
     When a sink is given, each field is delivered exactly once as a row
@@ -268,11 +239,8 @@ def enumerate_fields(
     principle fails, a witness prime from the vectorized splitting
     oracle, which must agree with the kernel's verdict on every field.
     The rows ascend in (disc, canonical key) and reach the sink in
-    chunks of at most EMIT_CHUNK.  Fields with disc <= audit_bound are
-    first re-checked against the scalar subfield_data and splitting
-    oracle (verdict and witness), and a disagreement raises RuntimeError.
-    Without a sink, only those fields are collected, by a second kernel
-    call with root floor(sqrt(audit_bound)).
+    chunks of at most EMIT_CHUNK.  For B < X, the rows with disc <= B
+    come first, and they are the stream of enumerate_fields(B).
 
     With more than _kernels.SLAB odd squarefree cores up to sqrt(X), the
     count is split with fork_parts; the result is the same either way.
@@ -280,7 +248,6 @@ def enumerate_fields(
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
     root = _sieve_root(X)
-    audit_bound = min(audit_bound, X)
     stats = {"sieve_s": 0.0, "kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
     t = time.perf_counter()
     sieve = build_sieve(max(root, 1))
@@ -303,9 +270,16 @@ def enumerate_fields(
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
         raise AssertionError("ordered tuple counts are not divisible by 6")
+    if collect:
+        t = time.perf_counter()
+        tables = [out[TALLIES:].reshape(-1, FIELD_COLUMNS) for out in outs]
+        columns = _merged_fields(tables, ordered_total)
+        for lo in range(0, len(columns), EMIT_CHUNK):
+            sink(columns[lo : lo + EMIT_CHUNK])
+        _lap(stats, "deliver_s", t)
     total.setflags(write=False)
     fails.setflags(write=False)
-    report = CountReport(
+    return CountReport(
         X=X,
         S=ordered_total // 6,
         S_tilde=ordered_failing // 6,
@@ -315,16 +289,6 @@ def enumerate_fields(
         stats=stats,
         parts=len(outs),
     )
-    if not collect and audit_bound > 0:
-        # the audit re-checks only the fields with disc <= audit_bound
-        outs = [_count_part(math.isqrt(audit_bound), sieve, True, 0, 1, stats)]
-    if collect or audit_bound > 0:
-        t = time.perf_counter()
-        ordered = int(sum(out[: _kernels.CLASS_SPACE].sum() for out in outs))
-        tables = [out[TALLIES:].reshape(-1, FIELD_COLUMNS) for out in outs]
-        _deliver_fields(_merged_fields(tables, ordered), sieve, sink, audit_bound)
-        _lap(stats, "deliver_s", t)
-    return report
 
 
 def field_records(X: int) -> np.ndarray:
@@ -379,7 +343,7 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     (ndim, then the dimensions, as int64); otherwise work(0, 1) runs
     here alone.  The child inherits everything built before the call
     copy-on-write.  A child that fails or sends back a short array
-    raises RuntimeError.
+    raises RuntimeError, which names the child's exception if it raised.
 
     While the parts run, each process is pinned to one of the first two
     usable CPUs, and this process gets its CPU set back afterwards.
@@ -402,20 +366,20 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
         # The child leaves only through os._exit, also when work raises:
         # returning into the caller would run its exit hooks and finally
         # blocks a second time and flush its stdio buffers twice.
-        code = 1
+        code = 2  # 1 when work raised: its error line goes in place of the array
         try:
             os.close(read_fd)
             _pin(cpus[1:2])
-            theirs = np.ascontiguousarray(work(1, 2), dtype=np.int64)
-            header = np.array([theirs.ndim, *theirs.shape], dtype=np.int64)
+            try:
+                theirs = np.ascontiguousarray(work(1, 2), dtype=np.int64)
+                header = np.array([theirs.ndim, *theirs.shape], dtype=np.int64)
+                chunks, done = [header, theirs], 0
+            except Exception as exc:
+                chunks, done = [f"{type(exc).__name__}: {exc}".encode()], 1
             with open(write_fd, "wb") as pipe:
-                pipe.write(header.tobytes())
-                pipe.write(memoryview(theirs).cast("B"))
-            code = 0
-        except BaseException:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode())
+                for chunk in chunks:
+                    pipe.write(memoryview(chunk).cast("B"))
+            code = done
         finally:
             os._exit(code)
     os.close(write_fd)
@@ -429,9 +393,9 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
             payload = pipe.read()
         _, status = os.waitpid(pid, 0)
     if status != 0:
-        raise RuntimeError(
-            f"worker process failed with exit code {os.waitstatus_to_exitcode(status)}"
-        )
+        code = os.waitstatus_to_exitcode(status)
+        reason = f": {payload.decode(errors='replace')}" if code == 1 and payload else ""
+        raise RuntimeError(f"worker process failed with exit code {code}{reason}")
     words = np.frombuffer(payload, dtype=np.int64, count=len(payload) // 8)
     ndim = int(words[0]) if len(words) else -1
     shape = tuple(words[1 : 1 + ndim].tolist())

@@ -215,6 +215,19 @@ class TestExactIdentities:
         for pair in SIGN_PAIRS:
             assert signed_failing_class_weight(sign_pairs=(pair,)) == 0
 
+    @pytest.mark.parametrize(
+        "sign_pairs", [(1, 1), ((2, 2),), (), ((1, -1), (1, 0))], ids=repr
+    )
+    def test_sign_pairs_that_name_no_sign_pair_raise(self, sign_pairs, monkeypatch):
+        # with a perturbed table the full sum is -2/3; a selection of no
+        # class would still give 0
+        c, ok = _kernels._class_tables()
+        perturbed = c.copy()
+        perturbed[0] = 3
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok))
+        with pytest.raises(ValueError, match="sign_pairs"):
+            signed_failing_class_weight(sign_pairs=sign_pairs)
+
     def test_blocks_are_sign_pair_and_slot(self):
         # the (4, 4, 64) reshape of the class ids puts SIGN_PAIRS[s] and the
         # slot on the first two axes

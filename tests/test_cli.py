@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from biquad_hnp import cli, enumeration
-from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, main, parse_bound
+from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, parse_bound
 
 CLI_ENTRY = "import sys; from biquad_hnp.cli import main; sys.exit(main())"
 
@@ -207,6 +207,99 @@ class TestCount:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: --records and --out name the same file\n"
+
+    def test_records_and_out_on_one_file_keep_its_bytes(self, tmp_path, capsys):
+        # both paths are compared before either is opened, and so truncated
+        path = tmp_path / "report"
+        path.write_text("keep me\n")
+        (tmp_path / "link").symlink_to(path)
+        argv = ["count", "--max-disc", "1e4", "--records", str(path), "--out"]
+        for out in (path, tmp_path / "link"):
+            assert main([*argv, str(out)]) == EXIT_USAGE
+            assert capsys.readouterr().err == "error: --records and --out name the same file\n"
+            assert path.read_text() == "keep me\n"
+
+    @staticmethod
+    def corrupt_verdict(monkeypatch, child_only=False):
+        """Flip the kernel's verdict on the records of disc 48841, the field
+        (1, 13, 17), or, with child_only, on the records of the first disc
+        in a forked child's part."""
+        from biquad_hnp import _kernels
+
+        true_block = _kernels.enumerate_block
+        parent = os.getpid()
+
+        def corrupted(*args):
+            total, fails, records = true_block(*args)
+            if not child_only:
+                records[records[:, 3] == 48841, 5] ^= 1
+            elif os.getpid() != parent:
+                records[records[:, 3] == records[0, 3], 5] ^= 1
+            return total, fails, records
+
+        monkeypatch.setattr(enumeration._kernels, "enumerate_block", corrupted)
+
+    def test_failed_self_check_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        self.corrupt_verdict(monkeypatch)
+        argv = ["count", "--max-disc", "1e5", "--records", str(tmp_path / "fields")]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: self-check failed: classifier disagreement on (1, 13, 17)\n"
+        )
+
+    def test_failed_dedup_check_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # the kernel sends every record twice: an AssertionError of the dedup
+        true_block = enumeration._kernels.enumerate_block
+
+        def doubled(*args):
+            total, fails, records = true_block(*args)
+            return total, fails, np.vstack([records, records])
+
+        monkeypatch.setattr(enumeration._kernels, "enumerate_block", doubled)
+        argv = ["count", "--max-disc", "1e4", "--records", str(tmp_path / "fields")]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: self-check failed: field (")
+        assert captured.err.endswith(") kept twice\n") and captured.err.count("\n") == 1
+
+    def test_failed_self_check_in_the_child_is_one_error_line(
+        self, tmp_path, capfd, monkeypatch, forked
+    ):
+        # the child's traceback would go to file descriptor 2
+        self.corrupt_verdict(monkeypatch, child_only=True)
+        argv = ["count", "--max-disc", "1e8", "--records", str(tmp_path / "fields")]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: self-check failed: worker process failed with exit code 1: "
+            "RuntimeError: classifier disagreement on ("
+        )
+        assert captured.err.count("\n") == 1
+
+    def test_audit_in_a_fresh_interpreter(self):
+        # the report of an audited count is that of the count alone
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = [sys.executable, "-m", "biquad_hnp.cli", "count", "--max-disc", "1e6"]
+        argv += ["--format", "json"]
+        runs = [
+            subprocess.run(
+                argv + extra,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            for extra in (["--audit-bound", "1e6"], [])
+        ]
+        for proc in runs:
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        audited, alone = (untimed(proc.stdout) for proc in runs)
+        assert audited == alone
+        assert json.loads(audited)["S"] == 1014
 
     @pytest.mark.parametrize("bound", ["1e19", "1e30"])
     def test_bound_beyond_int64_is_usage_error(self, bound, capsys, monkeypatch):

@@ -5,7 +5,9 @@ checked for internal consistency: exact divisibility by 6, agreement
 of the sibling-filter dedup with the sort-everything reference,
 monotonicity, and agreement of the chunked tuple records with the triple
 iterator.  fork_parts, split_sum and the split count are tested on both
-of their paths: a forked child, and one process.
+of their paths: a forked child, and one process.  The audit of
+``count --audit-bound``, a scalar-oracle sweep over the delivered
+columns, is tested here through the CLI.
 """
 
 import errno
@@ -22,6 +24,7 @@ from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key, class_label
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve
+from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from biquad_hnp.enumeration import (
     enumerate_fields,
     field_records,
@@ -251,10 +254,13 @@ class TestSinkAndAudit:
             # 0 where the principle fails, else a prime dividing disc
             assert witness == 0 or disc % witness == 0
 
-    def test_audit_passes(self):
+    def test_audit_passes(self, capsys):
         # oracle re-check of every field, failing ones included
-        report = enumerate_fields(10**5, audit_bound=10**5)
-        assert report.S == 243
+        argv = ["count", "--max-disc", "1e5", "--audit-bound", "1e5", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["S"] == 243
+        assert captured.err == ""
 
     def test_sink_data_match_scalar_oracles(self):
         # the columns built in one array pass against the per-field code
@@ -312,8 +318,9 @@ class TestSinkAndAudit:
         with pytest.raises(RuntimeError, match="names no field"):
             enumerate_fields(10**6, sink=lambda columns: None)
 
-    def test_audit_rechecks_witness(self, monkeypatch):
-        # a wrong witness that keeps the verdict is caught only by the audit
+    @staticmethod
+    def shift_witnesses(monkeypatch):
+        """Witness 2 becomes 3: a wrong witness that keeps the verdict."""
         from biquad_hnp import enumeration
 
         true_witnesses = enumeration.splitting_witnesses
@@ -323,26 +330,29 @@ class TestSinkAndAudit:
             return np.where(w == 2, 3, w)
 
         monkeypatch.setattr(enumeration, "splitting_witnesses", shifted)
-        enumerate_fields(10**4, sink=lambda *a: None)
-        with pytest.raises(RuntimeError):
-            enumerate_fields(10**4, sink=lambda *a: None, audit_bound=10**4)
 
-    def test_audit_without_sink_rechecks_witness(self, monkeypatch):
+    def test_audit_rechecks_witness(self, monkeypatch, tmp_path, capsys):
+        # the shifted witness is caught only by the audit
+        self.shift_witnesses(monkeypatch)
+        argv = ["count", "--max-disc", "1e4", "--records", str(tmp_path / "fields")]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert main([*argv, "--audit-bound", "1e4"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # 23 of the 47 fields have the witness 2
+        assert captured.err == (
+            "error: the scalar oracles disagree on 23 of the 47 fields with disc <= 10000\n"
+        )
+
+    def test_audit_without_sink_rechecks_witness(self, monkeypatch, capsys):
         # the same shifted witness, caught by the audit's own kernel call
-        from biquad_hnp import enumeration
+        self.shift_witnesses(monkeypatch)
+        assert main(["count", "--max-disc", "1e8"]) == EXIT_OK
+        assert main(["count", "--max-disc", "1e8", "--audit-bound", "1e4"]) == EXIT_VERIFY_FAILED
+        assert "disagree on 23 of the 47 fields" in capsys.readouterr().err
 
-        true_witnesses = enumeration.splitting_witnesses
-
-        def shifted(*args):
-            w = true_witnesses(*args)
-            return np.where(w == 2, 3, w)
-
-        monkeypatch.setattr(enumeration, "splitting_witnesses", shifted)
-        enumerate_fields(10**8)
-        with pytest.raises(RuntimeError):
-            enumerate_fields(10**8, audit_bound=10**4)
-
-    def test_audit_without_sink_collects_only_the_audited_fields(self, monkeypatch):
+    def test_audit_without_sink_collects_only_the_audited_fields(self, monkeypatch, capsys):
         from biquad_hnp import enumeration
 
         true_rows = enumeration.unique_field_rows
@@ -353,11 +363,15 @@ class TestSinkAndAudit:
             return true_rows(records)
 
         monkeypatch.setattr(enumeration, "unique_field_rows", counted)
-        report = enumerate_fields(10**8, audit_bound=10**4)
-        assert report.S == 16679
+        argv = ["count", "--max-disc", "1e8", "--audit-bound", "1e4", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["S"] == 16679
         assert collected == [6 * 47]  # the ordered tuples of S(10^4) = 47
+        # the stats are the main count's, which collects nothing
+        assert payload["stats"]["dedup_s"] == payload["stats"]["deliver_s"] == 0
 
-    def test_audit_without_sink_holds_the_dedup_count(self, monkeypatch):
+    def test_audit_without_sink_holds_the_dedup_count(self, monkeypatch, capsys):
         # a field missing its least record in the audit's kernel call
         from biquad_hnp import _kernels, enumeration
 
@@ -372,12 +386,60 @@ class TestSinkAndAudit:
             return total, fails, records
 
         monkeypatch.setattr(enumeration._kernels, "enumerate_block", dropped)
-        enumerate_fields(10**6, audit_bound=48840)
-        with pytest.raises(AssertionError, match="dedup mismatch"):
-            enumerate_fields(10**6, audit_bound=10**5)
+        assert main(["count", "--max-disc", "1e6", "--audit-bound", "48840"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["count", "--max-disc", "1e6", "--audit-bound", "1e5"]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: self-check failed: dedup mismatch")
+        assert captured.err.count("\n") == 1
+
+    def test_audit_disagreement_in_the_childs_block_fails(self, monkeypatch, capsys, forked):
+        # row 5000 of the 16679 fields to 1e8 lies in block 1 of EMIT_CHUNK
+        # rows, which the sweep's forked child checks
+        from biquad_hnp import enumeration
+
+        true_enumerate = enumeration.enumerate_fields
+        at = 5000
+        assert enumeration.EMIT_CHUNK <= at < 2 * enumeration.EMIT_CHUNK
+
+        def corrupted(X, sink=None):
+            if sink is None:
+                return true_enumerate(X)
+            delivered = [0]
+
+            def corrupting(columns):
+                lo = delivered[0]
+                delivered[0] += len(columns)
+                if lo <= at < delivered[0]:
+                    columns = columns.copy()
+                    columns[at - lo, 11] += 1  # a witness that names no prime
+                sink(columns)
+
+            return true_enumerate(X, corrupting)
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", corrupted)
+        argv = ["count", "--max-disc", "1e8", "--audit-bound", "1e8"]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        assert capsys.readouterr().err == (
+            "error: the scalar oracles disagree on 1 of the 16679 fields with disc <= 100000000\n"
+        )
+
+    def test_stream_to_b_is_the_prefix_of_a_longer_stream(self):
+        # the audit collects the fields to B from a count to B, not to X
+        def stream(x):
+            tables = [np.empty((0, 12), dtype=np.int64)]
+            enumerate_fields(x, sink=tables.append)
+            return np.concatenate(tables)
+
+        short, long = stream(10**5), stream(10**6)
+        assert len(short) == 243
+        assert short.tobytes() == long[long[:, 10] <= 10**5].tobytes()
+        assert np.array_equal(long[: len(short)], short)
 
     def test_sink_times_dedup_and_delivery(self):
-        # without a sink both read 0 (checked on count --format json)
+        # without a sink both read 0 (checked on count --format json, also
+        # with --audit-bound)
         stats = enumerate_fields(10**4, sink=lambda *a: None).stats
         assert stats["dedup_s"] > 0 and stats["deliver_s"] > 0
 
@@ -419,7 +481,10 @@ class TestSplitSum:
             return (1,)
 
         try:
-            with pytest.raises(RuntimeError, match="exit code 1"):
+            # the child's error comes back in place of its counts
+            with pytest.raises(
+                RuntimeError, match="exit code 1: ZeroDivisionError: the child's part fails$"
+            ):
                 split_sum(work)
         finally:
             # a child that returned into this test would add its own pid
