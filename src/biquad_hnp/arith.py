@@ -34,7 +34,7 @@ class FactorSieve:
         spf = self.smallest_prime_factor
         out = []
         while n > 1:
-            p = int(spf[n])
+            p = spf.item(n)
             out.append(p)
             while n % p == 0:
                 n //= p
@@ -97,6 +97,8 @@ def kronecker(a: int, n: int) -> int:
             return 0
         if twos % 2 == 1 and a % 8 in (3, 5):
             result = -result
+    if n == 1:
+        return result  # jacobi(a, 1) = 1
     return result * jacobi(a, n)
 
 

@@ -252,23 +252,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _oracle_mismatches(
-    rows: np.ndarray, columns: tuple[int, ...], mismatch: Callable[[FieldTriple, tuple], bool]
+    rows_of: Callable[[int, int], np.ndarray],
+    columns: tuple[int, ...],
+    mismatch: Callable[[FieldTriple, tuple], bool],
 ) -> tuple[int, int]:
     """(rows, mismatches) of a scalar oracle against the given columns of
-    an int64 array, over every row (m, a1, b1, ...).
+    the int64 rows (m, a1, b1, ...) that rows_of(part, parts) gives.
 
     mismatch(triple, values) is true where the oracle disagrees with
     values, the row's entries in those columns as a tuple; a row that
     FieldTriple or the oracle rejects counts as one mismatch.
-    enumeration.split_sum checks alternate blocks of EMIT_CHUNK rows in
-    two processes when two CPUs are usable: part p of parts checks blocks
-    p, p + parts, ..., so the parts cover every row once.
+    enumeration.split_sum runs the parts in two processes when two CPUs
+    are usable, and each process builds and checks its own part's rows,
+    so rows_of(part, parts) over the parts must cover every row once.
     """
     step = enumeration.EMIT_CHUNK
 
     def work(part: int, parts: int) -> tuple[int, int]:
+        rows = rows_of(part, parts)
         seen = bad = 0
-        for lo in range(part * step, len(rows), parts * step):
+        for lo in range(0, len(rows), step):
             # one list per column and block: lists of the whole array would
             # raise the peak memory
             block = rows[lo : lo + step, (0, 1, 2, *columns)].T.tolist()
@@ -290,6 +293,8 @@ def _audit(bound: int) -> tuple[int, int]:
     """
     tables: list[np.ndarray] = [np.empty((0, enumeration.FIELD_COLUMNS), np.int64)]
     enumeration.enumerate_fields(bound, sink=tables.append)
+    table = np.concatenate(tables)
+    block = np.arange(len(table)) // enumeration.EMIT_CHUNK  # part p takes p, p + parts, ...
     sieve = build_sieve(math.isqrt(bound))
 
     def mismatch(triple, values):
@@ -297,7 +302,9 @@ def _audit(bound: int) -> tuple[int, int]:
         derived = (*data.kernels, *data.fundamental_discs, data.c, data.field_disc)
         return (*derived, status.witness or 0) != values  # witness 0 where it fails
 
-    return _oracle_mismatches(np.concatenate(tables), tuple(range(3, 12)), mismatch)
+    return _oracle_mismatches(
+        lambda part, parts: table[block % parts == part], tuple(range(3, 12)), mismatch
+    )
 
 
 def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
@@ -334,10 +341,9 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     )
 
     # subfield_data raises on a broken discriminant identity or kernel
-    # parity law.  Each records array is an argument only, so that it is
-    # freed before the next check
+    # parity law.  Each process asks the kernel for its own part's records
     total, bad = _oracle_mismatches(
-        enumeration.field_records(DISC_IDENTITY_BOUND),
+        lambda part, parts: enumeration.field_records(DISC_IDENTITY_BOUND, part, parts),
         (3,),
         lambda triple, values: subfield_data(triple).field_disc != values[0],
     )
@@ -350,9 +356,8 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
 
     sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
     total, mismatches = _oracle_mismatches(
-        # the kernel's chunks joined into one array (64,140 rows, 3 MB)
-        np.concatenate(
-            [*enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND)]
+        lambda part, parts: np.concatenate(
+            [*enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts)]
             or [np.empty((0, 6), np.int64)]
         ),
         (5,),

@@ -41,7 +41,6 @@ MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 # rows per sink call, and per block turned into Python ints by the
 # scalar-oracle sweeps: lists of a whole table would raise peak memory
 EMIT_CHUNK = 4096
-TUPLE_CHUNK = 256  # odd cores per kernel call in tuple_records
 FIELD_COLUMNS = 12  # columns of _field_columns
 # a part's result: the class totals, then the class failures, then the
 # flattened rows of its field columns
@@ -291,38 +290,36 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     )
 
 
-def field_records(X: int) -> np.ndarray:
-    """Raw ordered-tuple records (v1, v2, v3, disc, c, fails) for disc <= X."""
+def field_records(X: int, part: int = 0, parts: int = 1) -> np.ndarray:
+    """Raw ordered-tuple records (v1, v2, v3, disc, c, fails) for disc <= X.
+
+    Only those of the kernel's part ``part`` of ``parts``: the parts hold
+    disjoint rows, which together are the rows of field_records(X).
+    """
     root = _sieve_root(X)
     sieve = build_sieve(max(root, 1))
     _, _, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, True
+        1, root, root, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
     )
     return records
 
 
-def tuple_records(max_core: int) -> Iterator[np.ndarray]:
+def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
     """Kernel records (v1, v2, v3, disc, c, fails) of every ordered tuple
-    with |v1 v2 v3| <= max_core, in chunks.
+    with |v1 v2 v3| <= max_core, as one chunk from one kernel call.
 
-    These are the valid triples with |m a1 b1| <= max_core.  Each chunk
-    comes from one kernel call over TUPLE_CHUNK odd squarefree cores, so
-    memory stays bounded.  The root 8 * max_core admits all of them: the
-    kernel admits a tuple when c * |v1 v2 v3| <= root, and c <= 8.
+    These are the valid triples with |m a1 b1| <= max_core; the kernel's
+    part ``part`` of ``parts`` holds a share of them, as in field_records.
+    The root 8 * max_core admits all of them: the kernel admits a tuple
+    when c * |v1 v2 v3| <= root, and c <= 8.
     """
     if max_core < 1:
         return
     sieve = build_sieve(max_core)
-    spf, mob = sieve.smallest_prime_factor, sieve.mobius
-    cores = np.flatnonzero(mob[1::2]) * 2 + 1
-    for lo in range(0, len(cores), TUPLE_CHUNK):
-        chunk = cores[lo : lo + TUPLE_CHUNK]
-        _, _, records = _kernels.enumerate_block(
-            int(chunk[0]), int(chunk[-1]), 8 * max_core, spf, mob, True
-        )
-        # rebound, so that the kernel's buffer is freed before the next call
-        records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
-        yield records
+    _, _, records = _kernels.enumerate_block(
+        1, max_core, 8 * max_core, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
+    )
+    yield records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
 
 
 def _pin(cpus: list[int]) -> None:
@@ -343,7 +340,8 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     (ndim, then the dimensions, as int64); otherwise work(0, 1) runs
     here alone.  The child inherits everything built before the call
     copy-on-write.  A child that fails or sends back a short array
-    raises RuntimeError, which names the child's exception if it raised.
+    raises RuntimeError, which names the child's exception if it raised;
+    a child that raised MemoryError raises MemoryError.
 
     While the parts run, each process is pinned to one of the first two
     usable CPUs, and this process gets its CPU set back afterwards.
@@ -395,7 +393,9 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     if status != 0:
         code = os.waitstatus_to_exitcode(status)
         reason = f": {payload.decode(errors='replace')}" if code == 1 and payload else ""
-        raise RuntimeError(f"worker process failed with exit code {code}{reason}")
+        # a child out of memory is out of memory here too, not a failed check
+        error = MemoryError if reason.startswith(": MemoryError:") else RuntimeError
+        raise error(f"worker process failed with exit code {code}{reason}")
     words = np.frombuffer(payload, dtype=np.int64, count=len(payload) // 8)
     ndim = int(words[0]) if len(words) else -1
     shape = tuple(words[1 : 1 + ndim].tolist())

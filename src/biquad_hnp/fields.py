@@ -11,7 +11,8 @@ fundamental discriminants of the three subfields tell them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from typing import NamedTuple
 
 from .arith import is_squarefree
 
@@ -20,23 +21,20 @@ class InvalidFieldError(ValueError):
     """Raised for inputs that do not define a genuine biquadratic field."""
 
 
-@dataclass(frozen=True, slots=True)
-class FieldTriple:
+class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int)])):
     """Canonical generators (m, a1, b1); see module docstring.
 
     Construction checks coprimality, signs and nondegeneracy, which are
     cheap.  Squarefreeness of the components is the caller's contract
     (``from_generators`` and ``validate`` enforce it; the enumeration
-    produces squarefree components by construction).
+    produces squarefree components by construction).  A tuple, as verify
+    builds one triple per tuple: it equals the plain tuple (m, a1, b1).
     """
 
-    m: int
-    a1: int
-    b1: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # locals, not attribute reads: verify builds one triple per tuple
-        m, a1, b1 = self.m, self.a1, self.b1
+    def __new__(cls, m: int, a1: int, b1: int) -> FieldTriple:
+        self = tuple.__new__(cls, (m, a1, b1))
         if m < 1:
             raise InvalidFieldError(f"m must be positive, got {m}")
         if a1 == 0 or b1 == 0:
@@ -48,21 +46,30 @@ class FieldTriple:
             raise InvalidFieldError(f"{self} has a repeated quadratic subfield")
         if m == 1 and 1 in (a1, b1):
             raise InvalidFieldError(f"{self} contains the kernel 1 (quadratic field)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> FieldTriple:
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def kernels(self) -> tuple[int, int, int]:
         """Squarefree kernels of the three quadratic subfields."""
-        return (self.m * self.a1, self.m * self.b1, self.a1 * self.b1)
+        m, a1, b1 = self
+        return (m * a1, m * b1, a1 * b1)
 
     def validate(self) -> None:
         """Full invariant check including squarefreeness of each component."""
-        for part in (self.m, self.a1, self.b1):
+        for part in self:
             if not is_squarefree(part):
                 raise InvalidFieldError(f"component {part} of {self} is not squarefree")
 
 
-@dataclass(frozen=True)
-class SubfieldData:
+class SubfieldData(NamedTuple):
     """The three quadratic subfields and the assembled field discriminant."""
 
     kernels: tuple[int, int, int]
@@ -103,9 +110,9 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
     Straight-line integer code: this runs once per field in the audits
     and once per tuple in ``verify``.
     """
-    m, a1, b1 = t.m, t.a1, t.b1
+    m, a1, b1 = t
     k1, k2, k3 = m * a1, m * b1, a1 * b1
-    one1, one2, one3 = k1 % 4 == 1, k2 % 4 == 1, k3 % 4 == 1
+    one1, one2, one3 = k1 & 3 == 1, k2 & 3 == 1, k3 & 3 == 1
     d1 = k1 if one1 else 4 * k1
     d2 = k2 if one2 else 4 * k2
     d3 = k3 if one3 else 4 * k3

@@ -16,7 +16,7 @@ that kernel against ``classify_by_splitting`` on every ordered tuple with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ FAILS = "fails"
 HOLDS = "holds"
 
 
-@dataclass(frozen=True)
-class HnpStatus:
+class HnpStatus(NamedTuple):
     """Verdict plus, when the principle holds, one obstructing prime.
 
     The witness is a prime dividing the field discriminant whose
@@ -59,11 +58,12 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
     # the components are pairwise coprime, so their primes are those of
     # the product; beyond the sieve, trial division of each component
     # stops at the square root of the largest one, not of the product
-    n = abs(t.m * t.a1 * t.b1)
+    m, a1, b1 = t
+    n = abs(m * a1 * b1)
     if sieve is not None and n <= sieve.limit:
         primes = sieve.factor(n)  # ascending
     else:
-        primes = sorted({p for part in (t.m, t.a1, t.b1) for p in prime_factors(part, sieve)})
+        primes = sorted({p for part in t for p in prime_factors(part, sieve)})
     if data.c > 1 and (not primes or primes[0] != 2):
         primes = [2, *primes]
     for p in primes:

@@ -67,6 +67,20 @@ class TestParseBound:
         assert f"{argv[-1]!r}" in proc.stderr
 
 
+def starve_part_one(monkeypatch):
+    """The kernel raises MemoryError for part 1 of 2, the forked child's."""
+    from biquad_hnp import _kernels
+
+    true_block = _kernels.enumerate_block
+
+    def starved(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
+        if part == 1:
+            raise MemoryError
+        return true_block(n_lo, n_hi, root, spf, mob, collect, part, parts)
+
+    monkeypatch.setattr(_kernels, "enumerate_block", starved)
+
+
 class TestCount:
     def test_text(self, capsys):
         assert main(["count", "--max-disc", "144"]) == EXIT_OK
@@ -368,6 +382,16 @@ class TestCount:
         assert len(captured.err.splitlines()) == 1
 
 
+    def test_memory_error_in_the_child_is_usage_error(self, tmp_path, capfd, monkeypatch, forked):
+        # as it is in the parent: not a failed self-check
+        starve_part_one(monkeypatch)
+        argv = ["count", "--max-disc", "1e8", "--records", str(tmp_path / "fields")]
+        assert main(argv) == EXIT_USAGE
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: not enough memory for --max-disc 100000000\n"
+
+
 class TestClassify:
     def test_gens_failing_field(self, capsys):
         assert main(["classify", "--gens", "13", "17"]) == EXIT_OK
@@ -398,6 +422,12 @@ class TestClassify:
 
     def test_invalid_triple_rejected(self, capsys):
         assert main(["classify", "--triple", "2", "6", "5"]) == EXIT_USAGE
+
+    def test_invalid_triple_error_line(self, capsys):
+        assert main(["classify", "--triple", "3", "3", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: components of FieldTriple(m=3, a1=3, b1=5) are not pairwise coprime\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -781,12 +811,14 @@ class TestVerify:
         # usage error
         true_records = enumeration.field_records
 
-        def faulty(X):
-            records = true_records(X)
-            return np.vstack([records, [[*bad, 0, 8, 0]]])
+        def faulty(X, part=0, parts=1):
+            records = true_records(X, part, parts)
+            return np.vstack([records, [[*bad, 0, 8, 0]]]) if part == 0 else records
 
         monkeypatch.setattr(enumeration, "field_records", faulty)
-        monkeypatch.setattr(enumeration, "tuple_records", lambda max_core: iter(()))
+        monkeypatch.setattr(
+            enumeration, "tuple_records", lambda max_core, part=0, parts=1: iter(())
+        )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  discriminant identity" in out
@@ -799,13 +831,16 @@ class TestVerify:
         # usage error
         true_tuples = enumeration.tuple_records
 
-        def faulty(max_core):
-            yield from true_tuples(max_core)
-            yield np.array([[*bad, 0, 8, 0]], dtype=np.int64)
+        def faulty(max_core, part=0, parts=1):
+            yield from true_tuples(max_core, part, parts)
+            if part == 0:
+                yield np.array([[*bad, 0, 8, 0]], dtype=np.int64)
 
         monkeypatch.setattr(enumeration, "tuple_records", faulty)
         monkeypatch.setattr(
-            enumeration, "field_records", lambda X: np.empty((0, 6), dtype=np.int64)
+            enumeration,
+            "field_records",
+            lambda X, part=0, parts=1: np.empty((0, 6), dtype=np.int64),
         )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
@@ -818,11 +853,14 @@ class TestVerify:
         true_records = enumeration.field_records
         at = enumeration.EMIT_CHUNK + 1
 
-        def faulty(X):
-            return np.insert(true_records(X), at, [3, 3, 5, 0, 8, 0], axis=0)
+        def faulty(X, part=0, parts=1):
+            records = true_records(X, part, parts)
+            return np.insert(records, at, [3, 3, 5, 0, 8, 0], axis=0) if part == 1 else records
 
         monkeypatch.setattr(enumeration, "field_records", faulty)
-        monkeypatch.setattr(enumeration, "tuple_records", lambda max_core: iter(()))
+        monkeypatch.setattr(
+            enumeration, "tuple_records", lambda max_core, part=0, parts=1: iter(())
+        )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  discriminant identity, 100075 tuples" in out
@@ -852,6 +890,42 @@ class TestVerify:
         for forked_sums, one_part, parent_part in sums:
             assert forked_sums == one_part
             assert 0 < parent_part[0] < one_part[0]
+
+    def test_parent_asks_the_kernel_for_its_part_only(self, monkeypatch, forked):
+        # each process builds its own rows: no kernel call for all of them
+        # before the fork
+        from biquad_hnp import _kernels
+
+        true_block = _kernels.enumerate_block
+        parts = []
+
+        def recorded(*args):
+            parts.append(args[6:])
+            return true_block(*args)
+
+        monkeypatch.setattr(_kernels, "enumerate_block", recorded)
+        checks = cli._verify_checks()
+        assert all(passed for _, _, _, passed, _ in checks)
+        assert parts == [(0, 2), (0, 2)]
+
+    def test_memory_error_in_the_child_is_usage_error(self, capfd, monkeypatch, forked):
+        starve_part_one(monkeypatch)
+        assert main(["verify"]) == EXIT_USAGE
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err) == ("", "error: not enough memory for verify\n")
+
+    def test_json_in_a_fresh_interpreter(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "biquad_hnp.cli", "verify", "--format", "json"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        names = [check["name"] for check in json.loads(proc.stdout)["checks"]]
+        assert "100074 tuples" in names[4] and "64140 triples" in names[5]
 
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
         # a flipped kernel verdict on one tuple in the sweep must fail check 6

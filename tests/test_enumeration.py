@@ -112,6 +112,20 @@ class TestConsistency:
         want = [[t.m, t.a1, t.b1] for t in iter_valid_triples(bound)]
         assert sorted(rows) == sorted(want)
 
+    @pytest.mark.parametrize("x", [10**6, 10**8])
+    def test_field_record_parts_hold_every_row_once(self, x):
+        ours, theirs = (field_records(x, part, 2).tolist() for part in (0, 1))
+        assert ours and theirs
+        assert sorted(ours + theirs) == sorted(field_records(x).tolist())
+
+    def test_tuple_record_parts_hold_every_row_once(self):
+        def rows(*part):
+            return [r for chunk in tuple_records(2000, *part) for r in chunk.tolist()]
+
+        ours, theirs = rows(0, 2), rows(1, 2)
+        assert ours and theirs
+        assert sorted(ours + theirs) == sorted(rows())
+
     def test_per_class_pin_1e10(self):
         # S, S~ and every per-class (count, failing) pair at X = 10^10, as
         # computed by the scalar per-tuple enumeration

@@ -1,6 +1,7 @@
 """Tests for field triples, subfield discriminants and canonical keys."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -70,6 +71,33 @@ class TestTripleValidation:
     def test_rejects(self, m, a1, b1):
         with pytest.raises(InvalidFieldError):
             FieldTriple(m, a1, b1)
+
+    @pytest.mark.parametrize(
+        "m,a1,b1,text",
+        [
+            (0, 2, 3, "m must be positive, got 0"),
+            (1, 0, 3, "a1 and b1 must be nonzero"),
+            (2, 2, 3, "components of FieldTriple(m=2, a1=2, b1=3) are not pairwise coprime"),
+            (1, -1, -1, "FieldTriple(m=1, a1=-1, b1=-1) has a repeated quadratic subfield"),
+            (1, 1, 5, "FieldTriple(m=1, a1=1, b1=5) contains the kernel 1 (quadratic field)"),
+            (3, 1, 1, "FieldTriple(m=3, a1=1, b1=1) has a repeated quadratic subfield"),
+            (5, -1, -1, "FieldTriple(m=5, a1=-1, b1=-1) has a repeated quadratic subfield"),
+        ],
+    )
+    def test_error_texts(self, m, a1, b1, text):
+        with pytest.raises(InvalidFieldError) as exc:
+            FieldTriple(m, a1, b1)
+        assert str(exc.value) == text
+
+    def test_make_and_replace_check_too(self):
+        t = FieldTriple(1, 13, 17)
+        assert t == (1, 13, 17) and t._replace(b1=5) == FieldTriple(1, 13, 5)
+        with pytest.raises(InvalidFieldError, match="not pairwise coprime"):
+            FieldTriple._make((2, 2, 3))
+        with pytest.raises(InvalidFieldError, match="contains the kernel 1"):
+            t._replace(a1=1)
+        copy = pickle.loads(pickle.dumps(t))
+        assert type(copy) is FieldTriple and copy == t
 
     def test_slotted_and_frozen(self):
         t = FieldTriple(1, 13, 17)
