@@ -26,7 +26,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -290,36 +290,22 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     )
 
 
-def field_records(X: int, part: int = 0, parts: int = 1) -> np.ndarray:
-    """Raw ordered-tuple records (v1, v2, v3, disc, c, fails) for disc <= X.
-
-    Only those of the kernel's part ``part`` of ``parts``: the parts hold
-    disjoint rows, which together are the rows of field_records(X).
-    """
-    root = _sieve_root(X)
-    sieve = build_sieve(max(root, 1))
-    _, _, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
-    )
-    return records
-
-
-def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> Iterator[np.ndarray]:
+def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
     """Kernel records (v1, v2, v3, disc, c, fails) of every ordered tuple
-    with |v1 v2 v3| <= max_core, as one chunk from one kernel call.
+    with |v1 v2 v3| <= max_core, from one kernel call.
 
     These are the valid triples with |m a1 b1| <= max_core; the kernel's
-    part ``part`` of ``parts`` holds a share of them, as in field_records.
-    The root 8 * max_core admits all of them: the kernel admits a tuple
-    when c * |v1 v2 v3| <= root, and c <= 8.
+    part ``part`` of ``parts`` holds a share of them, and the parts
+    together hold each once.  The root 8 * max_core admits all of them:
+    the kernel admits a tuple when c * |v1 v2 v3| <= root, and c <= 8.
     """
     if max_core < 1:
-        return
+        return np.empty((0, 6), np.int64)
     sieve = build_sieve(max_core)
     _, _, records = _kernels.enumerate_block(
         1, max_core, 8 * max_core, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
     )
-    yield records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
+    return records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
 
 
 def _pin(cpus: list[int]) -> None:

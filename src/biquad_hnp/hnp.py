@@ -11,7 +11,9 @@ The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  ``verify`` and the test suite hold
 that kernel against ``classify_by_splitting`` on every ordered tuple with
 |m*a1*b1| <= 2000, and the enumeration holds it against
-``splitting_witnesses`` on every field it delivers.
+``splitting_witnesses`` on every field it delivers.  The audit of
+``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,
+holds each delivered witness against ``classify_by_splitting``.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from _kernel_records import field_records
 from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key
 from biquad_hnp import asymptotics, enumeration
@@ -97,10 +98,9 @@ def test_criterion_4_classifier_equivalence():
         bound = 2000
         sieve = build_sieve(bound)
         verdicts = {}
-        for chunk in enumeration.tuple_records(bound):
-            for m, a1, b1, _, _, fails in chunk.tolist():
-                assert (m, a1, b1) not in verdicts
-                verdicts[(m, a1, b1)] = bool(fails)
+        for m, a1, b1, _, _, fails in enumeration.tuple_records(bound).tolist():
+            assert (m, a1, b1) not in verdicts
+            verdicts[(m, a1, b1)] = bool(fails)
         triples = [(t.m, t.a1, t.b1) for t in iter_valid_triples(bound)]
         assert set(verdicts) == set(triples)
         checked = 0
@@ -112,7 +112,7 @@ def test_criterion_4_classifier_equivalence():
 
 def test_criterion_5_discriminant_identity():
     with _criterion(5, "discriminant identity and parity law to disc 1e8"):
-        records = enumeration.field_records(10**8)
+        records = field_records(10**8)
         v1, v2, v3 = records[:, 0], records[:, 1], records[:, 2]
         k = np.stack((v1 * v2, v1 * v3, v2 * v3), axis=1)
         d = np.where(k % 4 == 1, k, 4 * k)
@@ -135,7 +135,7 @@ def test_criterion_5_discriminant_identity():
 def test_criterion_6_dedup_consistency():
     with _criterion(6, "ordered count = 6 x canonical dedup at 1e4, 1e6, 1e8"):
         for x in (10**4, 10**6, 10**8):
-            records = enumeration.field_records(x)
+            records = field_records(x)
             assert len(records) % 6 == 0
             rows, _keys = enumeration.unique_field_rows(records)
             assert len(records) == 6 * len(rows)

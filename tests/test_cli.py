@@ -67,6 +67,19 @@ class TestParseBound:
         assert f"{argv[-1]!r}" in proc.stderr
 
 
+def splice_field_row(monkeypatch, at, row):
+    """enumerate_fields delivers row, 12 columns, at index at of its stream."""
+    true_enumerate = enumeration.enumerate_fields
+
+    def spliced(X, sink=None):
+        tables = [np.empty((0, enumeration.FIELD_COLUMNS), np.int64)]
+        report = true_enumerate(X, sink=tables.append)
+        sink(np.insert(np.concatenate(tables), at, row, axis=0))
+        return report
+
+    monkeypatch.setattr(enumeration, "enumerate_fields", spliced)
+
+
 def starve_part_one(monkeypatch):
     """The kernel raises MemoryError for part 1 of 2, the forked child's."""
     from biquad_hnp import _kernels
@@ -670,7 +683,7 @@ class TestOutputPins:
             ),
             (
                 ["verify", "--format", "json"],
-                "b4525ff004c9477d45c05e12a467973ad176e4a7c0a590480bba9acace0a8f65",
+                "abf8a9d057672814f9b0e4631da2496da9e309573b7f0c76c47da707dfc3af24",
             ),
             (
                 ["count", "--max-disc", "1", "--format", "json"],
@@ -743,7 +756,7 @@ PASS  class weight sum (all classes): expected 23, got 23
 PASS  class weight sum (failure classes): expected 112, got 112
 PASS  signed class weight sum: expected 0, got 0
 PASS  signed class weight sum per sign pair: expected 0, 0, 0, 0, got 0, 0, 0, 0
-PASS  discriminant identity, 100074 tuples to disc 1e+08: expected 0 violations, got 0 violations
+PASS  scalar oracles on the stream, 16679 fields to disc 1e+08: expected 0 mismatches, got 0 mismatches
 PASS  classifier equivalence, 64140 triples to |m a1 b1| = 2000: expected 0 disagreements, got 0 disagreements
 """
 
@@ -807,22 +820,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
     def test_malformed_identity_tuple_is_a_violation(self, capsys, monkeypatch, bad):
-        # a kernel record that names no field fails check 5; it is not a
+        # a delivered row that names no field fails check 5; it is not a
         # usage error
-        true_records = enumeration.field_records
-
-        def faulty(X, part=0, parts=1):
-            records = true_records(X, part, parts)
-            return np.vstack([records, [[*bad, 0, 8, 0]]]) if part == 0 else records
-
-        monkeypatch.setattr(enumeration, "field_records", faulty)
+        splice_field_row(monkeypatch, 0, [*bad, *[0] * 9])
         monkeypatch.setattr(
-            enumeration, "tuple_records", lambda max_core, part=0, parts=1: iter(())
+            enumeration,
+            "tuple_records",
+            lambda max_core, part=0, parts=1: np.empty((0, 6), dtype=np.int64),
         )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  discriminant identity" in out
-        assert "got 1 violations" in out
+        assert "FAIL  scalar oracles on the stream, 16680 fields" in out
+        assert "got 1 mismatches" in out
         assert "PASS  classifier equivalence, 0 triples" in out
 
     @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
@@ -832,39 +841,57 @@ class TestVerify:
         true_tuples = enumeration.tuple_records
 
         def faulty(max_core, part=0, parts=1):
-            yield from true_tuples(max_core, part, parts)
-            if part == 0:
-                yield np.array([[*bad, 0, 8, 0]], dtype=np.int64)
+            records = true_tuples(max_core, part, parts)
+            return np.vstack([records, [[*bad, 0, 8, 0]]]) if part == 0 else records
 
         monkeypatch.setattr(enumeration, "tuple_records", faulty)
-        monkeypatch.setattr(
-            enumeration,
-            "field_records",
-            lambda X, part=0, parts=1: np.empty((0, 6), dtype=np.int64),
-        )
+        monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  classifier equivalence, 64141 triples" in out
         assert "got 1 disagreements" in out
-        assert "PASS  discriminant identity, 0 tuples" in out
+        assert "PASS  scalar oracles on the stream, 0 fields" in out
 
     def test_malformed_row_in_the_childs_block_is_a_violation(self, capsys, monkeypatch, forked):
         # block 1 of EMIT_CHUNK rows is checked by the forked child
-        true_records = enumeration.field_records
-        at = enumeration.EMIT_CHUNK + 1
-
-        def faulty(X, part=0, parts=1):
-            records = true_records(X, part, parts)
-            return np.insert(records, at, [3, 3, 5, 0, 8, 0], axis=0) if part == 1 else records
-
-        monkeypatch.setattr(enumeration, "field_records", faulty)
+        splice_field_row(monkeypatch, enumeration.EMIT_CHUNK + 1, [3, 3, 5, *[0] * 9])
         monkeypatch.setattr(
-            enumeration, "tuple_records", lambda max_core, part=0, parts=1: iter(())
+            enumeration,
+            "tuple_records",
+            lambda max_core, part=0, parts=1: np.empty((0, 6), dtype=np.int64),
         )
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  discriminant identity, 100075 tuples" in out
-        assert "got 1 violations" in out
+        assert "FAIL  scalar oracles on the stream, 16680 fields" in out
+        assert "got 1 mismatches" in out
+
+    @pytest.mark.parametrize(
+        "column, match",
+        [(3, "discriminant identity violated"), (5, "classifier disagreement")],
+        ids=["disc", "verdict"],
+    )
+    def test_failed_self_check_is_a_failed_check(self, capsys, monkeypatch, column, match):
+        # a kernel record that the field columns contradict stops the
+        # audit's count; check 5 fails with its message, and every check runs
+        from biquad_hnp import _kernels
+
+        true_block = _kernels.enumerate_block
+
+        def corrupted(*args):
+            total, fails, records = true_block(*args)
+            if args[2] == 10**4:  # the audit's count, not check 6's sweep
+                records[records[:, 3] == 48841, column] ^= 1
+            return total, fails, records
+
+        monkeypatch.setattr(_kernels, "enumerate_block", corrupted)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[4].startswith(
+            "FAIL  scalar oracles on the stream, 0 fields to disc 1e+08: expected 0 mismatches, got "
+        )
+        assert match in lines[4]
+        assert all(line.startswith("PASS  ") for line in lines[:4] + lines[5:])
 
     @pytest.mark.parametrize("path", ["forked", "unforked"])
     def test_text_output_is_the_same_on_both_paths(self, capsys, request, path):
@@ -886,7 +913,7 @@ class TestVerify:
         monkeypatch.setattr(enumeration, "split_sum", recorded)
         checks = cli._verify_checks()
         assert all(passed for _, _, _, passed, _ in checks)
-        assert [forked_sums for forked_sums, _, _ in sums] == [(100074, 0), (64140, 0)]
+        assert [forked_sums for forked_sums, _, _ in sums] == [(16679, 0), (64140, 0)]
         for forked_sums, one_part, parent_part in sums:
             assert forked_sums == one_part
             assert 0 < parent_part[0] < one_part[0]
@@ -925,7 +952,7 @@ class TestVerify:
         )
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         names = [check["name"] for check in json.loads(proc.stdout)["checks"]]
-        assert "100074 tuples" in names[4] and "64140 triples" in names[5]
+        assert "16679 fields" in names[4] and "64140 triples" in names[5]
 
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
         # a flipped kernel verdict on one tuple in the sweep must fail check 6

@@ -3,11 +3,11 @@
 Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
 of the sibling-filter dedup with the sort-everything reference,
-monotonicity, and agreement of the chunked tuple records with the triple
-iterator.  fork_parts, split_sum and the split count are tested on both
-of their paths: a forked child, and one process.  The audit of
-``count --audit-bound``, a scalar-oracle sweep over the delivered
-columns, is tested here through the CLI.
+monotonicity, and agreement of the kernel's tuple records with the
+triple iterator.  fork_parts, split_sum and the split count are tested
+on both of their paths: a forked child, and one process.  The audit of
+``count --audit-bound`` and ``verify``, a scalar-oracle sweep over the
+delivered columns, is tested here through the CLI.
 """
 
 import errno
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import _reference_dedup as reference
+from _kernel_records import field_records
 from _reference_classes import class_index, in_failure_class
 from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key, class_label
@@ -27,7 +28,6 @@ from biquad_hnp.arith import build_sieve
 from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from biquad_hnp.enumeration import (
     enumerate_fields,
-    field_records,
     fork_parts,
     split_sum,
     tuple_records,
@@ -106,21 +106,14 @@ class TestConsistency:
 
     @pytest.mark.parametrize("bound", [0, 2, 105, 714])
     def test_tuple_records_are_the_valid_triples(self, bound):
-        # squarefree bounds, so that tuples sit on the bound; 714 spans two
-        # kernel chunks of odd cores
-        rows = [r for chunk in tuple_records(bound) for r in chunk[:, :3].tolist()]
+        # squarefree bounds, so that tuples sit on the bound
+        rows = tuple_records(bound)[:, :3].tolist()
         want = [[t.m, t.a1, t.b1] for t in iter_valid_triples(bound)]
         assert sorted(rows) == sorted(want)
 
-    @pytest.mark.parametrize("x", [10**6, 10**8])
-    def test_field_record_parts_hold_every_row_once(self, x):
-        ours, theirs = (field_records(x, part, 2).tolist() for part in (0, 1))
-        assert ours and theirs
-        assert sorted(ours + theirs) == sorted(field_records(x).tolist())
-
     def test_tuple_record_parts_hold_every_row_once(self):
         def rows(*part):
-            return [r for chunk in tuple_records(2000, *part) for r in chunk.tolist()]
+            return tuple_records(2000, *part).tolist()
 
         ours, theirs = rows(0, 2), rows(1, 2)
         assert ours and theirs
@@ -365,6 +358,18 @@ class TestSinkAndAudit:
         assert main(["count", "--max-disc", "1e8"]) == EXIT_OK
         assert main(["count", "--max-disc", "1e8", "--audit-bound", "1e4"]) == EXIT_VERIFY_FAILED
         assert "disagree on 23 of the 47 fields" in capsys.readouterr().err
+
+    def test_verify_rechecks_witness(self, monkeypatch, capsys):
+        # verify's check 5 is the audit to disc 1e8, so it reads the witness
+        self.shift_witnesses(monkeypatch)
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[4] == (
+            "FAIL  scalar oracles on the stream, 16679 fields to disc 1e+08: "
+            "expected 0 mismatches, got 6603 mismatches"
+        )
+        assert all(line.startswith("PASS  ") for line in lines[:4] + lines[5:])
 
     def test_audit_without_sink_collects_only_the_audited_fields(self, monkeypatch, capsys):
         from biquad_hnp import enumeration

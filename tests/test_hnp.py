@@ -56,11 +56,7 @@ class TestSplittingOracle:
         # the product to the component-wise path, with sieve lookups for the
         # components it covers
         full, small = build_sieve(300), build_sieve(17)
-        triples = [
-            FieldTriple(v1, v2, v3)
-            for chunk in tuple_records(300)
-            for v1, v2, v3 in chunk[:, :3].tolist()
-        ]
+        triples = [FieldTriple(v1, v2, v3) for v1, v2, v3 in tuple_records(300)[:, :3].tolist()]
         beyond = sum(1 for t in triples if abs(t.m * t.a1 * t.b1) > small.limit)
         assert beyond > 0.9 * len(triples) > 1000
         for t in triples:
@@ -124,10 +120,9 @@ class TestSplittingWitnesses:
 
 def _kernel_fails(m, a1, b1):
     """The production kernel's verdict on the ordered tuple (m, a1, b1)."""
-    for chunk in tuple_records(abs(m * a1 * b1)):
-        for v1, v2, v3, _, _, fails in chunk.tolist():
-            if (v1, v2, v3) == (m, a1, b1):
-                return bool(fails)
+    for v1, v2, v3, _, _, fails in tuple_records(abs(m * a1 * b1)).tolist():
+        if (v1, v2, v3) == (m, a1, b1):
+            return bool(fails)
     raise AssertionError(f"kernel did not admit {(m, a1, b1)}")
 
 
@@ -157,12 +152,11 @@ class TestCongruenceClassifier:
     def test_case3_shortcut_matches_oracle(self):
         # pairwise distinct residues mod 4: 2 is totally ramified
         checked = 0
-        for chunk in tuple_records(150):
-            for m, a1, b1, _, _, fails in chunk.tolist():
-                if len({v % 4 for v in (m, a1, b1)}) == 3:
-                    checked += 1
-                    assert not fails
-                    oracle = classify_by_splitting(FieldTriple(m, a1, b1))
-                    assert oracle.verdict == "holds"
-                    assert oracle.witness == 2
+        for m, a1, b1, _, _, fails in tuple_records(150).tolist():
+            if len({v % 4 for v in (m, a1, b1)}) == 3:
+                checked += 1
+                assert not fails
+                oracle = classify_by_splitting(FieldTriple(m, a1, b1))
+                assert oracle.verdict == "holds"
+                assert oracle.witness == 2
         assert checked > 0
