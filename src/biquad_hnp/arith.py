@@ -7,11 +7,14 @@ are stateless.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+
+SIEVE_BYTES_PER_N = 45  # measured peak of build_sieve: tables, work arrays, temporaries
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,20 @@ class FactorSieve:
         return out
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def build_sieve(limit: int) -> FactorSieve:
-    """Sieve least prime factors and Mobius values up to limit (inclusive)."""
+    """Sieve least prime factors and Mobius values up to limit (inclusive).
+
+    A sieve larger than physical memory raises MemoryError unallocated.
+    """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
+    if SIEVE_BYTES_PER_N * (limit + 1) > physical_memory():
+        raise MemoryError(f"a sieve to {limit} needs more than the physical memory")
     spf = _kernels.build_spf(limit)
     mob = _kernels.build_mobius(spf)
     spf.setflags(write=False)

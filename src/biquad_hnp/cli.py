@@ -262,9 +262,11 @@ def _oracle_mismatches(
     mismatch(triple, values) is true where the oracle disagrees with
     values, the row's entries in those columns as a tuple; a row that
     FieldTriple or the oracle rejects counts as one mismatch.
-    enumeration.split_sum runs the parts in two processes when two CPUs
+    enumeration.fork_parts runs the parts in two processes when two CPUs
     are usable, and each process builds and checks its own part's rows,
     so rows_of(part, parts) over the parts must cover every row once.
+    The forked part's (rows, mismatches) comes back pickled, so both
+    counts must be picklable, as ints are.
     """
     step = enumeration.EMIT_CHUNK
 
@@ -283,7 +285,8 @@ def _oracle_mismatches(
                     bad += 1
         return seen, bad
 
-    return enumeration.split_sum(work)
+    seen, bad = zip(*enumeration.fork_parts(work))
+    return sum(seen), sum(bad)
 
 
 def _audit(bound: int) -> tuple[int, int]:

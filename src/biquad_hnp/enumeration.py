@@ -15,18 +15,20 @@ field's columns from its record.
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
 processes when it can (``fork_parts``): a forked child takes every other
 slab of cores, tallies them, dedups and checks its own fields, and sends
-back one int64 array.  This works because a field's six ordered records
-share their odd core, so the slabs split the fields too.  This process
-runs the other slabs, sums the tallies and merges the two field tables.
+back its tallies and field table as they are, pickled.  This works
+because a field's six ordered records share their odd core, so the slabs
+split the fields too.  This process runs the other slabs, sums the
+tallies and merges the two field tables.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -42,9 +44,7 @@ MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 # scalar-oracle sweeps: lists of a whole table would raise peak memory
 EMIT_CHUNK = 4096
 FIELD_COLUMNS = 12  # columns of _field_columns
-# a part's result: the class totals, then the class failures, then the
-# flattened rows of its field columns
-TALLIES = 2 * _kernels.CLASS_SPACE
+T = TypeVar("T")
 
 
 @dataclass
@@ -207,12 +207,13 @@ def _lap(stats: dict[str, float], key: str, since: float) -> float:
 
 def _count_part(
     root: int, sieve: FactorSieve, collect: bool, part: int, parts: int, stats: dict[str, float]
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One part's share of the count with root floor(sqrt(X)).
 
-    Returns the class totals and the class failures of its slabs,
-    followed, when collect is true, by the flattened field columns of
-    its fields, deduped and sorted.  Each stage's seconds go to stats.
+    Returns (total, fails, columns): the class totals and the class
+    failures of its slabs, and, when collect is true, the field columns
+    of its fields, deduped and sorted (else None).  Each stage's seconds
+    go to stats.
     """
     t = time.perf_counter()
     total, fails, records = _kernels.enumerate_block(
@@ -220,13 +221,13 @@ def _count_part(
     )
     t = _lap(stats, "kernel_s", t)
     if not collect:
-        return np.concatenate((total, fails))
+        return total, fails, None
     rows, _ = unique_field_rows(records)
     del records  # six rows per field; free them before the field columns
     t = _lap(stats, "dedup_s", t)
     columns = _field_columns(rows, sieve)
     _lap(stats, "deliver_s", t)
-    return np.concatenate((total, fails, columns.ravel()))
+    return total, fails, columns
 
 
 def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
@@ -253,7 +254,7 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     t = _lap(stats, "sieve_s", t)
     collect = sink is not None
 
-    def work(part: int, parts: int) -> np.ndarray:
+    def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         return _count_part(root, sieve, collect, part, parts, stats)
 
     if np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB:
@@ -263,16 +264,16 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     # this process's own part is in stats; the rest is the wait for the child
     waited = time.perf_counter() - t - (sum(stats.values()) - stats["sieve_s"])
     stats["deliver_s" if collect else "kernel_s"] += waited
-    total = np.sum([out[: _kernels.CLASS_SPACE] for out in outs], axis=0)
-    fails = np.sum([out[_kernels.CLASS_SPACE : TALLIES] for out in outs], axis=0)
+    totals, failures, tables = zip(*outs)
+    total = np.sum(totals, axis=0)
+    fails = np.sum(failures, axis=0)
     ordered_total = int(total.sum())
     ordered_failing = int(fails.sum())
     if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
         raise AssertionError("ordered tuple counts are not divisible by 6")
     if collect:
         t = time.perf_counter()
-        tables = [out[TALLIES:].reshape(-1, FIELD_COLUMNS) for out in outs]
-        columns = _merged_fields(tables, ordered_total)
+        columns = _merged_fields(list(tables), ordered_total)
         for lo in range(0, len(columns), EMIT_CHUNK):
             sink(columns[lo : lo + EMIT_CHUNK])
         _lap(stats, "deliver_s", t)
@@ -316,18 +317,18 @@ def _pin(cpus: list[int]) -> None:
         pass  # an unpinned part still counts correctly
 
 
-def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
-    """The int64 arrays work(part, parts) of every part, this process's first.
+def fork_parts(work: Callable[[int, int], T]) -> list[T]:
+    """The values work(part, parts) of every part, this process's first.
 
     work(part, parts) does its own share of a job split into parts.
     With os.fork and at least two usable CPUs, a forked child runs
     work(1, 2) while this process runs work(0, 2), and the child sends
-    its array back over a pipe as raw bytes behind a shape header
-    (ndim, then the dimensions, as int64); otherwise work(0, 1) runs
-    here alone.  The child inherits everything built before the call
-    copy-on-write.  A child that fails or sends back a short array
-    raises RuntimeError, which names the child's exception if it raised;
-    a child that raised MemoryError raises MemoryError.
+    its value back over a pipe with pickle, so it must be picklable;
+    otherwise work(0, 1) runs here alone.  The child inherits everything
+    built before the call copy-on-write.  A child that fails, or sends
+    back a value that cannot be unpickled, raises RuntimeError, which
+    names the child's exception if it raised; a child that raised
+    MemoryError raises MemoryError.
 
     While the parts run, each process is pinned to one of the first two
     usable CPUs, and this process gets its CPU set back afterwards.
@@ -337,7 +338,7 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
-        return [np.asarray(work(0, 1), dtype=np.int64)]
+        return [work(0, 1)]
     cpus = sorted(affinity(0))
     read_fd, write_fd = os.pipe()
     try:
@@ -345,62 +346,44 @@ def fork_parts(work: Callable[[int, int], np.ndarray]) -> list[np.ndarray]:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return [np.asarray(work(0, 1), dtype=np.int64)]
+        return [work(0, 1)]
     if pid == 0:
         # The child leaves only through os._exit, also when work raises:
         # returning into the caller would run its exit hooks and finally
         # blocks a second time and flush its stdio buffers twice.
-        code = 2  # 1 when work raised: its error line goes in place of the array
+        code = 2  # 1 when work raised: its error line goes in place of the value
         try:
             os.close(read_fd)
             _pin(cpus[1:2])
             try:
-                theirs = np.ascontiguousarray(work(1, 2), dtype=np.int64)
-                header = np.array([theirs.ndim, *theirs.shape], dtype=np.int64)
-                chunks, done = [header, theirs], 0
+                theirs, done = work(1, 2), 0
             except Exception as exc:
-                chunks, done = [f"{type(exc).__name__}: {exc}".encode()], 1
+                theirs, done = f"{type(exc).__name__}: {exc}", 1
             with open(write_fd, "wb") as pipe:
-                for chunk in chunks:
-                    pipe.write(memoryview(chunk).cast("B"))
+                pickle.dump(theirs, pipe, protocol=pickle.HIGHEST_PROTOCOL)
             code = done
         finally:
             os._exit(code)
     os.close(write_fd)
     _pin(cpus[:1])
     try:
-        ours = np.asarray(work(0, 2), dtype=np.int64)
+        ours = work(0, 2)
     finally:
         _pin(cpus)
-        # reaps the child also when this half raised
+        # reaps the child also when this half raised; closing the pipe
+        # before the wait ends a child still writing what was not read
         with open(read_fd, "rb") as pipe:
-            payload = pipe.read()
+            try:
+                theirs, unread = pickle.load(pipe), None
+            except Exception as exc:
+                theirs, unread = None, exc
         _, status = os.waitpid(pid, 0)
     if status != 0:
         code = os.waitstatus_to_exitcode(status)
-        reason = f": {payload.decode(errors='replace')}" if code == 1 and payload else ""
+        reason = f": {theirs}" if code == 1 and isinstance(theirs, str) else ""
         # a child out of memory is out of memory here too, not a failed check
         error = MemoryError if reason.startswith(": MemoryError:") else RuntimeError
         raise error(f"worker process failed with exit code {code}{reason}")
-    words = np.frombuffer(payload, dtype=np.int64, count=len(payload) // 8)
-    ndim = int(words[0]) if len(words) else -1
-    shape = tuple(words[1 : 1 + ndim].tolist())
-    if ndim < 0 or len(shape) != ndim or 8 * (1 + ndim + math.prod(shape)) != len(payload):
-        raise RuntimeError(f"worker process sent {len(payload)} bytes, not one int64 array")
-    return [ours, words[1 + ndim :].reshape(shape)]
-
-
-def split_sum(work: Callable[[int, int], tuple[int, ...]]) -> tuple[int, ...]:
-    """Element-wise sum of the counts work(part, parts) over the parts.
-
-    work(part, parts) counts its own share of a job whose counts add,
-    for example every parts-th block of rows starting at block part.
-    The parts run through fork_parts: a forked child and this process
-    when two CPUs are usable, else this process alone.  A child that
-    fails or sends back the wrong number of ints raises RuntimeError.
-    """
-    ours, *rest = fork_parts(lambda part, parts: np.array(work(part, parts), dtype=np.int64))
-    for theirs in rest:
-        if theirs.shape != ours.shape:
-            raise RuntimeError(f"worker process sent {theirs.size} ints, not {ours.size} ints")
-    return tuple(np.sum([ours, *rest], axis=0).tolist())
+    if unread is not None:
+        raise RuntimeError(f"worker process sent a value that cannot be read: {unread!r}")
+    return [ours, theirs]

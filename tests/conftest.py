@@ -18,7 +18,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def forked(monkeypatch):
     """enumeration.fork_parts forks, whatever the host's CPU count.
 
-    fork_parts splits both enumerate_fields and split_sum.
+    fork_parts splits both enumerate_fields and the scalar-oracle sweeps
+    of cli._oracle_mismatches.
     """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
@@ -27,8 +28,8 @@ def forked(monkeypatch):
 
 @pytest.fixture
 def unforked(monkeypatch):
-    """enumeration.fork_parts, under enumerate_fields and split_sum, sees
-    one usable CPU; a fork would raise."""
+    """enumeration.fork_parts, under enumerate_fields and the scalar-oracle
+    sweeps, sees one usable CPU; a fork would raise."""
 
     def no_fork():
         raise AssertionError("fork_parts forked with one usable CPU")

@@ -394,6 +394,19 @@ class TestCount:
         assert captured.err.startswith("error:") and bound in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_sieve_beyond_physical_memory_is_refused_unallocated(self, capsys, monkeypatch):
+        from biquad_hnp import _kernels, arith
+
+        # a machine of 4 MB: the sieve to 10^6 would peak near 45 MB
+        allocations = []
+        monkeypatch.setattr(arith, "physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(_kernels, "build_spf", lambda limit: allocations.append(limit))
+        assert main(["count", "--max-disc", "1e12"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert allocations == []
+        assert captured.out == ""
+        assert captured.err == "error: not enough memory for --max-disc 1000000000000\n"
+
 
     def test_memory_error_in_the_child_is_usage_error(self, tmp_path, capfd, monkeypatch, forked):
         # as it is in the parent: not a failed self-check
@@ -902,15 +915,17 @@ class TestVerify:
     def test_forked_sweeps_sum_to_one_part(self, monkeypatch, forked):
         # each sweep's forked halves add up to the counts of one part that
         # walks every row
-        true_split = enumeration.split_sum
+        true_fork = enumeration.fork_parts
         sums = []
 
         def recorded(work):
-            forked_sums = true_split(work)
-            sums.append((forked_sums, tuple(work(0, 1)), tuple(work(0, 2))))
-            return forked_sums
+            outs = true_fork(work)
+            if len(outs[0]) == 2:  # a sweep's (rows, mismatches), not a count's part
+                forked_sums = tuple(map(sum, zip(*outs)))
+                sums.append((forked_sums, tuple(work(0, 1)), tuple(work(0, 2))))
+            return outs
 
-        monkeypatch.setattr(enumeration, "split_sum", recorded)
+        monkeypatch.setattr(enumeration, "fork_parts", recorded)
         checks = cli._verify_checks()
         assert all(passed for _, _, _, passed, _ in checks)
         assert [forked_sums for forked_sums, _, _ in sums] == [(16679, 0), (64140, 0)]

@@ -4,8 +4,9 @@ Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
 of the sibling-filter dedup with the sort-everything reference,
 monotonicity, and agreement of the kernel's tuple records with the
-triple iterator.  fork_parts, split_sum and the split count are tested
-on both of their paths: a forked child, and one process.  The audit of
+triple iterator.  fork_parts, the sum over its parts that the
+scalar-oracle sweeps take, and the split count are tested on both of
+their paths: a forked child, and one process.  The audit of
 ``count --audit-bound`` and ``verify``, a scalar-oracle sweep over the
 delivered columns, is tested here through the CLI.
 """
@@ -14,6 +15,7 @@ import errno
 import hashlib
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -25,11 +27,10 @@ from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key, class_label
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
+from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, _oracle_mismatches, main
 from biquad_hnp.enumeration import (
     enumerate_fields,
     fork_parts,
-    split_sum,
     tuple_records,
     unique_field_rows,
 )
@@ -473,23 +474,54 @@ def _part_counts(part, parts):
     return part, parts, 1
 
 
+def _rows_of(part, parts):
+    # part 1 sends more than a pipe buffer holds, in two dimensions
+    return np.arange(3 * 40_000 * part, dtype=np.int64).reshape(3, -1) - part
+
+
+def _count_part_of(part, parts):
+    # a count part's shape: two tallies, then a field table larger than a
+    # pipe buffer
+    tallies = np.arange(1024, dtype=np.int64) * (part + 1)
+    return tallies, tallies % 7, np.arange(12 * 9_000, dtype=np.int64).reshape(-1, 12) - part
+
+
 class TestSplitSum:
-    def test_fork_sums_both_parts(self, forked):
-        assert split_sum(_part_counts) == (0 + 1, 2 + 2, 1 + 1)
+    # cli._oracle_mismatches sums the (rows, mismatches) of fork_parts' parts
+    def test_one_cpu_runs_in_process(self, unforked):
+        tables = []
+        enumerate_fields(10**5, sink=tables.append)
+        table = np.concatenate(tables)
+        calls = []
+
+        def rows_of(part, parts):
+            calls.append((part, parts))
+            return table
+
+        got = _oracle_mismatches(rows_of, (10,), lambda triple, values: values[0] % 7 == 0)
+        assert calls == [(0, 1)]
+        assert got == (len(table), sum(disc % 7 == 0 for disc in table[:, 10].tolist()))
+
+
+class TestForkParts:
+    def test_fork_returns_both_parts(self, forked):
+        assert fork_parts(_part_counts) == [(0, 2, 1), (1, 2, 1)]
 
     def test_one_cpu_runs_in_process(self, unforked):
-        assert split_sum(_part_counts) == (0, 1, 1)
+        assert fork_parts(_part_counts) == [(0, 1, 1)]
+        [ours] = fork_parts(_rows_of)
+        assert ours.shape == (3, 0)
 
     def test_no_fork_runs_in_process(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
-        assert split_sum(_part_counts) == (0, 1, 1)
+        assert fork_parts(_part_counts) == [(0, 1, 1)]
 
     def test_failed_fork_runs_in_process(self, forked, monkeypatch):
         def no_fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert split_sum(_part_counts) == (0, 1, 1)
+        assert fork_parts(_part_counts) == [(0, 1, 1)]
 
     def test_child_failure_raises_in_the_parent_only(self, forked, tmp_path):
         pids = tmp_path / "pids"
@@ -500,40 +532,47 @@ class TestSplitSum:
             return (1,)
 
         try:
-            # the child's error comes back in place of its counts
+            # the child's error comes back in place of its value
             with pytest.raises(
                 RuntimeError, match="exit code 1: ZeroDivisionError: the child's part fails$"
             ):
-                split_sum(work)
+                fork_parts(work)
         finally:
             # a child that returned into this test would add its own pid
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
         assert pids.read_text().split() == [str(os.getpid())]
 
-    def test_short_payload_raises(self, forked):
-        def work(part, parts):
-            return (1, 2) if part == 0 else (1,)
-
-        with pytest.raises(RuntimeError, match="not 2 ints"):
-            split_sum(work)
-
-
-def _rows_of(part, parts):
-    # part 1 sends more than a pipe buffer holds, in two dimensions
-    return np.arange(3 * 40_000 * part, dtype=np.int64).reshape(3, -1) - part
-
-
-class TestForkParts:
     def test_child_array_keeps_its_shape(self, forked):
         ours, theirs = fork_parts(_rows_of)
         assert ours.shape == (3, 0)
         assert theirs.dtype == np.int64 and theirs.shape == (3, 40_000)
         assert np.array_equal(theirs, _rows_of(1, 2))
 
-    def test_one_cpu_runs_in_process(self, unforked):
-        [ours] = fork_parts(_rows_of)
-        assert ours.shape == (3, 0)
+    def test_count_part_tuple_round_trips(self, forked):
+        outs = fork_parts(_count_part_of)
+        assert len(outs) == 2
+        for part, (tallies, fails, table) in enumerate(outs):
+            want = _count_part_of(part, 2)
+            assert table.shape == (9_000, 12)
+            for got, expected in zip((tallies, fails, table), want):
+                assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+
+    def test_unpicklable_value_raises_with_its_exit_code(self, forked):
+        def work(part, parts):
+            return lambda: part  # a local function does not pickle
+
+        with pytest.raises(RuntimeError, match="worker process failed with exit code 2$"):
+            fork_parts(work)
+
+    def test_unreadable_payload_raises(self, forked, monkeypatch):
+        # the child exits 0 after writing all but the last byte of its value
+        def truncated(obj, file, protocol=None):
+            file.write(pickle.dumps(obj, protocol)[:-1])
+
+        monkeypatch.setattr(pickle, "dump", truncated)
+        with pytest.raises(RuntimeError, match="sent a value that cannot be read"):
+            fork_parts(_rows_of)
 
 
 class TestSplitCount:
