@@ -16,7 +16,8 @@ admit one.  Every test on a tuple is an elementwise operation on a grid:
 
 * the tuple's class id, its weight factor c and the mod-4/mod-8
   congruence prefilter (with the slot-of-2 condition) depend only on the
-  components mod 8, so they are read from two 1024-entry class tables;
+  components mod 8, so they are read from the 1024-entry class tables of
+  ``_class_tables``, which also hold each class's reciprocity sign u;
 * the residue-symbol test needs, for each prime p of a component, the
   symbol (q|p) of the product q of the other two components.  It is a
   product of Legendre symbols (p'|p) over the primes of those components,
@@ -51,6 +52,7 @@ USING_NUMBA = False
 CLASS_SPACE = 4 * 4 * 64
 
 SLAB = 2048  # cores per slab in enumerate_block
+MOBIUS_RANGE = 1 << 18  # largest range of n per step of build_mobius
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -82,21 +84,20 @@ def build_spf(limit: int) -> np.ndarray:
 def build_mobius(spf: np.ndarray) -> np.ndarray:
     """Mobius values 0..limit, for the range of a least-prime-factor table.
 
-    Each pass divides every live n by its least prime factor p: n is
-    retired with mu = 0 when p still divides the cofactor, and flips sign
-    otherwise, so the squarefree n need omega(n) passes.
+    With p = spf[n], mu(n) = 0 when p divides n / p and -mu(n / p)
+    otherwise.  The recurrence runs over the ranges [lo, min(2 lo, lo +
+    MOBIUS_RANGE)), whose n / p < lo are all set, so the work arrays hold
+    one range, not every n.
     """
-    mob = np.ones(spf.shape[0], dtype=np.int8)
-    mob[0] = 0
-    live = np.arange(2, spf.shape[0], dtype=np.int64)
-    rest = live.copy()
-    while len(live):
-        p = spf[rest]
-        rest //= p
-        square = rest % p == 0
-        mob[live] = np.where(square, 0, -mob[live])
-        keep = ~square & (rest > 1)
-        live, rest = live[keep], rest[keep]
+    mob = np.empty(spf.shape[0], dtype=np.int8)
+    mob[:2] = (0, 1)
+    lo = 2
+    while lo < len(mob):
+        hi = min(2 * lo, lo + MOBIUS_RANGE, len(mob))
+        p = spf[lo:hi]
+        rest = np.arange(lo, hi) // p
+        mob[lo:hi] = np.where(rest % p == 0, 0, -mob[rest])
+        lo = hi
     return mob
 
 
@@ -151,12 +152,15 @@ def class_labels() -> np.ndarray:
 
 
 @cache
-def _class_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per class id: the weight factor c, and whether the tuple passes the
-    mod-4/mod-8 prefilter and the slot-of-2 condition.
+def _class_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per class id: the weight factor c, whether the tuple passes the
+    mod-4/mod-8 prefilter and the slot-of-2 condition (ok), and the
+    reciprocity sign u.
 
-    The exact class sums in asymptotics read the same cached arrays, so
-    both are read-only.
+    u = (-1)^(nu1 nu2 + nu2 nu3 + nu3 nu1) (t1|r2 r3)(t2|r3 r1)(t3|r1 r2),
+    with nu_i bit 1 of r_i and t_i the sign of component i times the 2 of
+    an even one.  The exact class sums in asymptotics read the same cached
+    arrays, so all three are read-only.
     """
     sign2, sign3, even_slot, *m = class_labels().T
     sign = [1, sign2, sign3]
@@ -170,9 +174,17 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray]:
     # agree mod 8; their product is then 1 mod 8, as the slot-of-2
     # condition asks.
     ok = (eq12 & eq13) | (v[0] == v[1]) | (v[0] == v[2]) | (v[1] == v[2])
-    c.setflags(write=False)
-    ok.setflags(write=False)
-    return c, ok
+    # (-1|q) = -1 when bit 1 of q is set, (2|q) = -1 when bits 1 and 2
+    # differ (B4 and B8 of _symbol_bits)
+    nu = [(mi >> 1) & 1 for mi in m]
+    flip = (nu[0] & nu[1]) ^ (nu[1] & nu[2]) ^ (nu[2] & nu[0])
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        q = m[j] * m[k]
+        flip ^= ((sign[i] < 0) & (q >> 1)) ^ ((even_slot == i + 1) & ((q >> 1) ^ (q >> 2)))
+    u = 1 - 2 * (flip & 1)
+    for table in (c, ok, u):
+        table.setflags(write=False)
+    return c, ok, u
 
 
 @cache
@@ -297,7 +309,7 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
     combos over all cores, the even-slot combos over the cores that admit
     an even component.
     """
-    class_c, class_ok = _class_tables()
+    class_c, class_ok, _u = _class_tables()
     w = primes.shape[1]
     weights = np.int64(1) << np.arange(w, dtype=np.int64)
     B, B4, B8 = _symbol_bits(primes)

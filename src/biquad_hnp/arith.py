@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 
-SIEVE_BYTES_PER_N = 45  # measured peak of build_sieve: tables, work arrays, temporaries
+SIEVE_BYTES_PER_N = 12  # measured peak of build_sieve at 2e6: tables, work arrays, temporaries
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ The two counting asymptotics are
     S~(X)     ~ (1/(3*sqrt(2*pi))) * sqrt(X log X) * C_failing
 
 with C_total = prod_p (1-1/p)^3 (1+3/p) and
-C_failing = prod_p (1-1/p)^(3/2) (1+3/(2p)).  The integers 23 and 112 are
-exact weighted counts over the kernel's class table
-(``_kernels._class_tables``: the weight factor c and failure
-compatibility of each of its 1024 ids, by sign pair, factor-of-2 slot
-and odd residues mod 8).  Every exact sum here is a rational sum over
-that table, so the identities check the classes every count uses.
+C_failing = prod_p (1-1/p)^(3/2) (1+3/(2p)).  The integers 23 and 112,
+and the signed cancellation to 0, are exact weighted counts over the
+kernel's class tables (``_kernels._class_tables``: the weight factor c,
+the failure compatibility ok and the reciprocity sign u of each of its
+1024 ids, by sign pair, factor-of-2 slot and odd residues mod 8).  Every
+exact sum here is a rational sum over those tables, so the identities
+check the classes every count uses.
 
 Exactly, 6 S(X) = (1/64) sum_id F_0(isqrt(X) // scale(id)) - D(X), with
 F_0(y) the sum of 3^omega(n) over odd squarefree n <= y,
@@ -36,12 +37,9 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .arith import kronecker, reciprocity_exponent
 
 DEFAULT_PRIME_LIMIT = 10_000_000
 
-# factor-of-2 placements: slot 0 = all components odd, slot i = component i even
-EVEN_SLOTS = (0, 1, 2, 3)
 # (sign2, sign3) of the sign pair s of a class id
 SIGN_PAIRS = tuple(product((1, -1), repeat=2))
 
@@ -115,44 +113,11 @@ def main_term_failing(X: float, constant: float | None = None) -> float:
     return math.sqrt(X * math.log(X)) / (3.0 * math.sqrt(2.0 * math.pi)) * c
 
 
-def u_factor(
-    k1: int, k2: int, k3: int, even_slot: int, sign2: int, sign3: int
-) -> int:
-    """Reciprocity sign attached to a class: +1 or -1.
-
-    For odd k1, k2, k3 this is
-    (-1)^(nu(k1)nu(k2) + nu(k2)nu(k3) + nu(k3)nu(k1)) times the three
-    Kronecker symbols (t2 | k2 k3)(t3 | k3 k1)(t4 | k1 k2), where the
-    upper entries carry the factor of 2 of the even slot and the signs of
-    the last two components.  Depends on the k_i only mod 8.
-    """
-    for k in (k1, k2, k3):
-        if k % 2 == 0:
-            raise ValueError(f"u_factor arguments must be odd, got {k}")
-    if even_slot not in EVEN_SLOTS:
-        raise ValueError("even_slot must be 0..3")
-    n1, n2, n3 = (
-        reciprocity_exponent(k1),
-        reciprocity_exponent(k2),
-        reciprocity_exponent(k3),
-    )
-    sign = -1 if (n1 * n2 + n2 * n3 + n3 * n1) % 2 else 1
-    top2 = 2 if even_slot == 1 else 1
-    top3 = (2 if even_slot == 2 else 1) * sign2
-    top4 = (2 if even_slot == 3 else 1) * sign3
-    return (
-        sign
-        * kronecker(top2, k2 * k3)
-        * kronecker(top3, k3 * k1)
-        * kronecker(top4, k1 * k2)
-    )
-
-
 def _scales() -> np.ndarray:
     """scale = c 2^[slot > 0] of each class id (its cores are the
     n <= isqrt(X) // scale), reshaped to (4, 4, 64): an id is
     ((s * 4 + slot) << 6) | ecode, with sign pair SIGN_PAIRS[s]."""
-    c, _ok = _kernels._class_tables()
+    c = _kernels._class_tables()[0]
     slot = _kernels.class_labels()[:, 2]
     return (c * np.where(slot == 0, 1, 2)).reshape(4, 4, 64)
 
@@ -184,28 +149,23 @@ def total_class_weight() -> Fraction:
 def failing_class_weight() -> Fraction:
     """Sum of 1/(c 2^k) over the failure-compatible ids; must equal
     112 = 88 + 8 + 8 + 8 (by slot)."""
-    _c, ok = _kernels._class_tables()
-    return _block_sums(ok).sum()
+    return _block_sums(_kernels._class_tables()[1]).sum()
 
 
 def signed_failing_class_weight(
     sign_pairs: tuple[tuple[int, int], ...] = SIGN_PAIRS,
 ) -> Fraction:
-    """u-weighted version of failing_class_weight; cancels to 0 exactly.
+    """Sum of u/(c 2^k) over the failure-compatible ids of the given sign
+    pairs, with u the reciprocity sign of the class table; cancels to 0.
 
     Each pair of SIGN_PAIRS alone still gives 0 (the cancellation is
     block by block); any other entry, or none, raises ValueError.
     """
     if not sign_pairs or any(pair not in SIGN_PAIRS for pair in sign_pairs):
         raise ValueError(f"sign_pairs must be pairs of SIGN_PAIRS, got {sign_pairs!r}")
-    _c, ok = _kernels._class_tables()
-    u = [
-        u_factor(r1, r2, r3, slot, s2, s3) if passed and (s2, s3) in sign_pairs else 0
-        for (s2, s3, slot, r1, r2, r3), passed in zip(
-            _kernels.class_labels().tolist(), ok.tolist()
-        )
-    ]
-    return _block_sums(u).sum()
+    _c, ok, u = _kernels._class_tables()
+    chosen = [pair in sign_pairs for pair in SIGN_PAIRS]
+    return _block_sums(ok * u)[chosen].sum()
 
 
 @dataclass(frozen=True)

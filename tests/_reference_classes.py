@@ -1,12 +1,15 @@
-"""Scalar reference for the kernel's class table, ``_kernels._class_tables``.
+"""Scalar reference for the kernel's class tables, ``_kernels._class_tables``.
 
 These are the per-class functions the exact class sums in ``asymptotics``
-used before they were computed over the kernel's table, kept as plain
-Python so the tests can compare the table with them entry by entry: the
-weight factor c of a class, and whether its signed residues are failure
-compatible.  ``class_index`` is the scalar encoder of a class id, the
-oracle for ``_kernels.class_labels``.
+used before they were computed over the kernel's tables, kept as plain
+Python so the tests can compare the tables with them entry by entry: the
+weight factor c of a class, whether its signed residues are failure
+compatible, and its reciprocity sign u, a product of Kronecker symbols.
+``class_index`` is the scalar encoder of a class id, the oracle for
+``_kernels.class_labels``.
 """
+
+from biquad_hnp.arith import kronecker, reciprocity_exponent
 
 EVEN_SLOTS = (0, 1, 2, 3)
 ODD_RESIDUES = (1, 3, 5, 7)
@@ -44,6 +47,39 @@ def in_failure_class(even_slot: int, eps: tuple[int, int, int]) -> bool:
     if even_slot == 2:
         return e1 == e3
     return e1 == e2
+
+
+def u_factor(
+    k1: int, k2: int, k3: int, even_slot: int, sign2: int, sign3: int
+) -> int:
+    """Reciprocity sign attached to a class: +1 or -1.
+
+    For odd k1, k2, k3 this is
+    (-1)^(nu(k1)nu(k2) + nu(k2)nu(k3) + nu(k3)nu(k1)) times the three
+    Kronecker symbols (t2 | k2 k3)(t3 | k3 k1)(t4 | k1 k2), where the
+    upper entries carry the factor of 2 of the even slot and the signs of
+    the last two components.  Depends on the k_i only mod 8.
+    """
+    for k in (k1, k2, k3):
+        if k % 2 == 0:
+            raise ValueError(f"u_factor arguments must be odd, got {k}")
+    if even_slot not in EVEN_SLOTS:
+        raise ValueError("even_slot must be 0..3")
+    n1, n2, n3 = (
+        reciprocity_exponent(k1),
+        reciprocity_exponent(k2),
+        reciprocity_exponent(k3),
+    )
+    sign = -1 if (n1 * n2 + n2 * n3 + n3 * n1) % 2 else 1
+    top2 = 2 if even_slot == 1 else 1
+    top3 = (2 if even_slot == 2 else 1) * sign2
+    top4 = (2 if even_slot == 3 else 1) * sign3
+    return (
+        sign
+        * kronecker(top2, k2 * k3)
+        * kronecker(top3, k3 * k1)
+        * kronecker(top4, k1 * k2)
+    )
 
 
 def class_c(

@@ -6,13 +6,18 @@ multiplicativity and quadratic reciprocity.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from biquad_hnp import _kernels
 from biquad_hnp.arith import (
+    SIEVE_BYTES_PER_N,
     build_sieve,
     is_squarefree,
     jacobi,
@@ -86,6 +91,26 @@ class TestSieve:
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             build_sieve(0)
+
+    def test_peak_memory_is_within_the_refusal_bound(self):
+        # the bound build_sieve refuses by must cover its real peak, measured
+        # as ru_maxrss growth (KiB) in a fresh process
+        limit = 4 * 10**6
+        code = (
+            "import resource; from biquad_hnp.arith import build_sieve; "
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            f"before = peak(); build_sieve({limit}); print(peak() - before)"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            check=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert int(out) * 1024 <= SIEVE_BYTES_PER_N * (limit + 1)
 
 
 class TestJacobi:

@@ -1,7 +1,8 @@
 """Tests for Euler products, main terms and the exact class-weight identities.
 
-The class sums run over the kernel's class table; the scalar class
-functions they replaced are kept as the oracle ``_reference_classes``.
+The class sums run over the kernel's class tables; the scalar class
+functions they replaced, u_factor among them, are kept as the oracle
+``_reference_classes``.
 """
 
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _reference_classes import class_c, in_failure_class
+from _reference_classes import class_c, in_failure_class, u_factor
 from biquad_hnp import _kernels
 from biquad_hnp.asymptotics import (
     EULER_GAMMA,
@@ -34,7 +35,6 @@ from biquad_hnp.asymptotics import (
     main_term_total,
     signed_failing_class_weight,
     total_class_weight,
-    u_factor,
 )
 from biquad_hnp.enumeration import enumerate_fields
 
@@ -221,10 +221,10 @@ class TestExactIdentities:
     def test_sign_pairs_that_name_no_sign_pair_raise(self, sign_pairs, monkeypatch):
         # with a perturbed table the full sum is -2/3; a selection of no
         # class would still give 0
-        c, ok = _kernels._class_tables()
+        c, ok, u = _kernels._class_tables()
         perturbed = c.copy()
         perturbed[0] = 3
-        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok))
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok, u))
         with pytest.raises(ValueError, match="sign_pairs"):
             signed_failing_class_weight(sign_pairs=sign_pairs)
 
@@ -238,10 +238,10 @@ class TestExactIdentities:
 
     def test_non_integer_sums_are_exact(self, monkeypatch):
         # a weight factor that does not divide 16 still gives exact sums
-        c, ok = _kernels._class_tables()
+        c, ok, u = _kernels._class_tables()
         perturbed = c.copy()
         perturbed[0] = 3  # the all-positive, all-odd class of residues (1, 1, 1)
-        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok))
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok, u))
         assert total_class_weight() == Fraction(275, 12)
         assert failing_class_weight() == Fraction(334, 3)
         assert signed_failing_class_weight() == Fraction(-2, 3)

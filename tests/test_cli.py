@@ -397,7 +397,7 @@ class TestCount:
     def test_sieve_beyond_physical_memory_is_refused_unallocated(self, capsys, monkeypatch):
         from biquad_hnp import _kernels, arith
 
-        # a machine of 4 MB: the sieve to 10^6 would peak near 45 MB
+        # a machine of 4 MB: the sieve to 10^6 would peak near 15 MB
         allocations = []
         monkeypatch.setattr(arith, "physical_memory", lambda: 4 * 2**20)
         monkeypatch.setattr(_kernels, "build_spf", lambda limit: allocations.append(limit))
@@ -800,9 +800,9 @@ class TestVerify:
         # and exit nonzero
         from biquad_hnp import _kernels
 
-        class_c, class_ok = _kernels._class_tables()
+        class_c, class_ok, u = _kernels._class_tables()
         perturbed = np.where(class_c == 8, 4, class_c)
-        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok))
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok, u))
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  class weight sum (all classes): expected 23" in out
@@ -813,10 +813,10 @@ class TestVerify:
         # as it is, and every check still runs
         from biquad_hnp import _kernels
 
-        class_c, class_ok = _kernels._class_tables()
+        class_c, class_ok, u = _kernels._class_tables()
         perturbed = class_c.copy()
         perturbed[0] = 3
-        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok))
+        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, class_ok, u))
         assert main(["verify", "--format", fmt]) == 1
         out = capsys.readouterr().out
         got = ["275/12", "334/3", "-2/3", "-2/3, 0, 0, 0"]

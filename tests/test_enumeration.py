@@ -222,6 +222,16 @@ class TestClassTallies:
             signed = (r1, (sign2 * r2) % 8, (sign3 * r3) % 8)
             assert in_failure_class(even_slot, signed)
 
+    @pytest.mark.parametrize("x", [10**6, 10**8, 10**10])
+    def test_failures_lie_in_ok_classes_with_u_one(self, x, forked):
+        # identity (B): a tuple's verdict is ok(class) times the product over
+        # the primes p of its core of (1 + s_p) / 2, and the s_p multiply to
+        # the class's reciprocity sign u, so no class with u = -1 fails
+        _c, ok, u = _kernels._class_tables()
+        class_fail = enumerate_fields(x).class_fail
+        assert not class_fail[~ok | (u == -1)].any()
+        assert class_fail.sum() > 0
+
     def test_tallies_match_scalar_class_labels(self):
         # the kernel's class of each ordered record, read with the scalar
         # label and encoder, gives back both tallies

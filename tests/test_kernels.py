@@ -129,9 +129,10 @@ def test_class_index_roundtrip():
 
 
 def test_class_tables_match_reference_entry_by_entry():
-    # the kernel's table is the one definition of c and of the failure
-    # prefilter in the package; the scalar functions are the oracle
-    class_c, class_ok = _kernels._class_tables()
+    # the kernel's tables are the one definition of c, of the failure
+    # prefilter and of the reciprocity sign in the package; the scalar
+    # functions are the oracle
+    class_c, class_ok, u = _kernels._class_tables()
     for cid, (sign2, sign3, even_slot, *residues) in enumerate(_kernels.class_labels().tolist()):
         eps4 = tuple(1 if r % 4 == 1 else -1 for r in residues)
         assert class_c[cid] == reference_classes.class_c(
@@ -139,6 +140,7 @@ def test_class_tables_match_reference_entry_by_entry():
         )
         signed = (residues[0], sign2 * residues[1] % 8, sign3 * residues[2] % 8)
         assert class_ok[cid] == reference_classes.in_failure_class(even_slot, signed), cid
+        assert u[cid] == reference_classes.u_factor(*residues, even_slot, sign2, sign3), cid
 
 
 def test_class_tables_are_read_only():
