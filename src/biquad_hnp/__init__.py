@@ -10,7 +10,7 @@ Library surface:
 * :mod:`biquad_hnp.cli` - the ``biquad-hnp`` command
 """
 
-from .arith import FactorSieve, build_sieve, jacobi, kronecker, reciprocity_exponent
+from .arith import FactorSieve, build_sieve, jacobi, kronecker
 from .enumeration import CountReport, enumerate_fields
 from .fields import (
     FieldTriple,
@@ -34,7 +34,6 @@ __all__ = [
     "build_sieve",
     "jacobi",
     "kronecker",
-    "reciprocity_exponent",
     "quadratic_discriminant",
     "from_generators",
     "subfield_data",

@@ -31,9 +31,10 @@ admit one.  Every test on a tuple is an elementwise operation on a grid:
 Each group is processed in slabs of at most ``SLAB`` cores, which bounds
 the working arrays independently of the range; records go into one
 growing buffer.  A call can take every parts-th slab only, so that two
-processes split one range without running any slab twice.  int64 is
-used throughout, which caps the discriminant bound at X < 2^63 (records
-hold disc = (c * 2^[even] * n)^2).
+processes split one range without running any slab twice.  The
+enumeration works in int64, which caps the discriminant bound at
+X < 2^63 (records hold disc = (c * 2^[even] * n)^2); the sieve limit
+sqrt(X) then stays below 2^32, so the least-prime-factor table is uint32.
 """
 
 from __future__ import annotations
@@ -66,18 +67,19 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def build_spf(limit: int) -> np.ndarray:
-    """Least-prime-factor table for 0..limit (entries 0 and 1 are 0 and 1)."""
-    if limit < 1:
-        raise ValueError("sieve limit must be >= 1")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in primes_up_to(math.isqrt(limit)).tolist():
-        block = spf[p * p :: p]
-        block[block == 0] = p
-    # the remaining zeros past index 1 are the primes
-    idx = np.nonzero(spf == 0)[0]
-    idx = idx[idx >= 2]
-    spf[idx] = idx
+    """Least-prime-factor table for 0..limit as uint32 (entries 0 and 1
+    are 0 and 1), for 1 <= limit < 2^32.
+
+    The table starts as n at index n.  Each prime p <= sqrt(limit), the
+    largest first, overwrites the multiples from p^2 on with p, so the
+    last write to a composite is its least prime factor and each prime
+    keeps itself.
+    """
+    if not 1 <= limit < 2**32:
+        raise ValueError(f"sieve limit must lie in [1, 2^32), got {limit}")
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf
 
 

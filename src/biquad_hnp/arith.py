@@ -14,7 +14,14 @@ import numpy as np
 
 from . import _kernels
 
-SIEVE_BYTES_PER_N = 12  # measured peak of build_sieve at 2e6: tables, work arrays, temporaries
+# The bytes per n that build_sieve may need, against physical memory.  Its
+# measured peak (ru_maxrss growth in a fresh process) is 7.7 bytes per n
+# at 2e6 and 6.4 at 4e6, falling to 5.1 at 1e8; the bound stays above it
+# because count's other arrays grow with the sieve too: at 1e18 the 5 GB
+# sieve fits in 8 GB, but _kernels._odd_cores, which peaks at 22 bytes per
+# odd squarefree core (int64 cores, their int64 copy and temporaries; 4e8
+# cores), does not.
+SIEVE_BYTES_PER_N = 12
 
 
 @dataclass(frozen=True)
@@ -27,7 +34,7 @@ class FactorSieve:
     """
 
     limit: int
-    smallest_prime_factor: np.ndarray  # int64
+    smallest_prime_factor: np.ndarray  # uint32
     mobius: np.ndarray  # int8
 
     def factor(self, n: int) -> list[int]:
@@ -115,32 +122,11 @@ def kronecker(a: int, n: int) -> int:
     return result * jacobi(a, n)
 
 
-def reciprocity_exponent(b: int) -> int:
-    """0 if b = 1 mod 4 and 1 otherwise, for odd b (negative b reduced mod 4).
-
-    This is the exponent that drives the sign in quadratic reciprocity:
-    (m|n)(n|m) = (-1)^(reciprocity_exponent(m) * reciprocity_exponent(n)).
-    """
-    if b % 2 == 0:
-        raise ValueError(f"argument must be odd, got {b}")
-    return 0 if b % 4 == 1 else 1
-
-
 def is_squarefree(n: int) -> bool:
-    """Trial-division squarefreeness test; |n| up to ~10^12 is practical."""
+    """Squarefreeness by the trial division of prime_factors; |n| up to
+    ~10^12 is practical."""
     n = abs(n)
-    if n == 0:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    return n != 0 and all(n // p % p for p in prime_factors(n))
 
 
 def prime_factors(n: int, sieve: FactorSieve | None = None) -> list[int]:

@@ -4,12 +4,13 @@ These are the per-class functions the exact class sums in ``asymptotics``
 used before they were computed over the kernel's tables, kept as plain
 Python so the tests can compare the tables with them entry by entry: the
 weight factor c of a class, whether its signed residues are failure
-compatible, and its reciprocity sign u, a product of Kronecker symbols.
+compatible, and its reciprocity sign u, a product of Kronecker symbols
+and of the signs of quadratic reciprocity (``reciprocity_exponent``).
 ``class_index`` is the scalar encoder of a class id, the oracle for
 ``_kernels.class_labels``.
 """
 
-from biquad_hnp.arith import kronecker, reciprocity_exponent
+from biquad_hnp.arith import kronecker
 
 EVEN_SLOTS = (0, 1, 2, 3)
 ODD_RESIDUES = (1, 3, 5, 7)
@@ -20,6 +21,17 @@ def class_index(sign2: int, sign3: int, even_slot: int, residues) -> int:
     s = (0 if sign2 > 0 else 2) + (0 if sign3 > 0 else 1)
     ecode = ((residues[0] >> 1) << 4) | ((residues[1] >> 1) << 2) | (residues[2] >> 1)
     return ((s * 4 + even_slot) << 6) | ecode
+
+
+def reciprocity_exponent(b: int) -> int:
+    """0 if b = 1 mod 4 and 1 otherwise, for odd b (negative b reduced mod 4).
+
+    This is the exponent that drives the sign in quadratic reciprocity:
+    (m|n)(n|m) = (-1)^(reciprocity_exponent(m) * reciprocity_exponent(n)).
+    """
+    if b % 2 == 0:
+        raise ValueError(f"argument must be odd, got {b}")
+    return 0 if b % 4 == 1 else 1
 
 
 def in_failure_class(even_slot: int, eps: tuple[int, int, int]) -> bool:

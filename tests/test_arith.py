@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biquad_hnp import _kernels
+from _reference_classes import reciprocity_exponent
+from biquad_hnp import _kernels, enumeration
 from biquad_hnp.arith import (
     SIEVE_BYTES_PER_N,
     build_sieve,
@@ -23,8 +24,22 @@ from biquad_hnp.arith import (
     jacobi,
     kronecker,
     prime_factors,
-    reciprocity_exponent,
 )
+
+
+def trial_division_spf(limit: int) -> np.ndarray:
+    """Least prime factor of 0..limit by trial division: the least d >= 2
+    dividing n, or n itself when no d <= sqrt(n) does (entries 0, 1 are 0, 1)."""
+    spf = np.arange(limit + 1)
+    rest = np.arange(4, limit + 1)
+    d = 2
+    while len(rest):
+        rest = rest[rest >= d * d]
+        hit = rest % d == 0
+        spf[rest[hit]] = d
+        rest = rest[~hit]
+        d += 1
+    return spf
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -80,6 +95,28 @@ class TestSieve:
         assert not (n % p).any()
         rest = n // p
         assert np.all((rest == 1) | (spf[rest] >= p))
+
+    def test_spf_table_is_trial_division_at_every_small_limit(self):
+        # limits 1..1200 include p^2 and p^2 +- 1 for every prime p <= 31
+        want = trial_division_spf(1200).tolist()
+        for limit in range(1, 1201):
+            assert _kernels.build_spf(limit).tolist() == want[: limit + 1], limit
+
+    def test_spf_table_is_uint32_and_trial_division_at_1e6(self):
+        spf = _kernels.build_spf(10**6)
+        assert spf.dtype == np.uint32
+        assert np.array_equal(spf, trial_division_spf(10**6))
+
+    def test_spf_limit_2_to_the_32_is_refused_unallocated(self, monkeypatch):
+        # with numpy out of reach, an allocation would raise AttributeError
+        monkeypatch.setattr(_kernels, "np", None)
+        with pytest.raises(ValueError):
+            _kernels.build_spf(2**32)
+
+    def test_count_sieve_limits_fit_uint32(self):
+        # count sieves to isqrt(X) for X < MAX_DISC_EXCLUSIVE; a larger
+        # bound must fail here rather than wrap the uint32 table
+        assert math.isqrt(enumeration.MAX_DISC_EXCLUSIVE - 1) < 2**32
 
     def test_factor(self):
         sieve = build_sieve(1000)
