@@ -5,14 +5,22 @@ Everything here is numpy array algebra; there is no compiled path.
 ``enumerate_block`` groups the odd squarefree cores of its range by the
 number of prime factors w = omega(n).  An ordered tuple is an assignment
 of the w primes to the three components (3^w of them) together with one
-of 16 (slot of the factor 2, sign pair) combos.  The combos that name
-biquadratic fields, with their class id base, twist masks and record
-factors, are tabulated per assignment once per omega (``_assignments``,
-built on first use).  Each assignment is then two array passes over a
-(combos, cores) grid, the combos stacked on the first axis and the cores
-of a slab on the second: the combos with all components odd over every
-core, and those with an even component over the cores small enough to
-admit one.  Every test on a tuple is an elementwise operation on a grid:
+of 16 (slot of the factor 2, sign pair) combos.  Each field has six
+ordered tuples, one per permutation of its three components (with all
+signs flipped when component 1 turns negative), and this action of S3 on
+the (assignment, combo) pairs depends only on w.  So only the least pair
+of each orbit is enumerated: the assignments that keep a combo, (3^w +
+3) / 6 of them for w >= 1, with their kept combos, class id base, twist
+masks and record factors, are tabulated once per omega
+(``_assignments``, built on first use).  At the end the class tallies
+are unfolded into those of all six ordered tuples through the six
+permutations of the class ids (``class_id_maps``), since c, the
+admission bound and the verdict are the field's.  Each kept assignment
+is two array passes over a (combos, cores) grid, the combos stacked on
+the first axis and the cores of a slab on the second: the combos with
+all components odd over every core, and those with an even component
+over the cores small enough to admit one.  Every test on a tuple is an
+elementwise operation on a grid:
 
 * the tuple's class id, its weight factor c and the mod-4/mod-8
   congruence prefilter (with the slot-of-2 condition) depend only on the
@@ -26,7 +34,8 @@ admit one.  Every test on a tuple is an elementwise operation on a grid:
   Jacobi, and packed into one bitmask per prime, so that a tuple's test
   is a popcount parity per prime and one comparison of bitmasks;
 * one bincount per pass adds the admitted tuples to the class tallies,
-  one more the failing ones, and one nonzero picks the records.
+  one more the failing ones, and one nonzero picks the records, one per
+  field.
 
 Each group is processed in slabs of at most ``SLAB`` cores, which bounds
 the working arrays independently of the range; records go into one
@@ -142,8 +151,8 @@ def class_labels() -> np.ndarray:
     the even one, and r1, r2, r3 are the odd parts of the components mod
     8.  The id is ((s * 4 + even_slot) << 6) | ecode, with s = 2 [sign2 <
     0] + [sign3 < 0] and ecode holding r_i >> 1 in two bits each, r1
-    highest; _assignments and _enumerate_slab build ids this way, and
-    this is the one place that reads an id back.
+    highest; _assignments, _enumerate_slab and class_id_maps build ids
+    this way, and this is the one place that reads an id back.
     """
     cid = np.arange(CLASS_SPACE, dtype=np.int64)
     s = cid >> 8
@@ -189,10 +198,43 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, ok, u
 
 
+# The six permutations of the three components: a tuple moved by perm
+# has as its component j the component perm[j] of the tuple, negated with
+# the others when that makes component 1 negative.  Moved tuples name the
+# same field, with the same c, admission bound and verdict.
+_S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _moved_slot(slot: np.ndarray, perm: tuple[int, int, int]) -> np.ndarray:
+    """The slot of the 2 (0 for none, else 1-based) after moving by perm."""
+    return np.append(0, np.argsort(perm) + 1)[slot]
+
+
+@cache
+def class_id_maps() -> np.ndarray:
+    """Per permutation of S3, the class id of the moved tuples of each id,
+    as the rows of a read-only (6, CLASS_SPACE) int64 array.
+
+    The labels are read with class_labels and the moved ids are built the
+    way _assignments and _enumerate_slab build ids.
+    """
+    sign2, sign3, even_slot, *m = class_labels().T
+    sign = np.stack((np.ones_like(sign2), sign2, sign3))
+    maps = np.empty((len(_S3), CLASS_SPACE), dtype=np.int64)
+    for k, perm in enumerate(_S3):
+        moved = sign[list(perm)] * sign[perm[0]]
+        s = 2 * (moved[1] < 0) + (moved[2] < 0)
+        ecode = ((m[perm[0]] >> 1) << 4) | ((m[perm[1]] >> 1) << 2) | (m[perm[2]] >> 1)
+        maps[k] = ((s * 4 + _moved_slot(even_slot, perm)) << 6) | ecode
+    maps.setflags(write=False)
+    return maps
+
+
 @cache
 def _assignments(w: int) -> tuple[tuple[tuple, np.ndarray, tuple, tuple], ...]:
-    """The 3^w prime-to-component assignments, in base-3 digit order, with
-    the live (slot of 2, sign pair) combos of each.
+    """Per S3 orbit of live (assignment, combo) pairs, the least pair:
+    the prime-to-component assignments that keep a combo, in base-3 digit
+    order, with the kept (slot of 2, sign pair) combos of each.
 
     Each entry holds the prime columns of each component, per prime the
     bitmask of the other two components, and two combo tables: the combos
@@ -202,7 +244,12 @@ def _assignments(w: int) -> tuple[tuple[tuple, np.ndarray, tuple, tuple], ...]:
     masks of the primes twisted by (-1|p) and by (2|p), as (combos, 1)
     columns; and per component the signed factor (+-1 or +-2) of its odd
     part in a record, as a (3, combos) array.  Degenerate combos, which
-    name quadratic fields, are left out.  Built on first use per omega.
+    name quadratic fields, are not live.  A pair is (assignment, combo)
+    with the index 16 assignment + combo; S3 moves it as it moves the
+    tuples it names, and of the six pairs that name one field the least
+    index is kept.  Raises AssertionError unless each live pair's orbit
+    holds six live pairs, of which one is kept.  Built on first use per
+    omega.
     """
     # the 16 combos, slot-major: the component holding the 2 (slot[:, d])
     # and the negative components (neg[:, d]); component 1 stays positive
@@ -227,15 +274,35 @@ def _assignments(w: int) -> tuple[tuple[tuple, np.ndarray, tuple, tuple], ...]:
     unit3 = empty[:, 2:3] & ~slot[:, 2]
     dead = unit2 & unit3 & (neg[:, 1] == neg[:, 2])
     dead |= empty[:, 0:1] & ~slot[:, 0] & ((unit2 & ~neg[:, 1]) | (unit3 & ~neg[:, 2]))
+    live = ~dead.ravel()
+    orbit = np.empty((len(_S3), 3**w, 16), dtype=np.int64)
+    for k, perm in enumerate(_S3):
+        moved = neg[:, list(perm)]
+        moved = moved ^ moved[:, :1]
+        combo = _moved_slot(pl, perm) * 4 + 2 * moved[:, 1] + moved[:, 2]
+        # component i moves to np.argsort(perm)[i], and its primes with it
+        asg = np.argsort(perm)[digits] @ 3 ** np.arange(w)
+        orbit[k] = asg[:, None] * 16 + combo
+    orbit = orbit.reshape(len(_S3), -1)[:, live]
+    kept = np.zeros(live.shape, dtype=bool)
+    kept[orbit.min(axis=0)] = True
+    members = np.sort(orbit, axis=0)
+    if not (
+        (members[1:] != members[:-1]).all()
+        and live[orbit].all()
+        and (kept[orbit].sum(axis=0) == 1).all()
+    ):
+        raise AssertionError(f"the live pairs of omega {w} are not free S3 orbits")
+    kept = kept.reshape(3**w, 16)
     full = (1 << w) - 1
     out = []
-    for asg in range(3**w):
+    for asg in np.flatnonzero(kept.any(axis=1)).tolist():
         row_digits = digits[asg].tolist()
         cols = tuple([i for i in range(w) if row_digits[i] == d] for d in range(3))
         other_of = full ^ masks[asg, digits[asg]]
         other_of.setflags(write=False)
         tables = []
-        for combos in (table[asg, :4][~dead[asg, :4]], table[asg, 4:][~dead[asg, 4:]]):
+        for combos in (table[asg, :4][kept[asg, :4]], table[asg, 4:][kept[asg, 4:]]):
             combos.setflags(write=False)
             tables.append((combos[:, 0:1], combos[:, 1:2], combos[:, 2:3], combos[:, 3:].T))
         out.append((cols, other_of, *tables))
@@ -303,10 +370,11 @@ def _symbol_bits(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
-    """Tally (and optionally record) every ordered tuple of one slab.
+    """Tally (and optionally record) the kept tuple of every field of one
+    slab.
 
     n holds ascending cores with the same omega; primes[:, i] is the i-th
-    smallest prime of each core.  Per assignment, the live combos are
+    smallest prime of each core.  Per kept assignment, the kept combos are
     stacked on the first axis of two (combos, cores) passes: the odd-slot
     combos over all cores, the even-slot combos over the cores that admit
     an even component.
@@ -354,7 +422,7 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
 
 
 def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
-    """Enumerate ordered tuples whose odd squarefree core lies in [n_lo, n_hi].
+    """Enumerate the fields whose odd squarefree core lies in [n_lo, n_hi].
 
     root is floor(sqrt(X)); a tuple with weight factor c and 2-placement
     power pw is admitted when pw * c * core <= root, i.e. disc <= X.
@@ -364,9 +432,13 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
     enumerated.  A field's ordered tuples share their odd core, so the
     parts hold disjoint sets of whole fields.
 
-    Returns (class_total, class_fail, records).  records has one int64 row
-    (v1, v2, v3, disc, c, fails) per admitted tuple and is empty unless
-    collect is true; its row order is unspecified.
+    Only the kept pair of each field's six ordered tuples is enumerated
+    (_assignments); its class tallies are unfolded through class_id_maps
+    into those of all six.  Returns (class_total, class_fail, records):
+    the tallies of the admitted and of the failing ordered tuples, and
+    one int64 row (v1, v2, v3, disc, c, fails) per admitted field, the
+    components of its kept tuple, empty unless collect is true; the row
+    order is unspecified.
     """
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
@@ -386,6 +458,8 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
                 primes[:, i] = spf[t]
                 t //= primes[:, i]
             _enumerate_slab(n, primes, root, class_total, class_fail, records)
+    # the six maps form a group, so gathering each id's moved ids over all
+    # of them adds the tallies of every id in its orbit
+    maps = class_id_maps()
     rows = records.rows[: records.n] if records is not None else np.empty((0, 6), np.int64)
-    return class_total, class_fail, rows
-
+    return class_total[maps].sum(axis=0), class_fail[maps].sum(axis=0), rows

@@ -14,14 +14,14 @@ import numpy as np
 
 from . import _kernels
 
-# The bytes per n that build_sieve may need, against physical memory.  Its
-# measured peak (ru_maxrss growth in a fresh process) is 7.7 bytes per n
-# at 2e6 and 6.4 at 4e6, falling to 5.1 at 1e8; the bound stays above it
-# because count's other arrays grow with the sieve too: at 1e18 the 5 GB
-# sieve fits in 8 GB, but _kernels._odd_cores, which peaks at 22 bytes per
-# odd squarefree core (int64 cores, their int64 copy and temporaries; 4e8
-# cores), does not.
-SIEVE_BYTES_PER_N = 12
+# The bytes per n up to sqrt(X) that a count may need, against physical
+# memory: the sieve, and on top of it _kernels._odd_cores, which peaks at
+# 22 bytes per odd squarefree core (int64 cores, their int64 copy and
+# temporaries) with 0.405 cores per n.  Their measured peak together
+# (ru_maxrss growth of build_sieve(L) and _odd_cores(1, L) in a fresh
+# process) is 15.8 bytes per n at L = 1e6, 15.0 at 2e6, 14.4 at 2e7 and
+# 13.9 at 1e8, of which the sieve is 7.8, 5.3 and 5.1 at 2e6, 2e7, 1e8.
+SIEVE_BYTES_PER_N = 16
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
 """Stream every biquadratic field of bounded discriminant exactly once.
 
-The enumeration walks ordered triples (v1, v2, v3) with v1 > 0: odd
+Fields are counted over ordered triples (v1, v2, v3) with v1 > 0: odd
 squarefree pairwise-coprime cores, at most one factor of 2, and signs on
 the last two components.  Each field corresponds to exactly six ordered
 triples (one per ordered choice of two of its three subfield kernels), so
-the unordered count is the ordered count divided by 6; deduplication by
-canonical key must, and does, give the same number.
+the unordered count is the ordered count divided by 6.
 
-The tuple enumeration lives in ``_kernels.enumerate_block``; this module
-turns its tallies into reports, keeps one record per field, checks that
-the fields kept number the ordered count over 6, and rebuilds each kept
-field's columns from its record.
+The enumeration lives in ``_kernels.enumerate_block``, which enumerates
+one ordered triple per field and tallies all six.  This module turns its
+tallies into reports, replaces each field's record by the field's least
+ordered record, checks that no field is kept twice and that the fields
+kept number the ordered count over 6, and rebuilds each kept field's
+columns from its record.  ``unfold_records`` writes out the six ordered
+records of each field, for ``tuple_records``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
 processes when it can (``fork_parts``): a forked child takes every other
 slab of cores, tallies them, dedups and checks its own fields, and sends
 back its tallies and field table as they are, pickled.  This works
-because a field's six ordered records share their odd core, so the slabs
+because a field's six ordered triples share their odd core, so the slabs
 split the fields too.  This process runs the other slabs, sums the
 tallies and merges the two field tables.
 """
@@ -54,7 +56,9 @@ class CountReport:
     class_total and class_fail are the kernel's tallies of admitted and
     of failing ordered tuples, summed over the parts: read-only int64
     arrays indexed by class id, whose labels are the rows of
-    _kernels.class_labels().  They sum to 6 S and 6 S~.
+    _kernels.class_labels().  The kernel tallies one tuple per field and
+    unfolds it into the classes of the field's six, so they sum to 6 S
+    and 6 S~.
 
     parts is the number of processes that counted: 2 when a forked
     child took half of the slabs, else 1.
@@ -92,33 +96,66 @@ def _assert_once(keys: np.ndarray) -> None:
         raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
 
 
-def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One representative record per field, sorted by (disc, key).
-
-    Returns (rows, keys) where keys holds the sorted fundamental
-    discriminants.  The representative is the lexicographically smallest
-    record of each field, so the result does not depend on how the
-    enumeration was partitioned.
+def _siblings(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> list[tuple]:
+    """The components of the six ordered records of each field, as six
+    column triples, the given record's first.
 
     The kernels v1 v2, v1 v3 and v2 v3 of a record share one component
     pairwise, so its field's other five ordered records follow in closed
     form, with s = sgn v2 and t = sgn v3: (v1, v3, v2), (|v2|, s v1, s v3),
-    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).  The
-    components are pairwise coprime and v1 >= 1, so two leading entries
-    tie only at 1, and the record is the least of the six exactly when
-    v2 < v3, v1 < |v2| and either v1 < |v3| or (v1, v3) = (1, -1).  Only
-    the kept rows are sorted.  A field kept twice raises AssertionError.
+    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).
+    """
+    s, t = np.sign(v2), np.sign(v3)
+    a2, a3 = s * v2, t * v3
+    return [
+        (v1, v2, v3),
+        (v1, v3, v2),
+        (a2, s * v1, s * v3),
+        (a2, s * v3, s * v1),
+        (a3, t * v1, t * v2),
+        (a3, t * v2, t * v1),
+    ]
+
+
+def unfold_records(records: np.ndarray) -> np.ndarray:
+    """The six ordered records of each field, from one record per field.
+
+    (v1, v2, v3) are permuted as in _siblings, and disc, c and fails are
+    repeated: row k * len(records) + i is sibling k of record i.
+    """
+    out = np.empty((6, len(records), 6), dtype=np.int64)
+    for k, columns in enumerate(_siblings(records[:, 0], records[:, 1], records[:, 2])):
+        for j, col in enumerate(columns):
+            out[k, :, j] = col
+        out[k, :, 3:] = records[:, 3:]
+    return out.reshape(-1, 6)
+
+
+def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least ordered record of each field, sorted by (disc, key),
+    from one record per field.
+
+    Returns (rows, keys) where keys holds the sorted fundamental
+    discriminants.  Each record is replaced by the lexicographically
+    smallest of its field's six ordered records (see _siblings), found by
+    comparing columns, so the result does not depend on which of the six
+    the kernel enumerated or on how the enumeration was partitioned.  A
+    field given twice raises AssertionError.
     """
     if len(records) == 0:
         return records.reshape(0, 6), np.empty((0, 3), dtype=np.int64)
-    v1, v2, v3 = records[:, 0], records[:, 1], records[:, 2]
-    least = (v2 < v3) & (v1 < np.abs(v2)) & ((v1 < np.abs(v3)) | ((v1 == 1) & (v3 == -1)))
-    kept = records[least]
-    u1, u2, u3 = kept[:, 0], kept[:, 1], kept[:, 2]
+    siblings = _siblings(records[:, 0], records[:, 1], records[:, 2])
+    least = siblings[0]
+    for u1, u2, u3 in siblings[1:]:
+        w1, w2, w3 = least
+        less = (u1 < w1) | ((u1 == w1) & ((u2 < w2) | ((u2 == w2) & (u3 < w3))))
+        least = tuple(np.where(less, u, w) for u, w in zip((u1, u2, u3), least))
+    u1, u2, u3 = least
     keys = np.stack((_fundamental(u1 * u2), _fundamental(u1 * u3), _fundamental(u2 * u3)), axis=1)
     keys.sort(axis=1)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], kept[:, 3]))
-    rows, keys = kept[order], keys[order]
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], records[:, 3]))
+    rows = np.column_stack((u1, u2, u3, records[:, 3:]))[order]
+    keys = keys[order]
     _assert_once(keys)
     return rows, keys
 
@@ -165,7 +202,7 @@ def _merged_fields(tables: list[np.ndarray], ordered: int) -> np.ndarray:
 
     Each table is sorted by (disc, key) already, and none holds a field
     twice.  disc = (2^j n)^2 fixes the odd core n that all of a field's
-    records share, and each core lies in one part, so the fields of one
+    ordered triples share, and each core lies in one part, so the fields of one
     disc are all in one table: the tables merge by disc alone, stably.
     A disc found in two tables (a field kept twice, or a core counted in
     both parts) raises AssertionError, and so do kept fields that do not
@@ -223,7 +260,7 @@ def _count_part(
     if not collect:
         return total, fails, None
     rows, _ = unique_field_rows(records)
-    del records  # six rows per field; free them before the field columns
+    del records  # free them before the field columns
     t = _lap(stats, "dedup_s", t)
     columns = _field_columns(rows, sieve)
     _lap(stats, "deliver_s", t)
@@ -268,9 +305,6 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     total = np.sum(totals, axis=0)
     fails = np.sum(failures, axis=0)
     ordered_total = int(total.sum())
-    ordered_failing = int(fails.sum())
-    if ordered_total % 6 != 0 or ordered_failing % 6 != 0:
-        raise AssertionError("ordered tuple counts are not divisible by 6")
     if collect:
         t = time.perf_counter()
         columns = _merged_fields(list(tables), ordered_total)
@@ -282,7 +316,7 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     return CountReport(
         X=X,
         S=ordered_total // 6,
-        S_tilde=ordered_failing // 6,
+        S_tilde=int(fails.sum()) // 6,
         ordered_total=ordered_total,
         class_total=total,
         class_fail=fails,
@@ -292,8 +326,9 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
 
 
 def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
-    """Kernel records (v1, v2, v3, disc, c, fails) of every ordered tuple
-    with |v1 v2 v3| <= max_core, from one kernel call.
+    """Records (v1, v2, v3, disc, c, fails) of every ordered tuple with
+    |v1 v2 v3| <= max_core, from one kernel call: its record of each
+    field, unfolded into the field's six.
 
     These are the valid triples with |m a1 b1| <= max_core; the kernel's
     part ``part`` of ``parts`` holds a share of them, and the parts
@@ -306,7 +341,9 @@ def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
     _, _, records = _kernels.enumerate_block(
         1, max_core, 8 * max_core, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
     )
-    return records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
+    return unfold_records(
+        records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
+    )
 
 
 def _pin(cpus: list[int]) -> None:

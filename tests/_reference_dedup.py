@@ -1,9 +1,10 @@
 """Sort-everything reference for ``enumeration.unique_field_rows``.
 
-This is the dedup the sibling filter replaced: a lexsort of every ordered
-record by (disc, sorted fundamental discriminants, v1, v2, v3), keeping
-the first row of each key.  It is kept as it was so the tests can compare
-the two byte for byte (rows and keys).
+This is an earlier dedup of every ordered record: a lexsort by (disc,
+sorted fundamental discriminants, v1, v2, v3), keeping the first row of
+each key.  It is kept as it was so the tests can compare it, run on the
+six ordered records of each field, byte for byte (rows and keys) with
+the package's dedup of one record per field.
 """
 
 import numpy as np

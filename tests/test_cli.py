@@ -970,24 +970,22 @@ class TestVerify:
         assert "16679 fields" in names[4] and "64140 triples" in names[5]
 
     def test_kernel_fault_is_caught(self, capsys, monkeypatch):
-        # a flipped kernel verdict on one tuple in the sweep must fail check 6
+        # a flipped kernel verdict on the record of one field, (1, 13, 17)
+        # with disc 48841, in the sweep must fail check 6 on its six tuples
         from biquad_hnp import _kernels
 
         true_block = _kernels.enumerate_block
 
         def faulty(*args):
             total, fails, records = true_block(*args)
-            hit = np.flatnonzero(
-                (records[:, 0] == 1) & (records[:, 1] == 13) & (records[:, 2] == 17)
-            )
-            records[hit, 5] ^= 1
+            records[records[:, 3] == 48841, 5] ^= 1
             return total, fails, records
 
         monkeypatch.setattr(_kernels, "enumerate_block", faulty)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  classifier equivalence" in out
-        assert "got 1 disagreements" in out
+        assert "got 6 disagreements" in out
 
 
 class TestClosedOutput:

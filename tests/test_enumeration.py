@@ -2,7 +2,8 @@
 
 Counts are pinned against the independent generator-pair brute force and
 checked for internal consistency: exact divisibility by 6, agreement
-of the sibling-filter dedup with the sort-everything reference,
+of the least-sibling dedup of the kernel's one record per field with
+the sort-everything reference run on all six ordered records,
 monotonicity, and agreement of the kernel's tuple records with the
 triple iterator.  fork_parts, the sum over its parts that the
 scalar-oracle sweeps take, and the split count are tested on both of
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import _reference_dedup as reference
-from _kernel_records import field_records
+from _kernel_records import field_records, kernel_rows
 from _reference_classes import class_index, in_failure_class
 from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key, class_label
@@ -81,10 +82,8 @@ class TestConsistency:
 
     def test_dedup_matches_ordered_division(self):
         for x in (10**4, 10**6):
-            records = field_records(x)
-            rows, keys = unique_field_rows(records)
-            assert len(records) % 6 == 0
-            assert 6 * len(rows) == len(records)
+            rows, keys = unique_field_rows(kernel_rows(x))
+            assert 6 * len(rows) == enumerate_fields(x).ordered_total
             # keys are strictly increasing under (disc, key) order
             step = np.diff(np.column_stack((rows[:, 3], keys)), axis=0)
             moved = step != 0
@@ -153,12 +152,17 @@ class TestDedup:
 
     @pytest.mark.parametrize("x", [10**4, 10**6, 10**8])
     def test_matches_sort_everything_reference(self, x):
-        records = field_records(x)
-        self.assert_same(unique_field_rows(records), reference.unique_field_rows(records))
+        # the kernel's record of each field against the least of its six
+        want = reference.unique_field_rows(field_records(x))
+        self.assert_same(unique_field_rows(kernel_rows(x)), want)
 
     def test_independent_of_record_order(self):
+        # any one of a field's six ordered records, in any order, stands for it
         records = field_records(10**6)
-        shuffled = records[np.random.default_rng(7).permutation(len(records))]
+        rng = np.random.default_rng(7)
+        fields = len(records) // 6
+        picked = records.reshape(6, fields, 6)[rng.integers(6, size=fields), np.arange(fields)]
+        shuffled = picked[rng.permutation(fields)]
         self.assert_same(unique_field_rows(shuffled), reference.unique_field_rows(records))
 
     def test_empty_records(self):
@@ -168,7 +172,7 @@ class TestDedup:
     def test_duplicated_representative_raises(self):
         # the clean records dedup; the same records with one field's kept
         # row written twice do not
-        records = field_records(10**6)
+        records = kernel_rows(10**6)
         rows, _ = unique_field_rows(records)
         assert len(rows) == 1014
         doubled = np.concatenate((records, rows[500:501]))
@@ -176,8 +180,8 @@ class TestDedup:
             unique_field_rows(doubled)
 
     def test_dropped_representative_is_a_dedup_mismatch(self, monkeypatch):
-        # without its least record a field keeps none of its other five,
-        # so the kept rows fall one short of ordered/6
+        # without its one record a field is not kept, so the kept rows
+        # fall one short of ordered/6
         from biquad_hnp import _kernels, enumeration
 
         enumerate_fields(10**6, sink=lambda *a: None)
@@ -185,10 +189,9 @@ class TestDedup:
 
         def dropped(*args):
             total, fails, records = true_block(*args)
-            hit = np.flatnonzero(records[:, 3] == 48841)  # one field's six records
-            assert len(hit) == 6
-            least = hit[np.lexsort(records[hit, 2::-1].T)[0]]
-            return total, fails, np.delete(records, least, axis=0)
+            hit = np.flatnonzero(records[:, 3] == 48841)  # one field's record
+            assert len(hit) == 1
+            return total, fails, np.delete(records, hit, axis=0)
 
         monkeypatch.setattr(enumeration._kernels, "enumerate_block", dropped)
         with pytest.raises(AssertionError, match="dedup mismatch"):
@@ -308,8 +311,8 @@ class TestSinkAndAudit:
 
         def corrupted(*args):
             total, fails, records = true_block(*args)
-            hit = records[:, 3] == disc  # the six ordered tuples of one field
-            assert hit.sum() == 6
+            hit = records[:, 3] == disc  # the record of one field
+            assert hit.sum() == 1
             records[hit, column] = value
             return total, fails, records
 
@@ -397,7 +400,7 @@ class TestSinkAndAudit:
         assert main(argv) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["S"] == 16679
-        assert collected == [6 * 47]  # the ordered tuples of S(10^4) = 47
+        assert collected == [47]  # one record per field of S(10^4) = 47
         # the stats are the main count's, which collects nothing
         assert payload["stats"]["dedup_s"] == payload["stats"]["deliver_s"] == 0
 

@@ -2,12 +2,16 @@
 
 ``enumerate_block`` is compared exactly with the per-tuple loop kept in
 ``_reference_kernel``: class tallies, failing tallies and the multiset
-of records, over whole and split core ranges.  ``jacobi_array`` is
+of records, over whole and split core ranges.  The kernel enumerates one
+tuple per field, so its records are unfolded into the six ordered
+records of each field first; the S3 action it relies on is checked on
+the (assignment, combo) pairs and on the class ids.  ``jacobi_array`` is
 checked against Euler's criterion and against the scalar symbols, and
 the class tables entry by entry against the scalar class functions kept
 in ``_reference_classes``.
 """
 
+import itertools
 import math
 import random
 
@@ -18,10 +22,16 @@ import _reference_classes as reference_classes
 import _reference_kernel as reference
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve, jacobi
+from biquad_hnp.enumeration import unfold_records
 
 
 def _sorted_rows(records):
     return records[np.lexsort(records.T[::-1])]
+
+
+def _ordered_rows(records):
+    """The six ordered records of each field of the kernel's records, sorted."""
+    return _sorted_rows(unfold_records(records))
 
 
 def _kernel_args(X):
@@ -37,8 +47,8 @@ def test_enumerate_block_matches_reference(X):
     want = reference.enumerate_block(1, root, root, spf, mob, True)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
-    assert got[2].shape == want[2].shape
-    assert np.array_equal(_sorted_rows(got[2]), _sorted_rows(want[2]))
+    assert 6 * len(got[2]) == len(want[2])
+    assert np.array_equal(_ordered_rows(got[2]), _sorted_rows(want[2]))
 
 
 @pytest.mark.parametrize("X", [10**6, 10**8])
@@ -51,7 +61,7 @@ def test_enumerate_block_split_range_matches_reference(X):
     assert np.array_equal(sum(p[0] for p in parts), want[0])
     assert np.array_equal(sum(p[1] for p in parts), want[1])
     records = np.concatenate([p[2] for p in parts])
-    assert np.array_equal(_sorted_rows(records), _sorted_rows(want[2]))
+    assert np.array_equal(_ordered_rows(records), _sorted_rows(want[2]))
 
 
 @pytest.mark.parametrize("X, parts", [(10**8, 2), (10**8, 3), (10**11, 2)])
@@ -66,6 +76,48 @@ def test_enumerate_block_slab_shares_add_up(X, parts):
     assert np.array_equal(sum(share[1] for share in shares), whole[1])
     records = np.concatenate([share[2] for share in shares])
     assert np.array_equal(_sorted_rows(records), _sorted_rows(whole[2]))
+
+
+@pytest.mark.parametrize(
+    "w, assignments, pairs, live",
+    [(0, 1, 1, 6), (1, 1, 6, 36), (2, 2, 22, 132), (3, 5, 70, 420), (4, 14, 214, 1284),
+     (5, 41, 646, 3876), (6, 122, 1942, 11652)],
+)
+def test_one_pair_per_orbit_is_kept(w, assignments, pairs, live):
+    # of the 3^w assignments, those holding the least pair of an S3 orbit:
+    # (3^w + 3) / 6 for w >= 1, each orbit of six live pairs kept once
+    kept = _kernels._assignments(w)
+    assert len(kept) == assignments
+    assert sum(len(odd[0]) + len(even[0]) for _, _, odd, even in kept) == pairs
+    # the live pairs, by the reference's degenerate filter on the first w odd primes
+    primes = [3, 5, 7, 11, 13, 17][:w]
+    found = 0
+    for digits in itertools.product(range(3), repeat=w):
+        m = [math.prod(p for p, d in zip(primes, digits) if d == j) for j in range(3)]
+        for pl, s in itertools.product(range(4), repeat=2):
+            v = [m[j] * (2 if pl == j + 1 else 1) for j in range(3)]
+            v[1], v[2] = v[1] * (-1 if s >= 2 else 1), v[2] * (-1 if s & 1 else 1)
+            found += not (v[1] == v[2] and abs(v[1]) == 1 or v[0] == 1 and 1 in v[1:])
+    assert found == live == 6 * pairs
+
+
+def test_assignments_refuse_orbits_that_are_not_free(monkeypatch):
+    # with the identity in place of every permutation, no orbit has six members
+    monkeypatch.setattr(_kernels, "_S3", ((0, 1, 2),) * 6)
+    with pytest.raises(AssertionError, match="not free S3 orbits"):
+        _kernels._assignments.__wrapped__(2)
+
+
+def test_class_id_maps_are_s3_and_keep_the_class_tables():
+    maps = _kernels.class_id_maps()
+    space = np.arange(_kernels.CLASS_SPACE)
+    assert maps.shape == (6, _kernels.CLASS_SPACE) and not maps.flags.writeable
+    assert all(np.array_equal(np.sort(m), space) for m in maps)
+    group = {m.tobytes() for m in maps}
+    assert len(group) == 6 and space.tobytes() in group
+    assert all(a[b].tobytes() in group for a in maps for b in maps)
+    for table in _kernels._class_tables():
+        assert all(np.array_equal(table[m], table) for m in maps)
 
 
 def test_enumerate_block_without_collect_returns_no_records():
