@@ -63,6 +63,7 @@ CLASS_SPACE = 4 * 4 * 64
 
 SLAB = 2048  # cores per slab in enumerate_block
 MOBIUS_RANGE = 1 << 18  # largest range of n per step of build_mobius
+CORE_WINDOW = 1 << 16  # cores per step of _odd_cores
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -332,19 +333,35 @@ class _RecordBuffer:
 
 
 def _odd_cores(n_lo: int, n_hi: int, spf: np.ndarray, mob: np.ndarray):
-    """Odd squarefree n in [n_lo, n_hi], ascending, with omega(n)."""
+    """Odd squarefree n in [n_lo, n_hi] with omega(n), grouped by omega:
+    (cores, omega) with omega ascending, and the cores of each omega
+    ascending.
+
+    omega is found, and the groups are filled, one window of CORE_WINDOW
+    cores at a time, so that beside the cores, their omega and the
+    grouped copy (17 bytes per core) the work arrays hold one window.
+    """
     start = n_lo if n_lo & 1 else n_lo + 1
     n = np.flatnonzero(mob[start : n_hi + 1 : 2])
     n *= 2
     n += start
     omega = np.zeros(n.shape, dtype=np.int8)
-    t = n.copy()
-    while True:
-        live = t > 1
-        if not live.any():
-            return n, omega
-        omega += live
-        t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
+    windows = range(0, len(n), CORE_WINDOW)
+    for lo in windows:
+        t, w = n[lo : lo + CORE_WINDOW].copy(), omega[lo : lo + CORE_WINDOW]
+        while (live := t > 1).any():
+            w += live
+            t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
+    counts = np.bincount(omega)
+    fill = (np.cumsum(counts) - counts).tolist()  # next free place per omega
+    cores = np.empty_like(n)
+    for lo in windows:
+        window, w = n[lo : lo + CORE_WINDOW], omega[lo : lo + CORE_WINDOW]
+        for k in np.flatnonzero(np.bincount(w)).tolist():
+            members = window[w == k]
+            cores[fill[k] : fill[k] + len(members)] = members
+            fill[k] += len(members)
+    return cores, np.repeat(np.arange(len(counts), dtype=np.int8), counts)
 
 
 def _symbol_bits(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -421,7 +438,7 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
                 )
 
 
-def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
+def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1, cores=None):
     """Enumerate the fields whose odd squarefree core lies in [n_lo, n_hi].
 
     root is floor(sqrt(X)); a tuple with weight factor c and 2-placement
@@ -430,7 +447,9 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
     The slabs, taken group by group in ascending omega, go to the parts
     in turn, and only those of part ``part`` (of ``parts``) are
     enumerated.  A field's ordered tuples share their odd core, so the
-    parts hold disjoint sets of whole fields.
+    parts hold disjoint sets of whole fields.  cores, when given, is
+    _odd_cores(n_lo, n_hi, spf, mob), listed by the caller: a count lists
+    it once before it forks, so that its two parts read one copy.
 
     Only the kept pair of each field's six ordered tuples is enumerated
     (_assignments); its class tallies are unfolded through class_id_maps
@@ -443,10 +462,12 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
     records = _RecordBuffer() if collect else None
-    cores, omega = _odd_cores(n_lo, n_hi, spf, mob)
+    cores, omega = _odd_cores(n_lo, n_hi, spf, mob) if cores is None else cores
+    counts = np.bincount(omega)
+    ends = np.cumsum(counts)
     slab = -1
-    for w in np.flatnonzero(np.bincount(omega)):
-        group = cores[omega == w]
+    for w in np.flatnonzero(counts):
+        group = cores[ends[w] - counts[w] : ends[w]]
         for lo in range(0, len(group), SLAB):
             slab += 1
             if slab % parts != part:

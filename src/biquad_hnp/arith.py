@@ -15,12 +15,16 @@ import numpy as np
 from . import _kernels
 
 # The bytes per n up to sqrt(X) that a count may need, against physical
-# memory: the sieve, and on top of it _kernels._odd_cores, which peaks at
-# 22 bytes per odd squarefree core (int64 cores, their int64 copy and
-# temporaries) with 0.405 cores per n.  Their measured peak together
-# (ru_maxrss growth of build_sieve(L) and _odd_cores(1, L) in a fresh
-# process) is 15.8 bytes per n at L = 1e6, 15.0 at 2e6, 14.4 at 2e7 and
-# 13.9 at 1e8, of which the sieve is 7.8, 5.3 and 5.1 at 2e6, 2e7, 1e8.
+# memory: the sieve, and on top of it the odd squarefree cores of
+# _kernels._odd_cores, 17 bytes per core (int64 cores, their int64
+# grouped copy, int8 omega) and a window, with 0.405 cores per n.  A
+# count lists the cores once, before it forks, and its two processes
+# read that one copy; each adds only its slabs' work arrays, and its
+# records when it collects.  The measured peak of the sieve and the
+# cores (peak RSS growth of build_sieve(L) and _odd_cores(1, L) in a
+# fresh process) is 14.1 bytes per n at L = 1e6, 13.0 at 2e6, 12.4 at
+# 2e7 and 12.3 at 1e8, of which the sieve is 7.7, 5.3 and 5.1 at 2e6,
+# 2e7, 1e8.
 SIEVE_BYTES_PER_N = 16
 
 

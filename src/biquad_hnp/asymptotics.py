@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, arith
 
 DEFAULT_PRIME_LIMIT = 10_000_000
 
@@ -57,7 +57,22 @@ class EulerProductValue:
     prime_limit: int
 
 
-_primes_up_to = lru_cache(maxsize=8)(_kernels.primes_up_to)
+# The bytes per n up to a prime limit that constants and compare may
+# need, against physical memory: the sieve's flags, the primes twice as
+# int64, and the float arrays of the Euler products over them.  Measured
+# as the peak RSS growth of `constants --prime-limit L` in a fresh
+# process: 2.76 bytes per n at L = 1e7 and 2.32 at 1e8.
+PRIME_BYTES_PER_N = 3
+
+
+@lru_cache(maxsize=8)
+def _primes_up_to(limit: int) -> np.ndarray:
+    """_kernels.primes_up_to(limit), or MemoryError, raised before
+    anything is allocated, when the products over the primes to limit
+    would need more than the physical memory."""
+    if PRIME_BYTES_PER_N * (limit + 1) > arith.physical_memory():
+        raise MemoryError(f"the primes to {limit} need more than the physical memory")
+    return _kernels.primes_up_to(limit)
 
 
 def _euler_product(a: float, tail: tuple[float, float], prime_limit: int) -> EulerProductValue:

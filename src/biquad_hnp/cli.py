@@ -149,6 +149,26 @@ def _class_rows(report: enumeration.CountReport) -> list[list[int]]:
     ).tolist()
 
 
+# one NDJSON line per verdict, indexed by [witness != 0]: the bytes
+# json.dumps gives for the dict of a field's ints and its verdict, a
+# string that needs no escaping
+_RECORD_LINES = tuple(
+    '{"m": %d, "a1": %d, "b1": %d, "disc": %d, "c": %d, "verdict": "' + verdict + '"}\n'
+    for verdict in (FAILS, HOLDS)
+)
+
+
+def _ndjson_lines(columns: np.ndarray) -> str:
+    """The --records lines of the field columns of enumeration's sink.
+
+    The line templates of the rows' verdicts are joined into one format
+    string, which a single % fills from the flat tuple of the rows'
+    (m, a1, b1, disc, c) as Python ints.
+    """
+    template = "".join([_RECORD_LINES[holds] for holds in (columns[:, 11] != 0).tolist()])
+    return template % tuple(columns[:, (0, 1, 2, 10, 9)].ravel().tolist())
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     # checked before the outputs are opened, so that a bad bound cannot
     # leave an existing records or --out file truncated
@@ -169,13 +189,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             return _error(f"{message} with disc <= {args.audit_bound}", EXIT_VERIFY_FAILED)
 
         def record_sink(columns):
-            # the bytes json.dumps gives for this dict of ints and a verdict
-            # string that needs no escaping, built without the encoder
-            records_file.writelines(
-                f'{{"m": {m}, "a1": {a1}, "b1": {b1}, '
-                f'"disc": {disc}, "c": {c}, "verdict": "{HOLDS if w else FAILS}"}}\n'
-                for m, a1, b1, c, disc, w in columns[:, (0, 1, 2, 9, 10, 11)].tolist()
-            )
+            records_file.write(_ndjson_lines(columns))
 
         report = enumeration.enumerate_fields(
             args.max_disc, sink=record_sink if records_file else None

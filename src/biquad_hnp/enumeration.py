@@ -15,12 +15,13 @@ columns from its record.  ``unfold_records`` writes out the six ordered
 records of each field, for ``tuple_records``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
-processes when it can (``fork_parts``): a forked child takes every other
-slab of cores, tallies them, dedups and checks its own fields, and sends
-back its tallies and field table as they are, pickled.  This works
-because a field's six ordered triples share their odd core, so the slabs
-split the fields too.  This process runs the other slabs, sums the
-tallies and merges the two field tables.
+processes when it can (``fork_parts``).  The cores are listed once,
+before the fork; a forked child reads them copy-on-write, takes every
+other slab of them, tallies those slabs, dedups and checks its own
+fields, and sends back its tallies and field table as they are,
+pickled.  This works because a field's six ordered triples share their
+odd core, so the slabs split the fields too.  This process runs the
+other slabs, sums the tallies and merges the two field tables.
 """
 
 from __future__ import annotations
@@ -136,11 +137,13 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from one record per field.
 
     Returns (rows, keys) where keys holds the sorted fundamental
-    discriminants.  Each record is replaced by the lexicographically
-    smallest of its field's six ordered records (see _siblings), found by
-    comparing columns, so the result does not depend on which of the six
-    the kernel enumerated or on how the enumeration was partitioned.  A
-    field given twice raises AssertionError.
+    discriminants k0 <= k1 <= k2.  Each record is replaced by the
+    lexicographically smallest of its field's six ordered records (see
+    _siblings), found by comparing columns, so the result does not depend
+    on which of the six the kernel enumerated or on how the enumeration
+    was partitioned.  The sort is on (disc, k0, k1): the third subfield
+    is Q(sqrt(d d')) for the other two, so k0 and k1 fix k2 and the order
+    is that of the whole key.  A field given twice raises AssertionError.
     """
     if len(records) == 0:
         return records.reshape(0, 6), np.empty((0, 3), dtype=np.int64)
@@ -153,7 +156,7 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u1, u2, u3 = least
     keys = np.stack((_fundamental(u1 * u2), _fundamental(u1 * u3), _fundamental(u2 * u3)), axis=1)
     keys.sort(axis=1)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], records[:, 3]))
+    order = np.lexsort((keys[:, 1], keys[:, 0], records[:, 3]))
     rows = np.column_stack((u1, u2, u3, records[:, 3:]))[order]
     keys = keys[order]
     _assert_once(keys)
@@ -243,9 +246,16 @@ def _lap(stats: dict[str, float], key: str, since: float) -> float:
 
 
 def _count_part(
-    root: int, sieve: FactorSieve, collect: bool, part: int, parts: int, stats: dict[str, float]
+    root: int,
+    sieve: FactorSieve,
+    cores: tuple[np.ndarray, np.ndarray],
+    collect: bool,
+    part: int,
+    parts: int,
+    stats: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One part's share of the count with root floor(sqrt(X)).
+    """One part's share of the count with root floor(sqrt(X)), whose odd
+    squarefree cores, with their omega, are cores.
 
     Returns (total, fails, columns): the class totals and the class
     failures of its slabs, and, when collect is true, the field columns
@@ -254,7 +264,7 @@ def _count_part(
     """
     t = time.perf_counter()
     total, fails, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect, part, parts
+        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect, part, parts, cores=cores
     )
     t = _lap(stats, "kernel_s", t)
     if not collect:
@@ -281,6 +291,9 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
 
     With more than _kernels.SLAB odd squarefree cores up to sqrt(X), the
     count is split with fork_parts; the result is the same either way.
+    The cores are listed once, before the fork, and the forked child
+    reads the same copy, so the two parts add only their own work arrays
+    to what the sieve and the cores hold.
 
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
@@ -289,17 +302,17 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     t = time.perf_counter()
     sieve = build_sieve(max(root, 1))
     t = _lap(stats, "sieve_s", t)
+    cores = _kernels._odd_cores(1, root, sieve.smallest_prime_factor, sieve.mobius)
+    t = _lap(stats, "kernel_s", t)
     collect = sink is not None
 
     def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return _count_part(root, sieve, collect, part, parts, stats)
+        return _count_part(root, sieve, cores, collect, part, parts, stats)
 
-    if np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB:
-        outs = fork_parts(work)
-    else:
-        outs = [work(0, 1)]
+    before = sum(stats.values())
+    outs = fork_parts(work) if len(cores[0]) > _kernels.SLAB else [work(0, 1)]
     # this process's own part is in stats; the rest is the wait for the child
-    waited = time.perf_counter() - t - (sum(stats.values()) - stats["sieve_s"])
+    waited = time.perf_counter() - t - (sum(stats.values()) - before)
     stats["deliver_s" if collect else "kernel_s"] += waited
     totals, failures, tables = zip(*outs)
     total = np.sum(totals, axis=0)

@@ -86,10 +86,10 @@ def starve_part_one(monkeypatch):
 
     true_block = _kernels.enumerate_block
 
-    def starved(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1):
+    def starved(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1, **kwargs):
         if part == 1:
             raise MemoryError
-        return true_block(n_lo, n_hi, root, spf, mob, collect, part, parts)
+        return true_block(n_lo, n_hi, root, spf, mob, collect, part, parts, **kwargs)
 
     monkeypatch.setattr(_kernels, "enumerate_block", starved)
 
@@ -166,6 +166,29 @@ class TestCount:
             == EXIT_OK
         )
         assert json.loads(path.read_text())["S"] == 47
+
+    def test_record_lines_are_json_dumps_of_each_row(self):
+        # (m, a1, b1, disc, c, witness) of synthetic rows: negative a1 and
+        # b1, c = 1, 4 and 8, disc up to 2^63 - 1 and both verdicts
+        top = 2**63 - 1
+        rows = [
+            (1, 13, 17, 48841, 1, 0),
+            (1, -1, 3, 144, 4, 2),
+            (3, -7, -11, 2**62, 8, 5),
+            (top, -(2**62), -top, top, 8, 0),
+            (5, 2, -3, top, 1, 2**31),
+        ]
+        columns = np.zeros((len(rows), enumeration.FIELD_COLUMNS), dtype=np.int64)
+        columns[:, (0, 1, 2, 10, 9, 11)] = rows
+        want = "".join(
+            json.dumps(
+                {"m": m, "a1": a1, "b1": b1, "disc": disc, "c": c,
+                 "verdict": "holds" if w else "fails"}
+            ) + "\n"
+            for m, a1, b1, disc, c, w in rows
+        )
+        assert cli._ndjson_lines(columns) == want
+        assert cli._ndjson_lines(columns[:0]) == ""
 
     def test_records_ndjson(self, tmp_path):
         path = tmp_path / "fields.ndjson"
@@ -256,8 +279,8 @@ class TestCount:
         true_block = _kernels.enumerate_block
         parent = os.getpid()
 
-        def corrupted(*args):
-            total, fails, records = true_block(*args)
+        def corrupted(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             if not child_only:
                 records[records[:, 3] == 48841, 5] ^= 1
             elif os.getpid() != parent:
@@ -280,8 +303,8 @@ class TestCount:
         # the kernel sends every record twice: an AssertionError of the dedup
         true_block = enumeration._kernels.enumerate_block
 
-        def doubled(*args):
-            total, fails, records = true_block(*args)
+        def doubled(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             return total, fails, np.vstack([records, records])
 
         monkeypatch.setattr(enumeration._kernels, "enumerate_block", doubled)
@@ -505,6 +528,30 @@ class TestConstants:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: not enough memory for --prime-limit 100000000000000000\n"
+
+    @pytest.mark.parametrize(
+        "argv, bounds",
+        [
+            (["constants"], "--prime-limit 100000000"),
+            (["compare", "--checkpoints", "1e4"], "--checkpoints 10000, --prime-limit 100000000"),
+        ],
+        ids=["constants", "compare"],
+    )
+    def test_prime_limit_beyond_physical_memory_is_refused_unallocated(
+        self, argv, bounds, capsys, monkeypatch
+    ):
+        from biquad_hnp import _kernels, arith
+
+        # a machine of 256 MB: the primes to 10^8 and their products
+        # would peak near 230 MB, beyond the 3 bytes per n allowed
+        allocations = []
+        monkeypatch.setattr(arith, "physical_memory", lambda: 256 * 2**20)
+        monkeypatch.setattr(_kernels, "primes_up_to", lambda limit: allocations.append(limit))
+        assert main([*argv, "--prime-limit", "1e8"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert allocations == []
+        assert captured.out == ""
+        assert captured.err == f"error: not enough memory for {bounds}\n"
 
 
 class TestCompare:
@@ -890,8 +937,8 @@ class TestVerify:
 
         true_block = _kernels.enumerate_block
 
-        def corrupted(*args):
-            total, fails, records = true_block(*args)
+        def corrupted(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             if args[2] == 10**4:  # the audit's count, not check 6's sweep
                 records[records[:, 3] == 48841, column] ^= 1
             return total, fails, records
@@ -941,9 +988,9 @@ class TestVerify:
         true_block = _kernels.enumerate_block
         parts = []
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             parts.append(args[6:])
-            return true_block(*args)
+            return true_block(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "enumerate_block", recorded)
         checks = cli._verify_checks()
@@ -976,8 +1023,8 @@ class TestVerify:
 
         true_block = _kernels.enumerate_block
 
-        def faulty(*args):
-            total, fails, records = true_block(*args)
+        def faulty(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             records[records[:, 3] == 48841, 5] ^= 1
             return total, fails, records
 

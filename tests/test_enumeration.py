@@ -187,8 +187,8 @@ class TestDedup:
         enumerate_fields(10**6, sink=lambda *a: None)
         true_block = _kernels.enumerate_block
 
-        def dropped(*args):
-            total, fails, records = true_block(*args)
+        def dropped(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             hit = np.flatnonzero(records[:, 3] == 48841)  # one field's record
             assert len(hit) == 1
             return total, fails, np.delete(records, hit, axis=0)
@@ -309,8 +309,8 @@ class TestSinkAndAudit:
 
         true_block = _kernels.enumerate_block
 
-        def corrupted(*args):
-            total, fails, records = true_block(*args)
+        def corrupted(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             hit = records[:, 3] == disc  # the record of one field
             assert hit.sum() == 1
             records[hit, column] = value
@@ -410,8 +410,8 @@ class TestSinkAndAudit:
 
         true_block = _kernels.enumerate_block
 
-        def dropped(*args):
-            total, fails, records = true_block(*args)
+        def dropped(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
             hit = np.flatnonzero(records[:, 3] == 48841)
             if len(hit):
                 least = hit[np.lexsort(records[hit, 2::-1].T)[0]]
@@ -630,6 +630,25 @@ class TestSplitCount:
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
         assert pids.read_text().split() == [str(parent)]
+
+    def test_cores_are_listed_once_before_the_fork(self, forked, monkeypatch, tmp_path):
+        # the child reads the parent's cores: listing them again in each
+        # part would hold two copies, which the sieve's memory bound
+        # does not allow for
+        from biquad_hnp import _kernels
+
+        pids = tmp_path / "pids"
+        true_cores = _kernels._odd_cores
+
+        def listed(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return true_cores(*args)
+
+        monkeypatch.setattr(_kernels, "_odd_cores", listed)
+        report = enumerate_fields(10**8, sink=lambda columns: None)
+        assert (report.S, report.parts) == (16679, 2)
+        assert pids.read_text().split() == [str(os.getpid())]
 
     def test_disc_in_both_parts_raises(self):
         from biquad_hnp import enumeration

@@ -120,6 +120,21 @@ def test_class_id_maps_are_s3_and_keep_the_class_tables():
         assert all(np.array_equal(table[m], table) for m in maps)
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 10**4), (2, 7777), (100, 100), (4, 4)])
+def test_odd_cores_are_grouped_by_omega(n_lo, n_hi, monkeypatch):
+    # windows of 64 cores, so that most groups are filled from several
+    monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
+    sieve = build_sieve(10**4)
+    cores, omega = _kernels._odd_cores(n_lo, n_hi, sieve.smallest_prime_factor, sieve.mobius)
+    want = sorted(
+        (len(sieve.factor(n)), n)
+        for n in range(n_lo, n_hi + 1)
+        if n % 2 and sieve.mobius[n] != 0
+    )
+    assert omega.dtype == np.int8
+    assert list(zip(omega.tolist(), cores.tolist())) == want
+
+
 def test_enumerate_block_without_collect_returns_no_records():
     root, spf, mob = _kernel_args(10**6)
     total, fails, records = _kernels.enumerate_block(1, root, root, spf, mob, False)
