@@ -73,7 +73,8 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    # nonzero gives intp, which is int64 on 64-bit platforms: no copy there
+    return np.nonzero(flags)[0].astype(np.int64, copy=False)
 
 
 def build_spf(limit: int) -> np.ndarray:

@@ -371,11 +371,27 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         passed,
     )
 
+    # The oracle's verdict is a property of the field: it reads only the
+    # fundamental discriminants, symmetrically, and the primes of
+    # |m a1 b1| = sqrt|k1 k2 k3|, and the sorted kernels fix both.  So it
+    # is asked once per field and compared with the kernel's verdict on
+    # each of the field's six rows.  A row that names another field has
+    # other kernels and its own entry; a forked part starts from an
+    # empty copy of this dict.
     sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
+    field_fails: dict[tuple[int, int, int], bool] = {}
+
+    def disagrees(triple: FieldTriple, values: tuple) -> bool:
+        key = tuple(sorted(triple.kernels))
+        fails = field_fails.get(key)
+        if fails is None:
+            fails = field_fails[key] = classify_by_splitting(triple, sieve).fails
+        return fails != values[0]
+
     total, mismatches = _oracle_mismatches(
         lambda part, parts: enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts),
         (5,),
-        lambda triple, values: classify_by_splitting(triple, sieve).fails != values[0],
+        disagrees,
     )
     add(
         f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",

@@ -108,7 +108,7 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
     """Kernels, fundamental discriminants, c and the field discriminant.
 
     Straight-line integer code: this runs once per field in the audits
-    and once per tuple in ``verify``.
+    and in ``verify``'s sweep of ordered tuples.
     """
     m, a1, b1 = t
     k1, k2, k3 = m * a1, m * b1, a1 * b1

@@ -8,10 +8,15 @@ tests that directly, one field at a time, and is the ground truth.
 the enumeration uses it for the witnesses of the record stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
-tables plus residue-symbol bitmasks).  ``verify`` and the test suite hold
-that kernel against ``classify_by_splitting`` on every ordered tuple with
-|m*a1*b1| <= 2000, and the enumeration holds it against
-``splitting_witnesses`` on every field it delivers.  The audit of
+tables plus residue-symbol bitmasks).  The test suite holds that kernel
+against ``classify_by_splitting`` on every ordered tuple with
+|m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
+of those tuples too, against one oracle call per field: the oracle reads
+only the fundamental discriminants, symmetrically, and the primes of
+|m*a1*b1| = sqrt|k1*k2*k3|, so the sorted kernels of a tuple fix its
+verdict and witness, and the six ordered tuples of a field share them.
+The enumeration holds the kernel against ``splitting_witnesses`` on
+every field it delivers.  The audit of
 ``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,
 holds each delivered witness against ``classify_by_splitting``.
 """

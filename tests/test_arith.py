@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,26 @@ class TestSieve:
         spf = _kernels.build_spf(10**6)
         assert spf.dtype == np.uint32
         assert np.array_equal(spf, trial_division_spf(10**6))
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1200, 10**6])
+    def test_primes_are_int64_and_trial_division(self, limit):
+        n = np.arange(limit + 1)
+        want = n[2:][trial_division_spf(limit)[2:] == n[2:]]
+        primes = _kernels.primes_up_to(limit)
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, want)
+
+    def test_primes_peak_is_the_flags_and_one_int64_array(self):
+        # the sieve's flags (a byte per n) and the primes once as int64;
+        # a second int64 copy of the primes would add 8 bytes a prime
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            primes = _kernels.primes_up_to(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit + 12 * len(primes)
 
     def test_spf_limit_2_to_the_32_is_refused_unallocated(self, monkeypatch):
         # with numpy out of reach, an allocation would raise AttributeError

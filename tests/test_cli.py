@@ -17,6 +17,7 @@ import pytest
 
 from biquad_hnp import cli, enumeration
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, parse_bound
+from biquad_hnp.hnp import FAILS, HOLDS
 
 CLI_ENTRY = "import sys; from biquad_hnp.cli import main; sys.exit(main())"
 
@@ -1033,6 +1034,60 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL  classifier equivalence" in out
         assert "got 6 disagreements" in out
+
+    def test_row_of_another_field_is_a_disagreement(self, capsys, monkeypatch):
+        # disc 3136 holds two fields with the same |components|: (7, 2, -1)
+        # holds and (7, -2, -1) fails.  The last row of the first, replaced
+        # by (1, 2, -7) of the second with its verdict column kept, must
+        # disagree, although check 6 asks the oracle once per field
+        true_tuples = enumeration.tuple_records
+
+        def faulty(max_core, part=0, parts=1):
+            records = true_tuples(max_core, part, parts)
+            hit = np.flatnonzero((records[:, 3] == 3136) & (records[:, 5] == 0))
+            if len(hit):
+                assert len(hit) == 6
+                records[hit[-1], :3] = (1, 2, -7)
+            return records
+
+        monkeypatch.setattr(enumeration, "tuple_records", faulty)
+        monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  classifier equivalence, 64140 triples" in out
+        assert "got 1 disagreements" in out
+
+    @pytest.mark.parametrize("path", ["forked", "unforked"])
+    def test_faults_are_caught_after_a_clean_run(self, monkeypatch, request, path):
+        # the oracle's verdicts of one run of the checks do not carry into
+        # the next: after a clean run, the kernel flip of
+        # test_kernel_fault_is_caught and then the same flip in the oracle
+        # each fail the six tuples of disc 48841 (all in part 0, this
+        # process's part when the sweep forks)
+        from biquad_hnp import _kernels
+
+        request.getfixturevalue(path)
+        assert cli._verify_checks()[5][2:4] == ("0 disagreements", True)
+        true_block, true_oracle = _kernels.enumerate_block, cli.classify_by_splitting
+
+        def faulty_kernel(*args, **kwargs):
+            total, fails, records = true_block(*args, **kwargs)
+            records[records[:, 3] == 48841, 5] ^= 1
+            return total, fails, records
+
+        def faulty_oracle(triple, sieve=None):
+            status = true_oracle(triple, sieve)
+            if sorted(triple.kernels) == [13, 17, 221]:  # disc 48841
+                return status._replace(verdict=HOLDS if status.fails else FAILS)
+            return status
+
+        for module, name, fault in [
+            (_kernels, "enumerate_block", faulty_kernel),
+            (cli, "classify_by_splitting", faulty_oracle),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, fault)
+                assert cli._verify_checks()[5][2:4] == ("6 disagreements", False)
 
 
 class TestClosedOutput:

@@ -8,6 +8,8 @@ oracle, to the acceptance bound, lives in test_acceptance; here we cover
 the documented examples and the structure of the verdicts.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ class TestSplittingOracle:
                 assert status.witness is None
             else:
                 assert data.field_disc % status.witness == 0
+
+    def test_verdict_and_witness_are_properties_of_the_kernel_set(self):
+        # verify asks the oracle once per sorted kernel set and reuses the
+        # verdict on the set's other ordered triples: each set is one field's
+        # six triples, and the oracle gives all six one verdict and witness
+        sieve = build_sieve(2000)
+        groups = defaultdict(list)
+        for t in iter_valid_triples(2000):
+            groups[tuple(sorted(t.kernels))].append(classify_by_splitting(t, sieve))
+        assert len(groups) == 10690
+        assert all(len(group) == 6 and len(set(group)) == 1 for group in groups.values())
 
     def test_failure_means_every_ramified_prime_splits_somewhere(self):
         # independent per-prime recheck of the Fails verdict
