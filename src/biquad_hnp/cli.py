@@ -25,7 +25,7 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import _kernels, asymptotics, enumeration
-from .arith import build_sieve
+from .arith import FactorSieve, build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
 from .hnp import FAILS, HOLDS, classify_by_splitting
 
@@ -325,6 +325,45 @@ def _audit(bound: int) -> tuple[int, int]:
     )
 
 
+def _kernel_set_disagreements(rows: np.ndarray, sieve: FactorSieve) -> tuple[int, int]:
+    """(rows, disagreements) of the kernel's verdicts, column 5 of the
+    tuple records rows, against classify_by_splitting on the sieve.
+
+    The oracle's verdict is a property of the field: it reads only the
+    fundamental discriminants, symmetrically, and the primes of
+    |m a1 b1| = sqrt|k1 k2 k3|, and the sorted kernels fix both.  So the
+    valid rows are grouped by sorted kernels, the oracle is asked on one
+    row of each group, and its verdict is compared with the kernel's on
+    every row of the group.  A row that names another field has other
+    kernels and lands in another group; a row that names no field, and
+    each row of a group whose row the oracle rejects, is one
+    disagreement.
+    """
+    m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
+    invalid = enumeration.invalid_rows(m, a1, b1)
+    # kernels written and sorted in place: more temporaries of a whole
+    # part would raise verify's peak memory, which check 5 sets
+    keys = np.empty((3, len(rows)), dtype=np.int64)
+    np.multiply(m, a1, out=keys[0])
+    np.multiply(m, b1, out=keys[1])
+    np.multiply(a1, b1, out=keys[2])
+    keys.sort(axis=0)
+    # the valid rows ordered by sorted kernels, the invalid ones after them
+    order = np.lexsort((*keys, invalid))[: len(rows) - np.count_nonzero(invalid)]
+    keys = keys[:, order]
+    first = np.ones(len(order), dtype=bool)  # the first row of each group
+    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    verdicts = []  # the oracle's fails of each group, -1 where it raised
+    for triple in rows[order[first], :3].tolist():
+        try:
+            verdicts.append(classify_by_splitting(FieldTriple(*triple), sieve).fails)
+        except InvalidFieldError:
+            verdicts.append(-1)
+    verdict = np.array(verdicts, dtype=np.int64)[np.cumsum(first) - 1]
+    bad = np.count_nonzero((verdict == -1) | (verdict != rows[order, 5]))
+    return len(rows), len(rows) - len(order) + int(bad)
+
+
 def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     """(name, expected, actual, passed, duration_s) of each check, in order.
 
@@ -371,28 +410,14 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         passed,
     )
 
-    # The oracle's verdict is a property of the field: it reads only the
-    # fundamental discriminants, symmetrically, and the primes of
-    # |m a1 b1| = sqrt|k1 k2 k3|, and the sorted kernels fix both.  So it
-    # is asked once per field and compared with the kernel's verdict on
-    # each of the field's six rows.  A row that names another field has
-    # other kernels and its own entry; a forked part starts from an
-    # empty copy of this dict.
     sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
-    field_fails: dict[tuple[int, int, int], bool] = {}
 
-    def disagrees(triple: FieldTriple, values: tuple) -> bool:
-        key = tuple(sorted(triple.kernels))
-        fails = field_fails.get(key)
-        if fails is None:
-            fails = field_fails[key] = classify_by_splitting(triple, sieve).fails
-        return fails != values[0]
+    def sweep(part: int, parts: int) -> tuple[int, int]:
+        rows = enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts)
+        return _kernel_set_disagreements(rows, sieve)
 
-    total, mismatches = _oracle_mismatches(
-        lambda part, parts: enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts),
-        (5,),
-        disagrees,
-    )
+    seen, bad = zip(*enumeration.fork_parts(sweep))
+    total, mismatches = sum(seen), sum(bad)
     add(
         f"classifier equivalence, {total} triples to |m a1 b1| = {EQUIVALENCE_SWEEP_BOUND}",
         "0 disagreements",

@@ -163,22 +163,29 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, keys
 
 
+def invalid_rows(m: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """Boolean mask of the int64 rows (m, a1, b1) that name no field, by
+    the tests of FieldTriple: m >= 1, nonzero pairwise coprime
+    components, and no kernel equal to 1 or repeated."""
+    bad = (m < 1) | (a1 == 0) | (b1 == 0)
+    bad |= (np.gcd(m, a1) != 1) | (np.gcd(m, b1) != 1) | (np.gcd(a1, b1) != 1)
+    bad |= ((a1 == b1) & (np.abs(a1) == 1)) | ((m == 1) & ((a1 == 1) | (b1 == 1)))
+    return bad
+
+
 def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
     """Per field (m, a1, b1, three kernels, three fundamental discriminants,
     c, disc, witness) as the columns of one int64 array.
 
-    Each row must name a field, by the tests of FieldTriple: m >= 1,
-    nonzero pairwise coprime components, and no kernel equal to 1 or
-    repeated.  c and disc = |d1 d2 d3| are recomputed from the kernels and
-    checked against the kernel's columns, which hold (c m |a1| |b1|)^2 as
-    disc: this is the discriminant identity.  The witness (0 where the
+    Each row must name a field (see invalid_rows).  c and disc =
+    |d1 d2 d3| are recomputed from the kernels and checked against the
+    kernel's columns, which hold (c m |a1| |b1|)^2 as disc: this is the
+    discriminant identity.  The witness (0 where the
     principle fails) comes from the splitting oracle and is checked
     against the kernel's verdict.  Any failure raises RuntimeError.
     """
     m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
-    bad = (m < 1) | (a1 == 0) | (b1 == 0)
-    bad |= (np.gcd(m, a1) != 1) | (np.gcd(m, b1) != 1) | (np.gcd(a1, b1) != 1)
-    bad |= ((a1 == b1) & (np.abs(a1) == 1)) | ((m == 1) & ((a1 == 1) | (b1 == 1)))
+    bad = invalid_rows(m, a1, b1)
     if bad.any():
         raise RuntimeError(f"record {tuple(rows[np.argmax(bad), :3].tolist())} names no field")
     kernels = np.stack((m * a1, m * b1, a1 * b1), axis=1)

@@ -27,8 +27,10 @@ class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int
     Construction checks coprimality, signs and nondegeneracy, which are
     cheap.  Squarefreeness of the components is the caller's contract
     (``from_generators`` and ``validate`` enforce it; the enumeration
-    produces squarefree components by construction).  A tuple, as verify
-    builds one triple per tuple: it equals the plain tuple (m, a1, b1).
+    produces squarefree components by construction);
+    ``enumeration.invalid_rows`` applies the same checks to int64 arrays.
+    A tuple, cheap to build once per field in verify's sweeps: it equals
+    the plain tuple (m, a1, b1).
     """
 
     __slots__ = ()

@@ -11,10 +11,11 @@ The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
 against ``classify_by_splitting`` on every ordered tuple with
 |m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
-of those tuples too, against one oracle call per field: the oracle reads
-only the fundamental discriminants, symmetrically, and the primes of
-|m*a1*b1| = sqrt|k1*k2*k3|, so the sorted kernels of a tuple fix its
-verdict and witness, and the six ordered tuples of a field share them.
+of those tuples too: it groups them by sorted kernels and asks the
+oracle once per group.  The oracle reads only the fundamental
+discriminants, symmetrically, and the primes of |m*a1*b1| =
+sqrt|k1*k2*k3|, so the sorted kernels fix its verdict, witness and any
+InvalidFieldError, and the six ordered tuples of a field share them.
 The enumeration holds the kernel against ``splitting_witnesses`` on
 every field it delivers.  The audit of
 ``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,

@@ -18,8 +18,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def forked(monkeypatch):
     """enumeration.fork_parts forks, whatever the host's CPU count.
 
-    fork_parts splits both enumerate_fields and the scalar-oracle sweeps
-    of cli._oracle_mismatches.
+    fork_parts splits enumerate_fields, the scalar-oracle sweep of
+    cli._oracle_mismatches (verify check 5) and the kernel-set sweep of
+    verify check 6.
     """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")
@@ -28,8 +29,8 @@ def forked(monkeypatch):
 
 @pytest.fixture
 def unforked(monkeypatch):
-    """enumeration.fork_parts, under enumerate_fields and the scalar-oracle
-    sweeps, sees one usable CPU; a fork would raise."""
+    """enumeration.fork_parts, under enumerate_fields and verify checks 5
+    and 6, sees one usable CPU; a fork would raise."""
 
     def no_fork():
         raise AssertionError("fork_parts forked with one usable CPU")

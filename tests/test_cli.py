@@ -1057,6 +1057,72 @@ class TestVerify:
         assert "FAIL  classifier equivalence, 64140 triples" in out
         assert "got 1 disagreements" in out
 
+    def test_row_with_a_fields_kernels_that_names_no_field_is_one_disagreement(
+        self, capsys, monkeypatch
+    ):
+        # (-1, -13, -17) has m < 1 but the kernel set [13, 17, 221] of the
+        # field of disc 48841; put first in its part, it is one
+        # disagreement, and the field's six rows still agree
+        true_tuples = enumeration.tuple_records
+
+        def faulty(max_core, part=0, parts=1):
+            records = true_tuples(max_core, part, parts)
+            if part == 0:
+                fails = records[records[:, 3] == 48841, 5][0]
+                return np.vstack([[[-1, -13, -17, 48841, 1, fails]], records])
+            return records
+
+        monkeypatch.setattr(enumeration, "tuple_records", faulty)
+        monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  classifier equivalence, 64141 triples" in out
+        assert "got 1 disagreements" in out
+
+    def test_oracle_is_asked_once_per_kernel_set(self, monkeypatch, unforked):
+        # check 6 groups its 64,140 rows by sorted kernels and asks the
+        # oracle on one row of each of the 10,690 sets; check 5 gets no
+        # fields, so every call counted is check 6's
+        true_oracle = cli.classify_by_splitting
+        asked = []
+
+        def counted(triple, sieve=None):
+            asked.append(tuple(sorted(triple.kernels)))
+            return true_oracle(triple, sieve)
+
+        monkeypatch.setattr(cli, "classify_by_splitting", counted)
+        monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
+        checks = cli._verify_checks()
+        assert checks[5][2:4] == ("0 disagreements", True)
+        assert len(asked) == 10690
+        assert len(set(asked)) == len(asked)
+
+    @pytest.mark.parametrize("path", ["forked", "unforked"])
+    def test_oracle_that_raises_is_a_disagreement(self, capfd, monkeypatch, request, path):
+        # an oracle that rejects the kernel set of disc 48841 in check 6's
+        # sweep fails check 6 on the set's six tuples, without a traceback;
+        # check 5, on another sieve, sees the true oracle
+        from biquad_hnp.fields import InvalidFieldError
+
+        request.getfixturevalue(path)
+        true_oracle = cli.classify_by_splitting
+
+        def rejecting(triple, sieve=None):
+            sweep = sieve.limit == cli.EQUIVALENCE_SWEEP_BOUND
+            if sweep and sorted(triple.kernels) == [13, 17, 221]:
+                raise InvalidFieldError(f"{triple} rejected")
+            return true_oracle(triple, sieve)
+
+        monkeypatch.setattr(cli, "classify_by_splitting", rejecting)
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        captured = capfd.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("PASS  ") for line in lines[:5])
+        assert lines[5].startswith("FAIL  classifier equivalence, 64140 triples")
+        assert lines[5].endswith("got 6 disagreements")
+
     @pytest.mark.parametrize("path", ["forked", "unforked"])
     def test_faults_are_caught_after_a_clean_run(self, monkeypatch, request, path):
         # the oracle's verdicts of one run of the checks do not carry into

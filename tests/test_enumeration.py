@@ -32,10 +32,11 @@ from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, _oracle_mismatches, main
 from biquad_hnp.enumeration import (
     enumerate_fields,
     fork_parts,
+    invalid_rows,
     tuple_records,
     unique_field_rows,
 )
-from biquad_hnp.fields import FieldTriple, SubfieldData
+from biquad_hnp.fields import FieldTriple, InvalidFieldError, SubfieldData
 
 
 class TestSmallGroundTruth:
@@ -282,6 +283,27 @@ class TestSinkAndAudit:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["S"] == 243
         assert captured.err == ""
+
+    def test_invalid_rows_are_the_rows_field_triple_rejects(self):
+        # zeros, negative m, non-coprime components and both degenerate
+        # forms, (m, u, u) with |u| = 1 and (1, 1, b1) or (1, a1, 1)
+        m, a1, b1 = np.meshgrid(
+            np.arange(-2, 13), np.arange(-12, 13), np.arange(-12, 13), indexing="ij"
+        )
+        rows = np.stack((m.ravel(), a1.ravel(), b1.ravel()), axis=1).astype(np.int64)
+
+        def rejected(row):
+            try:
+                FieldTriple(*row)
+            except InvalidFieldError:
+                return True
+            return False
+
+        expected = [rejected(row) for row in rows.tolist()]
+        got = invalid_rows(rows[:, 0], rows[:, 1], rows[:, 2])
+        assert got.dtype == bool
+        assert got.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
 
     def test_sink_data_match_scalar_oracles(self):
         # the columns built in one array pass against the per-field code
