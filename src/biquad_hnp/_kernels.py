@@ -2,10 +2,10 @@
 
 Everything here is numpy array algebra; there is no compiled path.
 
-``enumerate_block`` groups the odd squarefree cores of its range by the
-number of prime factors w = omega(n).  An ordered tuple is an assignment
-of the w primes to the three components (3^w of them) together with one
-of 16 (slot of the factor 2, sign pair) combos.  Each field has six
+``enumerate_block`` takes the odd squarefree cores that ``_odd_cores``
+lists, grouped by the number of prime factors w = omega(n).  An ordered
+tuple is an assignment of the w primes to the three components (3^w of
+them) together with one of 16 (slot of the factor 2, sign pair) combos.  Each field has six
 ordered tuples, one per permutation of its three components (with all
 signs flipped when component 1 turns negative), and this action of S3 on
 the (assignment, combo) pairs depends only on w.  So only the least pair
@@ -38,12 +38,13 @@ elementwise operation on a grid:
   field.
 
 Each group is processed in slabs of at most ``SLAB`` cores, which bounds
-the working arrays independently of the range; records go into one
-growing buffer.  A call can take every parts-th slab only, so that two
-processes split one range without running any slab twice.  The
-enumeration works in int64, which caps the discriminant bound at
-X < 2^63 (records hold disc = (c * 2^[even] * n)^2); the sieve limit
-sqrt(X) then stays below 2^32, so the least-prime-factor table is uint32.
+the working arrays independently of the number of cores; records go
+into one growing buffer.  A call can take every parts-th slab only, so
+that two processes split one list of cores without running any slab
+twice.  The enumeration works in int64, which caps the discriminant
+bound at X < 2^63 (records hold disc = (c * 2^[even] * n)^2); the sieve
+limit sqrt(X) then stays below 2^32, so the least-prime-factor table is
+uint32.
 """
 
 from __future__ import annotations
@@ -333,8 +334,8 @@ class _RecordBuffer:
         self.n = need
 
 
-def _odd_cores(n_lo: int, n_hi: int, spf: np.ndarray, mob: np.ndarray):
-    """Odd squarefree n in [n_lo, n_hi] with omega(n), grouped by omega:
+def _odd_cores(limit: int, spf: np.ndarray, mob: np.ndarray):
+    """Odd squarefree n <= limit with omega(n), grouped by omega:
     (cores, omega) with omega ascending, and the cores of each omega
     ascending.
 
@@ -342,10 +343,9 @@ def _odd_cores(n_lo: int, n_hi: int, spf: np.ndarray, mob: np.ndarray):
     cores at a time, so that beside the cores, their omega and the
     grouped copy (17 bytes per core) the work arrays hold one window.
     """
-    start = n_lo if n_lo & 1 else n_lo + 1
-    n = np.flatnonzero(mob[start : n_hi + 1 : 2])
+    n = np.flatnonzero(mob[1 : limit + 1 : 2])
     n *= 2
-    n += start
+    n += 1
     omega = np.zeros(n.shape, dtype=np.int8)
     windows = range(0, len(n), CORE_WINDOW)
     for lo in windows:
@@ -439,18 +439,19 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
                 )
 
 
-def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1, cores=None):
-    """Enumerate the fields whose odd squarefree core lies in [n_lo, n_hi].
+def enumerate_block(cores, root, spf, collect, part=0, parts=1):
+    """Enumerate the fields whose odd squarefree core is one of cores.
 
-    root is floor(sqrt(X)); a tuple with weight factor c and 2-placement
-    power pw is admitted when pw * c * core <= root, i.e. disc <= X.
+    cores is (cores, omega) as _odd_cores lists them: the cores grouped
+    by omega ascending, and ascending within a group; spf is a
+    least-prime-factor table that covers them.  root is floor(sqrt(X)); a
+    tuple with weight factor c and 2-placement power pw is admitted when
+    pw * c * core <= root, i.e. disc <= X.
 
     The slabs, taken group by group in ascending omega, go to the parts
     in turn, and only those of part ``part`` (of ``parts``) are
     enumerated.  A field's ordered tuples share their odd core, so the
-    parts hold disjoint sets of whole fields.  cores, when given, is
-    _odd_cores(n_lo, n_hi, spf, mob), listed by the caller: a count lists
-    it once before it forks, so that its two parts read one copy.
+    parts hold disjoint sets of whole fields.
 
     Only the kept pair of each field's six ordered tuples is enumerated
     (_assignments); its class tallies are unfolded through class_id_maps
@@ -463,7 +464,7 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1, cores=
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
     records = _RecordBuffer() if collect else None
-    cores, omega = _odd_cores(n_lo, n_hi, spf, mob) if cores is None else cores
+    cores, omega = cores
     counts = np.bincount(omega)
     ends = np.cumsum(counts)
     slab = -1

@@ -21,7 +21,7 @@ from . import _kernels
 # count lists the cores once, before it forks, and its two processes
 # read that one copy; each adds only its slabs' work arrays, and its
 # records when it collects.  The measured peak of the sieve and the
-# cores (peak RSS growth of build_sieve(L) and _odd_cores(1, L) in a
+# cores (peak RSS growth of build_sieve(L) and _odd_cores(L, spf, mob) in a
 # fresh process) is 14.1 bytes per n at L = 1e6, 13.0 at 2e6, 12.4 at
 # 2e7 and 12.3 at 1e8, of which the sieve is 7.7, 5.3 and 5.1 at 2e6,
 # 2e7, 1e8.

@@ -265,64 +265,41 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _oracle_mismatches(
-    rows_of: Callable[[int, int], np.ndarray],
-    columns: tuple[int, ...],
-    mismatch: Callable[[FieldTriple, tuple], bool],
-) -> tuple[int, int]:
-    """(rows, mismatches) of a scalar oracle against the given columns of
-    the int64 rows (m, a1, b1, ...) that rows_of(part, parts) gives.
-
-    mismatch(triple, values) is true where the oracle disagrees with
-    values, the row's entries in those columns as a tuple; a row that
-    FieldTriple or the oracle rejects counts as one mismatch.
-    enumeration.fork_parts runs the parts in two processes when two CPUs
-    are usable, and each process builds and checks its own part's rows,
-    so rows_of(part, parts) over the parts must cover every row once.
-    The forked part's (rows, mismatches) comes back pickled, so both
-    counts must be picklable, as ints are.
-    """
-    step = enumeration.EMIT_CHUNK
-
-    def work(part: int, parts: int) -> tuple[int, int]:
-        rows = rows_of(part, parts)
-        seen = bad = 0
-        for lo in range(0, len(rows), step):
-            # one list per column and block: lists of the whole array would
-            # raise the peak memory
-            block = rows[lo : lo + step, (0, 1, 2, *columns)].T.tolist()
-            seen += len(block[0])
-            for m, a1, b1, values in zip(*block[:3], zip(*block[3:])):
-                try:
-                    bad += mismatch(FieldTriple(m, a1, b1), values)
-                except InvalidFieldError:
-                    bad += 1
-        return seen, bad
-
-    seen, bad = zip(*enumeration.fork_parts(work))
-    return sum(seen), sum(bad)
-
-
 def _audit(bound: int) -> tuple[int, int]:
     """(fields, mismatches) of subfield_data and classify_by_splitting
     against columns 3-11 of enumerate_fields(bound), on a sieve to
     isqrt(bound), which covers |m a1 b1| = sqrt(disc) / c.  This is both
     the audit of count --audit-bound and check 5 of verify.
+
+    enumeration.fork_parts runs the parts in two processes when two CPUs
+    are usable; part p of parts checks the sink's chunks p, p + parts,
+    ... (EMIT_CHUNK fields each), so the parts check every field once.  A
+    field that FieldTriple or the oracles reject counts as one mismatch.
     """
-    tables: list[np.ndarray] = [np.empty((0, enumeration.FIELD_COLUMNS), np.int64)]
-    enumeration.enumerate_fields(bound, sink=tables.append)
-    table = np.concatenate(tables)
-    block = np.arange(len(table)) // enumeration.EMIT_CHUNK  # part p takes p, p + parts, ...
+    chunks: list[np.ndarray] = []
+    enumeration.enumerate_fields(bound, sink=chunks.append)
     sieve = build_sieve(math.isqrt(bound))
 
-    def mismatch(triple, values):
-        data, status = subfield_data(triple), classify_by_splitting(triple, sieve)
-        derived = (*data.kernels, *data.fundamental_discs, data.c, data.field_disc)
-        return (*derived, status.witness or 0) != values  # witness 0 where it fails
+    def work(part: int, parts: int) -> tuple[int, int]:
+        seen = bad = 0
+        for chunk in chunks[part::parts]:
+            # one list per column of one chunk: lists of all fields, or one
+            # list per field, would raise the peak memory
+            block = chunk.T.tolist()
+            seen += len(block[0])
+            for m, a1, b1, *values in zip(*block):
+                try:
+                    triple = FieldTriple(m, a1, b1)
+                    data, status = subfield_data(triple), classify_by_splitting(triple, sieve)
+                except InvalidFieldError:
+                    bad += 1
+                    continue
+                derived = [*data.kernels, *data.fundamental_discs, data.c, data.field_disc]
+                bad += [*derived, status.witness or 0] != values  # witness 0 where it fails
+        return seen, bad
 
-    return _oracle_mismatches(
-        lambda part, parts: table[block % parts == part], tuple(range(3, 12)), mismatch
-    )
+    seen, bad = zip(*enumeration.fork_parts(work))
+    return sum(seen), sum(bad)
 
 
 def _kernel_set_disagreements(rows: np.ndarray, sieve: FactorSieve) -> tuple[int, int]:

@@ -252,38 +252,6 @@ def _lap(stats: dict[str, float], key: str, since: float) -> float:
     return now
 
 
-def _count_part(
-    root: int,
-    sieve: FactorSieve,
-    cores: tuple[np.ndarray, np.ndarray],
-    collect: bool,
-    part: int,
-    parts: int,
-    stats: dict[str, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One part's share of the count with root floor(sqrt(X)), whose odd
-    squarefree cores, with their omega, are cores.
-
-    Returns (total, fails, columns): the class totals and the class
-    failures of its slabs, and, when collect is true, the field columns
-    of its fields, deduped and sorted (else None).  Each stage's seconds
-    go to stats.
-    """
-    t = time.perf_counter()
-    total, fails, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, collect, part, parts, cores=cores
-    )
-    t = _lap(stats, "kernel_s", t)
-    if not collect:
-        return total, fails, None
-    rows, _ = unique_field_rows(records)
-    del records  # free them before the field columns
-    t = _lap(stats, "dedup_s", t)
-    columns = _field_columns(rows, sieve)
-    _lap(stats, "deliver_s", t)
-    return total, fails, columns
-
-
 def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     """Count (and optionally stream) all fields with discriminant <= X.
 
@@ -309,12 +277,26 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     t = time.perf_counter()
     sieve = build_sieve(max(root, 1))
     t = _lap(stats, "sieve_s", t)
-    cores = _kernels._odd_cores(1, root, sieve.smallest_prime_factor, sieve.mobius)
+    spf = sieve.smallest_prime_factor
+    cores = _kernels._odd_cores(root, spf, sieve.mobius)
     t = _lap(stats, "kernel_s", t)
     collect = sink is not None
 
     def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return _count_part(root, sieve, cores, collect, part, parts, stats)
+        """The class totals and failures of one part's slabs, and, when
+        collect is true, the field columns of its fields, deduped and
+        sorted (else None).  Each stage's seconds go to stats."""
+        t = time.perf_counter()
+        total, fails, records = _kernels.enumerate_block(cores, root, spf, collect, part, parts)
+        t = _lap(stats, "kernel_s", t)
+        if not collect:
+            return total, fails, None
+        rows, _ = unique_field_rows(records)
+        del records  # free them before the field columns
+        t = _lap(stats, "dedup_s", t)
+        columns = _field_columns(rows, sieve)
+        _lap(stats, "deliver_s", t)
+        return total, fails, columns
 
     before = sum(stats.values())
     outs = fork_parts(work) if len(cores[0]) > _kernels.SLAB else [work(0, 1)]
@@ -358,9 +340,9 @@ def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
     if max_core < 1:
         return np.empty((0, 6), np.int64)
     sieve = build_sieve(max_core)
-    _, _, records = _kernels.enumerate_block(
-        1, max_core, 8 * max_core, sieve.smallest_prime_factor, sieve.mobius, True, part, parts
-    )
+    spf = sieve.smallest_prime_factor
+    cores = _kernels._odd_cores(max_core, spf, sieve.mobius)
+    _, _, records = _kernels.enumerate_block(cores, 8 * max_core, spf, True, part, parts)
     return unfold_records(
         records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
     )

@@ -18,9 +18,9 @@ def kernel_rows(X: int) -> np.ndarray:
     with disc <= X, from one kernel call; X must lie in [1, 2^63)."""
     root = _sieve_root(X)
     sieve = build_sieve(max(root, 1))
-    _, _, records = _kernels.enumerate_block(
-        1, root, root, sieve.smallest_prime_factor, sieve.mobius, True
-    )
+    spf = sieve.smallest_prime_factor
+    cores = _kernels._odd_cores(root, spf, sieve.mobius)
+    _, _, records = _kernels.enumerate_block(cores, root, spf, True)
     return records
 
 

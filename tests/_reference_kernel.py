@@ -66,7 +66,8 @@ def fails_norm_principle(v1, v2, v3, fp, digs, w, even_slot):
 
 
 def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
-    """Same contract as ``_kernels.enumerate_block``, one tuple at a time."""
+    """The tallies and records of ``_kernels.enumerate_block`` over the odd
+    squarefree cores in [n_lo, n_hi], one tuple at a time."""
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
     rows = []

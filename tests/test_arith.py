@@ -162,7 +162,7 @@ class TestSieve:
             "from biquad_hnp._kernels import _odd_cores; "
             "peak = lambda: int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); "
             f"before = peak(); s = build_sieve({limit}); "
-            f"cores = _odd_cores(1, {limit}, s.smallest_prime_factor, s.mobius); "
+            f"cores = _odd_cores({limit}, s.smallest_prime_factor, s.mobius); "
             "print(peak() - before)"
         )
         src = Path(__file__).resolve().parents[1] / "src"

@@ -87,10 +87,10 @@ def starve_part_one(monkeypatch):
 
     true_block = _kernels.enumerate_block
 
-    def starved(n_lo, n_hi, root, spf, mob, collect, part=0, parts=1, **kwargs):
+    def starved(cores, root, spf, collect, part=0, parts=1):
         if part == 1:
             raise MemoryError
-        return true_block(n_lo, n_hi, root, spf, mob, collect, part, parts, **kwargs)
+        return true_block(cores, root, spf, collect, part, parts)
 
     monkeypatch.setattr(_kernels, "enumerate_block", starved)
 
@@ -940,7 +940,7 @@ class TestVerify:
 
         def corrupted(*args, **kwargs):
             total, fails, records = true_block(*args, **kwargs)
-            if args[2] == 10**4:  # the audit's count, not check 6's sweep
+            if args[1] == 10**4:  # the audit's count, not check 6's sweep
                 records[records[:, 3] == 48841, column] ^= 1
             return total, fails, records
 
@@ -990,7 +990,7 @@ class TestVerify:
         parts = []
 
         def recorded(*args, **kwargs):
-            parts.append(args[6:])
+            parts.append(args[4:])
             return true_block(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "enumerate_block", recorded)

@@ -28,7 +28,7 @@ from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key, class_label
 from biquad_hnp import _kernels
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, _oracle_mismatches, main
+from biquad_hnp.cli import EXIT_OK, EXIT_VERIFY_FAILED, _audit, main
 from biquad_hnp.enumeration import (
     enumerate_fields,
     fork_parts,
@@ -480,6 +480,24 @@ class TestSinkAndAudit:
             "error: the scalar oracles disagree on 1 of the 16679 fields with disc <= 100000000\n"
         )
 
+    def test_audit_counts_a_row_naming_no_field_once(self, monkeypatch):
+        # FieldTriple rejects m = 0: one mismatch, not an error
+        from biquad_hnp import enumeration
+
+        true_enumerate = enumeration.enumerate_fields
+
+        def corrupted(X, sink):
+            def corrupting(columns):
+                columns = columns.copy()
+                columns[0, 0] = 0
+                sink(columns)
+
+            return true_enumerate(X, corrupting)
+
+        monkeypatch.setattr(enumeration, "enumerate_fields", corrupted)
+        # S(10^5) fields lie in one chunk of EMIT_CHUNK
+        assert _audit(10**5) == (true_enumerate(10**5).S, 1)
+
     def test_stream_to_b_is_the_prefix_of_a_longer_stream(self):
         # the audit collects the fields to B from a count to B, not to X
         def stream(x):
@@ -522,20 +540,10 @@ def _count_part_of(part, parts):
 
 
 class TestSplitSum:
-    # cli._oracle_mismatches sums the (rows, mismatches) of fork_parts' parts
+    # cli._audit sums the (fields, mismatches) of fork_parts' parts
     def test_one_cpu_runs_in_process(self, unforked):
-        tables = []
-        enumerate_fields(10**5, sink=tables.append)
-        table = np.concatenate(tables)
-        calls = []
-
-        def rows_of(part, parts):
-            calls.append((part, parts))
-            return table
-
-        got = _oracle_mismatches(rows_of, (10,), lambda triple, values: values[0] % 7 == 0)
-        assert calls == [(0, 1)]
-        assert got == (len(table), sum(disc % 7 == 0 for disc in table[:, 10].tolist()))
+        # unforked makes a fork raise: one process checks every field
+        assert _audit(10**5) == (enumerate_fields(10**5).S, 0)
 
 
 class TestForkParts:

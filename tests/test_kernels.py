@@ -2,13 +2,13 @@
 
 ``enumerate_block`` is compared exactly with the per-tuple loop kept in
 ``_reference_kernel``: class tallies, failing tallies and the multiset
-of records, over whole and split core ranges.  The kernel enumerates one
-tuple per field, so its records are unfolded into the six ordered
-records of each field first; the S3 action it relies on is checked on
-the (assignment, combo) pairs and on the class ids.  ``jacobi_array`` is
-checked against Euler's criterion and against the scalar symbols, and
-the class tables entry by entry against the scalar class functions kept
-in ``_reference_classes``.
+of records, over all the odd squarefree cores and over disjoint subsets
+of them.  The kernel enumerates one tuple per field, so its records are
+unfolded into the six ordered records of each field first; the S3
+action it relies on is checked on the (assignment, combo) pairs and on
+the class ids.  ``jacobi_array`` is checked against Euler's criterion
+and against the scalar symbols, and the class tables entry by entry
+against the scalar class functions kept in ``_reference_classes``.
 """
 
 import itertools
@@ -35,16 +35,25 @@ def _ordered_rows(records):
 
 
 def _kernel_args(X):
+    """(cores, root, spf): the listed cores and the root of a kernel call
+    to disc X, and the sieve table it reads."""
     root = math.isqrt(X)
     sieve = build_sieve(root)
-    return root, sieve.smallest_prime_factor, sieve.mobius
+    spf = sieve.smallest_prime_factor
+    return _kernels._odd_cores(root, spf, sieve.mobius), root, spf
+
+
+def _reference_block(X):
+    """The reference kernel's tallies and records to disc X."""
+    root = math.isqrt(X)
+    sieve = build_sieve(root)
+    return reference.enumerate_block(1, root, root, sieve.smallest_prime_factor, sieve.mobius, True)
 
 
 @pytest.mark.parametrize("X", [144, 10**4, 10**6, 10**8])
 def test_enumerate_block_matches_reference(X):
-    root, spf, mob = _kernel_args(X)
-    got = _kernels.enumerate_block(1, root, root, spf, mob, True)
-    want = reference.enumerate_block(1, root, root, spf, mob, True)
+    got = _kernels.enumerate_block(*_kernel_args(X), True)
+    want = _reference_block(X)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
     assert 6 * len(got[2]) == len(want[2])
@@ -52,12 +61,17 @@ def test_enumerate_block_matches_reference(X):
 
 
 @pytest.mark.parametrize("X", [10**6, 10**8])
-def test_enumerate_block_split_range_matches_reference(X):
-    root, spf, mob = _kernel_args(X)
-    want = reference.enumerate_block(1, root, root, spf, mob, True)
-    # uneven cut points, one of them even, so every piece starts differently
-    cuts = [(1, root // 3), (root // 3 + 1, 2 * root // 3 + 1), (2 * root // 3 + 2, root)]
-    parts = [_kernels.enumerate_block(lo, hi, root, spf, mob, True) for lo, hi in cuts]
+def test_enumerate_block_core_subsets_add_up_to_reference(X):
+    (cores, omega), root, spf = _kernel_args(X)
+    want = _reference_block(X)
+    # two disjoint subsets cut by core value, each still grouped by omega
+    # and ascending in each group
+    low = cores <= root // 3
+    parts = [
+        _kernels.enumerate_block((cores[side], omega[side]), root, spf, True)
+        for side in (low, ~low)
+    ]
+    assert all(len(p[2]) > 0 for p in parts)
     assert np.array_equal(sum(p[0] for p in parts), want[0])
     assert np.array_equal(sum(p[1] for p in parts), want[1])
     records = np.concatenate([p[2] for p in parts])
@@ -67,10 +81,10 @@ def test_enumerate_block_split_range_matches_reference(X):
 @pytest.mark.parametrize("X, parts", [(10**8, 2), (10**8, 3), (10**11, 2)])
 def test_enumerate_block_slab_shares_add_up(X, parts):
     # the parts take disjoint slabs whose tallies and records make the whole
-    root, spf, mob = _kernel_args(X)
+    args = _kernel_args(X)
     collect = X <= 10**8
-    whole = _kernels.enumerate_block(1, root, root, spf, mob, collect)
-    shares = [_kernels.enumerate_block(1, root, root, spf, mob, collect, p, parts) for p in range(parts)]
+    whole = _kernels.enumerate_block(*args, collect)
+    shares = [_kernels.enumerate_block(*args, collect, p, parts) for p in range(parts)]
     assert all(share[0].sum() > 0 for share in shares)
     assert np.array_equal(sum(share[0] for share in shares), whole[0])
     assert np.array_equal(sum(share[1] for share in shares), whole[1])
@@ -120,24 +134,21 @@ def test_class_id_maps_are_s3_and_keep_the_class_tables():
         assert all(np.array_equal(table[m], table) for m in maps)
 
 
-@pytest.mark.parametrize("n_lo, n_hi", [(1, 10**4), (2, 7777), (100, 100), (4, 4)])
-def test_odd_cores_are_grouped_by_omega(n_lo, n_hi, monkeypatch):
+@pytest.mark.parametrize("limit", [1, 4, 100, 7777, 10**4])
+def test_odd_cores_are_grouped_by_omega(limit, monkeypatch):
     # windows of 64 cores, so that most groups are filled from several
     monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
     sieve = build_sieve(10**4)
-    cores, omega = _kernels._odd_cores(n_lo, n_hi, sieve.smallest_prime_factor, sieve.mobius)
+    cores, omega = _kernels._odd_cores(limit, sieve.smallest_prime_factor, sieve.mobius)
     want = sorted(
-        (len(sieve.factor(n)), n)
-        for n in range(n_lo, n_hi + 1)
-        if n % 2 and sieve.mobius[n] != 0
+        (len(sieve.factor(n)), n) for n in range(1, limit + 1) if n % 2 and sieve.mobius[n] != 0
     )
     assert omega.dtype == np.int8
     assert list(zip(omega.tolist(), cores.tolist())) == want
 
 
 def test_enumerate_block_without_collect_returns_no_records():
-    root, spf, mob = _kernel_args(10**6)
-    total, fails, records = _kernels.enumerate_block(1, root, root, spf, mob, False)
+    total, fails, records = _kernels.enumerate_block(*_kernel_args(10**6), False)
     assert records.shape == (0, 6)
     assert total.sum() == 6084 and fails.sum() == 6 * 119
 
