@@ -203,9 +203,18 @@ def _class_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # The six permutations of the three components: a tuple moved by perm
 # has as its component j the component perm[j] of the tuple, negated with
-# the others when that makes component 1 negative.  Moved tuples name the
-# same field, with the same c, admission bound and verdict.
+# the others when that makes component 1 negative (_moved_components).
+# Moved tuples name the same field, with the same c, admission bound and
+# verdict.  The orbit tables of _assignments, class_id_maps and the record
+# siblings of enumeration all move tuples by this table.
 _S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _moved_components(v: tuple[np.ndarray, ...], perm: tuple[int, int, int]) -> tuple:
+    """The columns of the tuples with the nonzero component columns v,
+    moved by perm: column j is v[perm[j]], negated where v[perm[0]] < 0."""
+    sign = np.sign(v[perm[0]])
+    return tuple(sign * v[p] for p in perm)
 
 
 def _moved_slot(slot: np.ndarray, perm: tuple[int, int, int]) -> np.ndarray:
@@ -218,15 +227,16 @@ def class_id_maps() -> np.ndarray:
     """Per permutation of S3, the class id of the moved tuples of each id,
     as the rows of a read-only (6, CLASS_SPACE) int64 array.
 
-    The labels are read with class_labels and the moved ids are built the
-    way _assignments and _enumerate_slab build ids.
+    The labels are read with class_labels, their signs and slot of 2 are
+    moved with _moved_components and _moved_slot, and the moved ids are
+    built the way _assignments and _enumerate_slab build ids.
     """
     sign2, sign3, even_slot, *m = class_labels().T
-    sign = np.stack((np.ones_like(sign2), sign2, sign3))
+    sign = (np.ones_like(sign2), sign2, sign3)
     maps = np.empty((len(_S3), CLASS_SPACE), dtype=np.int64)
     for k, perm in enumerate(_S3):
-        moved = sign[list(perm)] * sign[perm[0]]
-        s = 2 * (moved[1] < 0) + (moved[2] < 0)
+        _, moved2, moved3 = _moved_components(sign, perm)
+        s = 2 * (moved2 < 0) + (moved3 < 0)
         ecode = ((m[perm[0]] >> 1) << 4) | ((m[perm[1]] >> 1) << 2) | (m[perm[2]] >> 1)
         maps[k] = ((s * 4 + _moved_slot(even_slot, perm)) << 6) | ecode
     maps.setflags(write=False)

@@ -12,7 +12,8 @@ tallies into reports, replaces each field's record by the field's least
 ordered record, checks that no field is kept twice and that the fields
 kept number the ordered count over 6, and rebuilds each kept field's
 columns from its record.  ``unfold_records`` writes out the six ordered
-records of each field, for ``tuple_records``.
+records of each field, for ``tuple_records``.  Both move records by the
+kernel's own S3 table, ``_kernels._S3``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
 processes when it can (``fork_parts``).  The cores are listed once,
@@ -21,7 +22,8 @@ other slab of them, tallies those slabs, dedups and checks its own
 fields, and sends back its tallies and field table as they are,
 pickled.  This works because a field's six ordered triples share their
 odd core, so the slabs split the fields too.  This process runs the
-other slabs, sums the tallies and merges the two field tables.
+other slabs, sums the tallies and inserts the child's field table into
+its own by disc.
 """
 
 from __future__ import annotations
@@ -90,43 +92,17 @@ def _fundamental(k: np.ndarray) -> np.ndarray:
     return np.where(k % 4 == 1, k, 4 * k)
 
 
-def _assert_once(keys: np.ndarray) -> None:
-    """Raise AssertionError when two consecutive sorted keys are equal."""
-    twice = np.all(keys[1:] == keys[:-1], axis=1)
-    if twice.any():
-        raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
-
-
-def _siblings(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> list[tuple]:
-    """The components of the six ordered records of each field, as six
-    column triples, the given record's first.
-
-    The kernels v1 v2, v1 v3 and v2 v3 of a record share one component
-    pairwise, so its field's other five ordered records follow in closed
-    form, with s = sgn v2 and t = sgn v3: (v1, v3, v2), (|v2|, s v1, s v3),
-    (|v2|, s v3, s v1), (|v3|, t v1, t v2) and (|v3|, t v2, t v1).
-    """
-    s, t = np.sign(v2), np.sign(v3)
-    a2, a3 = s * v2, t * v3
-    return [
-        (v1, v2, v3),
-        (v1, v3, v2),
-        (a2, s * v1, s * v3),
-        (a2, s * v3, s * v1),
-        (a3, t * v1, t * v2),
-        (a3, t * v2, t * v1),
-    ]
-
-
 def unfold_records(records: np.ndarray) -> np.ndarray:
     """The six ordered records of each field, from one record per field.
 
-    (v1, v2, v3) are permuted as in _siblings, and disc, c and fails are
-    repeated: row k * len(records) + i is sibling k of record i.
+    Block k holds the records with (v1, v2, v3) moved by _kernels._S3[k],
+    and disc, c and fails repeated: row k * len(records) + i is record i
+    moved by _S3[k].
     """
     out = np.empty((6, len(records), 6), dtype=np.int64)
-    for k, columns in enumerate(_siblings(records[:, 0], records[:, 1], records[:, 2])):
-        for j, col in enumerate(columns):
+    v = records[:, 0], records[:, 1], records[:, 2]
+    for k, perm in enumerate(_kernels._S3):
+        for j, col in enumerate(_kernels._moved_components(v, perm)):
             out[k, :, j] = col
         out[k, :, 3:] = records[:, 3:]
     return out.reshape(-1, 6)
@@ -138,28 +114,30 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (rows, keys) where keys holds the sorted fundamental
     discriminants k0 <= k1 <= k2.  Each record is replaced by the
-    lexicographically smallest of its field's six ordered records (see
-    _siblings), found by comparing columns, so the result does not depend
-    on which of the six the kernel enumerated or on how the enumeration
-    was partitioned.  The sort is on (disc, k0, k1): the third subfield
-    is Q(sqrt(d d')) for the other two, so k0 and k1 fix k2 and the order
-    is that of the whole key.  A field given twice raises AssertionError.
+    lexicographically smallest of its field's six ordered records, its
+    moves by _kernels._S3, found by comparing columns one move at a time,
+    so the result does not depend on which of the six the kernel
+    enumerated or on how the enumeration was partitioned.  The sort is on
+    (disc, k0, k1): the third subfield is Q(sqrt(d d')) for the other
+    two, so k0 and k1 fix k2 and the order is that of the whole key.  A
+    field given twice raises AssertionError.
     """
-    if len(records) == 0:
-        return records.reshape(0, 6), np.empty((0, 3), dtype=np.int64)
-    siblings = _siblings(records[:, 0], records[:, 1], records[:, 2])
-    least = siblings[0]
-    for u1, u2, u3 in siblings[1:]:
+    v = least = records[:, 0], records[:, 1], records[:, 2]
+    for perm in _kernels._S3[1:]:
+        u1, u2, u3 = moved = _kernels._moved_components(v, perm)
         w1, w2, w3 = least
         less = (u1 < w1) | ((u1 == w1) & ((u2 < w2) | ((u2 == w2) & (u3 < w3))))
-        least = tuple(np.where(less, u, w) for u, w in zip((u1, u2, u3), least))
+        least = tuple(np.where(less, u, w) for u, w in zip(moved, least))
+    del moved, w1, w2, w3, less  # free the last move before the sort
     u1, u2, u3 = least
     keys = np.stack((_fundamental(u1 * u2), _fundamental(u1 * u3), _fundamental(u2 * u3)), axis=1)
     keys.sort(axis=1)
     order = np.lexsort((keys[:, 1], keys[:, 0], records[:, 3]))
     rows = np.column_stack((u1, u2, u3, records[:, 3:]))[order]
     keys = keys[order]
-    _assert_once(keys)
+    twice = np.all(keys[1:] == keys[:-1], axis=1)
+    if twice.any():
+        raise AssertionError(f"field {tuple(keys[np.argmax(twice)].tolist())} kept twice")
     return rows, keys
 
 
@@ -213,22 +191,20 @@ def _merged_fields(tables: list[np.ndarray], ordered: int) -> np.ndarray:
     Each table is sorted by (disc, key) already, and none holds a field
     twice.  disc = (2^j n)^2 fixes the odd core n that all of a field's
     ordered triples share, and each core lies in one part, so the fields of one
-    disc are all in one table: the tables merge by disc alone, stably.
-    A disc found in two tables (a field kept twice, or a core counted in
-    both parts) raises AssertionError, and so do kept fields that do not
-    number the ordered count over 6.
+    disc are all in one table: each further table's rows go in at their
+    insertion points by disc, with one np.insert.  A disc of the inserted
+    table found at its insertion point (a field kept twice, or a core
+    counted in both parts) raises AssertionError, and so do kept fields
+    that do not number the ordered count over 6.
     """
-    if len(tables) == 1:
-        columns = tables[0]
-    else:
-        columns = np.concatenate(tables)
-        order = np.argsort(columns[:, 10], kind="stable")
-        columns = columns[order]
-        table = np.repeat(np.arange(len(tables)), [len(t) for t in tables])[order]
-        disc = columns[:, 10]
-        shared = (disc[1:] == disc[:-1]) & (table[1:] != table[:-1])
+    columns, *rest = tables
+    for table in rest:
+        disc = table[:, 10]
+        at = np.searchsorted(columns[:, 10], disc)
+        shared = np.searchsorted(columns[:, 10], disc, side="right") > at
         if shared.any():
             raise AssertionError(f"disc {disc[np.argmax(shared)]} kept in two parts")
+        columns = np.insert(columns, at, table, axis=0)
     if 6 * len(columns) != ordered:
         raise AssertionError(
             f"dedup mismatch: {len(columns)} unique fields vs ordered/6 = {ordered // 6}"
@@ -275,7 +251,7 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     root = _sieve_root(X)
     stats = {"sieve_s": 0.0, "kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
     t = time.perf_counter()
-    sieve = build_sieve(max(root, 1))
+    sieve = build_sieve(root)
     t = _lap(stats, "sieve_s", t)
     spf = sieve.smallest_prime_factor
     cores = _kernels._odd_cores(root, spf, sieve.mobius)

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ class TestDedup:
     def test_empty_records(self):
         rows, keys = unique_field_rows(field_records(143))
         assert rows.shape == (0, 6) and keys.shape == (0, 3)
+
+    def test_peak_is_at_most_200_bytes_a_record(self):
+        # the least record's columns, the keys, the sort order and the
+        # rows before and after their sort take 152 bytes a record; the
+        # columns of all six siblings held at once would pass 200
+        records = kernel_rows(10**10)
+        tracemalloc.start()
+        try:
+            unique_field_rows(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * len(records)
 
     def test_duplicated_representative_raises(self):
         # the clean records dedup; the same records with one field's kept
@@ -691,8 +705,42 @@ class TestSplitCount:
         halves = [table[mod], table[~mod]]
         merged = enumeration._merged_fields(halves, 6 * len(table))
         assert merged.tobytes() == table.tobytes()
-        with pytest.raises(AssertionError, match="kept in two parts"):
-            enumeration._merged_fields([table, table[100:101]], 6 * (len(table) + 1))
+        # an empty table first, last or on both sides leaves the other as it is
+        empty = table[:0]
+        for tables, want in (
+            ([empty, table], table),
+            ([table, empty], table),
+            ([empty, empty], empty),
+        ):
+            merged = enumeration._merged_fields(tables, 6 * len(want))
+            assert merged.shape == want.shape and merged.dtype == want.dtype
+            assert merged.tobytes() == want.tobytes()
+        # a shared disc inside the first table, and at its first and last rows
+        for row in (100, 0, len(table) - 1):
+            with pytest.raises(AssertionError, match="kept in two parts"):
+                enumeration._merged_fields(
+                    [table, table[row : row + 1]], 6 * (len(table) + 1)
+                )
+
+    def test_merge_peak_is_at_most_one_and_a_half_merged_tables(self):
+        # the parts' tables are the merge's input; the merged table and
+        # the insertion points take 1.14 merged tables, and a concatenated
+        # copy reordered into a second one would take 2
+        from biquad_hnp import enumeration
+
+        tables = []
+        enumerate_fields(10**10, sink=tables.append)
+        table = np.concatenate(tables)
+        mod = table[:, 10] % 7 < 3
+        halves = [table[mod], table[~mod]]
+        tracemalloc.start()
+        try:
+            merged = enumeration._merged_fields(halves, 6 * len(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.tobytes() == table.tobytes()
+        assert peak <= 1.5 * merged.nbytes
 
     def test_small_count_does_not_fork(self, forked, monkeypatch):
         # 10^6 has fewer odd squarefree cores below 1000 than one slab
