@@ -25,9 +25,9 @@ from typing import Callable, TextIO
 import numpy as np
 
 from . import _kernels, asymptotics, enumeration
-from .arith import FactorSieve, build_sieve
+from .arith import build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
-from .hnp import FAILS, HOLDS, classify_by_splitting
+from .hnp import FAILS, HOLDS, _classify_with, classify_by_splitting
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -290,7 +290,8 @@ def _audit(bound: int) -> tuple[int, int]:
             for m, a1, b1, *values in zip(*block):
                 try:
                     triple = FieldTriple(m, a1, b1)
-                    data, status = subfield_data(triple), classify_by_splitting(triple, sieve)
+                    data = subfield_data(triple)
+                    status = _classify_with(triple, data, sieve)
                 except InvalidFieldError:
                     bad += 1
                     continue
@@ -300,45 +301,6 @@ def _audit(bound: int) -> tuple[int, int]:
 
     seen, bad = zip(*enumeration.fork_parts(work))
     return sum(seen), sum(bad)
-
-
-def _kernel_set_disagreements(rows: np.ndarray, sieve: FactorSieve) -> tuple[int, int]:
-    """(rows, disagreements) of the kernel's verdicts, column 5 of the
-    tuple records rows, against classify_by_splitting on the sieve.
-
-    The oracle's verdict is a property of the field: it reads only the
-    fundamental discriminants, symmetrically, and the primes of
-    |m a1 b1| = sqrt|k1 k2 k3|, and the sorted kernels fix both.  So the
-    valid rows are grouped by sorted kernels, the oracle is asked on one
-    row of each group, and its verdict is compared with the kernel's on
-    every row of the group.  A row that names another field has other
-    kernels and lands in another group; a row that names no field, and
-    each row of a group whose row the oracle rejects, is one
-    disagreement.
-    """
-    m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
-    invalid = enumeration.invalid_rows(m, a1, b1)
-    # kernels written and sorted in place: more temporaries of a whole
-    # part would raise verify's peak memory, which check 5 sets
-    keys = np.empty((3, len(rows)), dtype=np.int64)
-    np.multiply(m, a1, out=keys[0])
-    np.multiply(m, b1, out=keys[1])
-    np.multiply(a1, b1, out=keys[2])
-    keys.sort(axis=0)
-    # the valid rows ordered by sorted kernels, the invalid ones after them
-    order = np.lexsort((*keys, invalid))[: len(rows) - np.count_nonzero(invalid)]
-    keys = keys[:, order]
-    first = np.ones(len(order), dtype=bool)  # the first row of each group
-    first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
-    verdicts = []  # the oracle's fails of each group, -1 where it raised
-    for triple in rows[order[first], :3].tolist():
-        try:
-            verdicts.append(classify_by_splitting(FieldTriple(*triple), sieve).fails)
-        except InvalidFieldError:
-            verdicts.append(-1)
-    verdict = np.array(verdicts, dtype=np.int64)[np.cumsum(first) - 1]
-    bad = np.count_nonzero((verdict == -1) | (verdict != rows[order, 5]))
-    return len(rows), len(rows) - len(order) + int(bad)
 
 
 def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
@@ -390,8 +352,29 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
 
     def sweep(part: int, parts: int) -> tuple[int, int]:
+        """(rows, disagreements) of the kernel's verdicts, column 5 of the
+        part's tuple records, against classify_by_splitting.
+
+        The rows are six blocks of the part's kernel records, block 0 the
+        records themselves (enumeration.unfold_records).  The oracle is
+        asked once per record, and its verdict is compared with the
+        kernel's on the record's six rows.  A row disagrees when it names
+        no field, when its sorted kernels differ from its record's (it
+        names another field), or when the oracle rejects its record.
+        """
         rows = enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts)
-        return _kernel_set_disagreements(rows, sieve)
+        m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
+        kernels = np.sort([m * a1, m * b1, a1 * b1], axis=0).reshape(3, 6, -1)
+        bad = enumeration.invalid_rows(m, a1, b1).reshape(6, -1)
+        bad |= np.any(kernels != kernels[:, :1], axis=0)
+        verdicts = []  # the oracle's fails of each record, -1 where it raised
+        for triple in rows[: len(rows) // 6, :3].tolist():
+            try:
+                verdicts.append(classify_by_splitting(FieldTriple(*triple), sieve).fails)
+            except InvalidFieldError:
+                verdicts.append(-1)
+        bad |= np.array(verdicts, dtype=np.int64) != rows[:, 5].reshape(6, -1)
+        return len(rows), int(np.count_nonzero(bad))
 
     seen, bad = zip(*enumeration.fork_parts(sweep))
     total, mismatches = sum(seen), sum(bad)

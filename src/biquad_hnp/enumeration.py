@@ -97,7 +97,7 @@ def unfold_records(records: np.ndarray) -> np.ndarray:
 
     Block k holds the records with (v1, v2, v3) moved by _kernels._S3[k],
     and disc, c and fails repeated: row k * len(records) + i is record i
-    moved by _S3[k].
+    moved by _S3[k].  _S3[0] is the identity, so block 0 is the records.
     """
     out = np.empty((6, len(records), 6), dtype=np.int64)
     v = records[:, 0], records[:, 1], records[:, 2]
@@ -306,7 +306,8 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
 def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
     """Records (v1, v2, v3, disc, c, fails) of every ordered tuple with
     |v1 v2 v3| <= max_core, from one kernel call: its record of each
-    field, unfolded into the field's six.
+    field, unfolded into the field's six by unfold_records, so the rows
+    are six blocks and block 0 is the kernel's records.
 
     These are the valid triples with |m a1 b1| <= max_core; the kernel's
     part ``part`` of ``parts`` holds a share of them, and the parts

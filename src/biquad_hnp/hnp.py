@@ -11,8 +11,9 @@ The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
 against ``classify_by_splitting`` on every ordered tuple with
 |m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
-of those tuples too: it groups them by sorted kernels and asks the
-oracle once per group.  The oracle reads only the fundamental
+of those tuples too: it asks the oracle once per kernel record, and
+holds each of the record's six ordered tuples to that verdict, and to
+the record's sorted kernels.  The oracle reads only the fundamental
 discriminants, symmetrically, and the primes of |m*a1*b1| =
 sqrt|k1*k2*k3|, so the sorted kernels fix its verdict, witness and any
 InvalidFieldError, and the six ordered tuples of a field share them.
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._kernels import jacobi_array
 from .arith import FactorSieve, jacobi, kronecker, prime_factors
-from .fields import FieldTriple, subfield_data
+from .fields import FieldTriple, SubfieldData, subfield_data
 
 FAILS = "fails"
 HOLDS = "holds"
@@ -61,7 +62,11 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
     Straight-line integer code, pure Python and independent of the
     kernel.  For odd p, kronecker(d, p) is jacobi(d, p).
     """
-    data = subfield_data(t)
+    return _classify_with(t, subfield_data(t), sieve)
+
+
+def _classify_with(t: FieldTriple, data: SubfieldData, sieve: FactorSieve | None) -> HnpStatus:
+    """classify_by_splitting(t, sieve), given data = subfield_data(t)."""
     d1, d2, d3 = data.fundamental_discs
     # the components are pairwise coprime, so their primes are those of
     # the product; beyond the sieve, trial division of each component

@@ -19,8 +19,7 @@ def forked(monkeypatch):
     """enumeration.fork_parts forks, whatever the host's CPU count.
 
     fork_parts splits enumerate_fields, the scalar-oracle sweep of
-    cli._audit (verify check 5) and the kernel-set sweep of verify
-    check 6.
+    cli._audit (verify check 5) and the tuple sweep of verify check 6.
     """
     if not hasattr(os, "fork"):
         pytest.skip("os.fork is not available")

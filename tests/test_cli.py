@@ -897,21 +897,27 @@ class TestVerify:
 
     @pytest.mark.parametrize("bad", [(3, 3, 5), (1, 1, 5)], ids=["not_coprime", "kernel_one"])
     def test_malformed_sweep_tuple_is_a_disagreement(self, capsys, monkeypatch, bad):
-        # a kernel record that names no field fails check 6; it is not a
-        # usage error
+        # a row of part 0 replaced by a triple that names no field fails
+        # check 6; it is not a usage error.  The last row, a move of a
+        # record, is one disagreement; the first, a kernel record, fails
+        # the six rows of its field
         true_tuples = enumeration.tuple_records
-
-        def faulty(max_core, part=0, parts=1):
-            records = true_tuples(max_core, part, parts)
-            return np.vstack([records, [[*bad, 0, 8, 0]]]) if part == 0 else records
-
-        monkeypatch.setattr(enumeration, "tuple_records", faulty)
         monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
-        assert main(["verify"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  classifier equivalence, 64141 triples" in out
-        assert "got 1 disagreements" in out
-        assert "PASS  scalar oracles on the stream, 0 fields" in out
+        for row, disagreements in [(-1, 1), (0, 6)]:
+
+            def faulty(max_core, part=0, parts=1):
+                records = true_tuples(max_core, part, parts)
+                if part == 0:
+                    records[row, :3] = bad
+                return records
+
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "tuple_records", faulty)
+                assert main(["verify"]) == 1
+            out = capsys.readouterr().out
+            assert "FAIL  classifier equivalence, 64140 triples" in out
+            assert f"got {disagreements} disagreements" in out
+            assert "PASS  scalar oracles on the stream, 0 fields" in out
 
     def test_malformed_row_in_the_childs_block_is_a_violation(self, capsys, monkeypatch, forked):
         # block 1 of EMIT_CHUNK rows is checked by the forked child
@@ -1057,32 +1063,56 @@ class TestVerify:
         assert "FAIL  classifier equivalence, 64140 triples" in out
         assert "got 1 disagreements" in out
 
-    def test_row_with_a_fields_kernels_that_names_no_field_is_one_disagreement(
-        self, capsys, monkeypatch
-    ):
-        # (-1, -13, -17) has m < 1 but the kernel set [13, 17, 221] of the
-        # field of disc 48841; put first in its part, it is one
-        # disagreement, and the field's six rows still agree
+    def test_row_relabelled_as_another_fields_row_is_a_disagreement(self, capsys, monkeypatch):
+        # the row (1, -2, -7) of the holding field (7, 2, -1) of disc 3136,
+        # replaced by (3, 2, -1) of the holding field of disc 576: the
+        # oracle's verdict on the field the row now names agrees with the
+        # row's, but its kernels are not those of its record
         true_tuples = enumeration.tuple_records
 
         def faulty(max_core, part=0, parts=1):
             records = true_tuples(max_core, part, parts)
-            if part == 0:
-                fails = records[records[:, 3] == 48841, 5][0]
-                return np.vstack([[[-1, -13, -17, 48841, 1, fails]], records])
+            hit = np.flatnonzero((records[:, :4] == (1, -2, -7, 3136)).all(axis=1))
+            if len(hit):
+                assert len(hit) == 1 and records[hit[0], 5] == 0
+                records[hit[0], :3] = (3, 2, -1)
             return records
 
         monkeypatch.setattr(enumeration, "tuple_records", faulty)
         monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  classifier equivalence, 64141 triples" in out
+        assert "FAIL  classifier equivalence, 64140 triples" in out
+        assert "got 1 disagreements" in out
+
+    def test_row_with_a_fields_kernels_that_names_no_field_is_one_disagreement(
+        self, capsys, monkeypatch
+    ):
+        # (-1, -13, -17) has m < 1 but the kernel set [13, 17, 221] of the
+        # field of disc 48841; in place of the field's last row, a move of
+        # its record, it is one disagreement, and the field's other five
+        # rows still agree
+        true_tuples = enumeration.tuple_records
+
+        def faulty(max_core, part=0, parts=1):
+            records = true_tuples(max_core, part, parts)
+            hit = np.flatnonzero(records[:, 3] == 48841)
+            if len(hit):
+                assert len(hit) == 6
+                records[hit[-1], :3] = (-1, -13, -17)
+            return records
+
+        monkeypatch.setattr(enumeration, "tuple_records", faulty)
+        monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  classifier equivalence, 64140 triples" in out
         assert "got 1 disagreements" in out
 
     def test_oracle_is_asked_once_per_kernel_set(self, monkeypatch, unforked):
-        # check 6 groups its 64,140 rows by sorted kernels and asks the
-        # oracle on one row of each of the 10,690 sets; check 5 gets no
-        # fields, so every call counted is check 6's
+        # check 6 asks the oracle on each kernel record of its 64,140 rows,
+        # once for each of the 10,690 kernel sets; check 5 gets no fields,
+        # so every call counted is check 6's
         true_oracle = cli.classify_by_splitting
         asked = []
 

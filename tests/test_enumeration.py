@@ -121,6 +121,28 @@ class TestConsistency:
         assert ours and theirs
         assert sorted(ours + theirs) == sorted(rows())
 
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_tuple_records_are_six_blocks_of_the_parts_records(self, part):
+        # the layout check 6 of verify reads: block 0 is the kernel's
+        # records of the part, and block k their moves by _S3[k], with the
+        # signs of all three components flipped when the first is negative
+        sieve = build_sieve(2000)
+        cores = _kernels._odd_cores(2000, sieve.smallest_prime_factor, sieve.mobius)
+        records = _kernels.enumerate_block(
+            cores, 8 * 2000, sieve.smallest_prime_factor, True, part, 2
+        )[2]
+        records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= 2000]
+        rows = tuple_records(2000, part, 2)
+        assert len(rows) == 6 * len(records) > 0
+        blocks = rows.reshape(6, -1, 6).tolist()
+        assert blocks[0] == records.tolist()
+        for perm, block in zip(_kernels._S3, blocks):
+            moved = []
+            for *v, disc, c, fails in blocks[0]:
+                sign = -1 if v[perm[0]] < 0 else 1
+                moved.append([sign * v[j] for j in perm] + [disc, c, fails])
+            assert block == moved
+
     def test_per_class_pin_1e10(self):
         # S, S~ and every per-class (count, failing) pair at X = 10^10, as
         # computed by the scalar per-tuple enumeration
