@@ -2,8 +2,8 @@
 
 Everything here is numpy array algebra; there is no compiled path.
 
-``enumerate_block`` takes the odd squarefree cores that ``_odd_cores``
-lists, grouped by the number of prime factors w = omega(n).  An ordered
+``enumerate_block`` takes the slabs of ``_core_slabs``: ascending odd
+squarefree cores with one number of prime factors w = omega(n).  An ordered
 tuple is an assignment of the w primes to the three components (3^w of
 them) together with one of 16 (slot of the factor 2, sign pair) combos.  Each field has six
 ordered tuples, one per permutation of its three components (with all
@@ -37,14 +37,14 @@ elementwise operation on a grid:
   one more the failing ones, and one nonzero picks the records, one per
   field.
 
-Each group is processed in slabs of at most ``SLAB`` cores, which bounds
-the working arrays independently of the number of cores; records go
-into one growing buffer.  A call can take every parts-th slab only, so
-that two processes split one list of cores without running any slab
-twice.  The enumeration works in int64, which caps the discriminant
-bound at X < 2^63 (records hold disc = (c * 2^[even] * n)^2); the sieve
-limit sqrt(X) then stays below 2^32, so the least-prime-factor table is
-uint32.
+``_core_slabs`` reads the odd n one window at a time and yields slabs of
+at most ``SLAB`` cores, which bounds the working arrays independently of
+the number of cores; records go into one growing buffer.  A call can take
+every parts-th slab only, so that two processes, each walking the same
+slabs, split the cores without running any slab twice.  The enumeration
+works in int64, which caps the discriminant bound at X < 2^63 (records
+hold disc = (c * 2^[even] * n)^2); the sieve limit sqrt(X) then stays
+below 2^32, so the least-prime-factor table is uint32.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ CLASS_SPACE = 4 * 4 * 64
 
 SLAB = 2048  # cores per slab in enumerate_block
 MOBIUS_RANGE = 1 << 18  # largest range of n per step of build_mobius
-CORE_WINDOW = 1 << 16  # cores per step of _odd_cores
+CORE_WINDOW = 1 << 16  # odd n per window of _core_slabs
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -344,35 +344,46 @@ class _RecordBuffer:
         self.n = need
 
 
-def _odd_cores(limit: int, spf: np.ndarray, mob: np.ndarray):
-    """Odd squarefree n <= limit with omega(n), grouped by omega:
-    (cores, omega) with omega ascending, and the cores of each omega
-    ascending.
+def _core_slabs(limit: int, spf: np.ndarray, mob: np.ndarray):
+    """The odd squarefree n <= limit as slabs (n, w): at most SLAB
+    ascending cores, each with w = omega(n) prime factors.
 
-    omega is found, and the groups are filled, one window of CORE_WINDOW
-    cores at a time, so that beside the cores, their omega and the
-    grouped copy (17 bytes per core) the work arrays hold one window.
+    The odd n are read one window of CORE_WINDOW at a time, and each
+    window's cores are sorted by (omega, n).  Per omega, ascending, its
+    full slabs are yielded and the rest is held back for the next window;
+    the last window yields everything.  So every slab of an omega but its
+    last is full, and with one window the slabs are those of each omega
+    in turn.
     """
-    n = np.flatnonzero(mob[1 : limit + 1 : 2])
-    n *= 2
-    n += 1
-    omega = np.zeros(n.shape, dtype=np.int8)
-    windows = range(0, len(n), CORE_WINDOW)
-    for lo in windows:
-        t, w = n[lo : lo + CORE_WINDOW].copy(), omega[lo : lo + CORE_WINDOW]
+    odd = mob[1 : limit + 1 : 2]
+    held = {}  # per omega, fewer than SLAB cores below the window
+    for lo in range(0, len(odd), CORE_WINDOW):
+        n = np.flatnonzero(odd[lo : lo + CORE_WINDOW])
+        n *= 2
+        n += 2 * lo + 1
+        omega = np.zeros(n.shape, dtype=np.int64)
+        t = n.astype(np.uint32)
         while (live := t > 1).any():
-            w += live
+            omega += live
             t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
-    counts = np.bincount(omega)
-    fill = (np.cumsum(counts) - counts).tolist()  # next free place per omega
-    cores = np.empty_like(n)
-    for lo in windows:
-        window, w = n[lo : lo + CORE_WINDOW], omega[lo : lo + CORE_WINDOW]
-        for k in np.flatnonzero(np.bincount(w)).tolist():
-            members = window[w == k]
-            cores[fill[k] : fill[k] + len(members)] = members
-            fill[k] += len(members)
-    return cores, np.repeat(np.arange(len(counts), dtype=np.int8), counts)
+        del t, live  # free the walk before the sort
+        ends = np.cumsum(np.bincount(omega, minlength=max(held, default=0) + 1)).tolist()
+        # sort by (omega, n) in place: n < 2^32, so omega goes above it
+        omega <<= 32
+        n |= omega
+        del omega
+        n.sort()
+        n &= 0xFFFFFFFF
+        last = lo + CORE_WINDOW >= len(odd)
+        for w, (a, b) in enumerate(zip([0, *ends], ends)):
+            group = n[a:b]
+            if w in held:
+                group = np.concatenate((held.pop(w), group))
+            end = len(group) if last else len(group) - len(group) % SLAB
+            for at in range(0, end, SLAB):
+                yield group[at : at + SLAB], w
+            if end < len(group):
+                held[w] = group[end:].copy()
 
 
 def _symbol_bits(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -449,19 +460,18 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
                 )
 
 
-def enumerate_block(cores, root, spf, collect, part=0, parts=1):
-    """Enumerate the fields whose odd squarefree core is one of cores.
+def enumerate_block(slabs, root, spf, collect, part=0, parts=1):
+    """Enumerate the fields whose odd squarefree core lies in one of slabs.
 
-    cores is (cores, omega) as _odd_cores lists them: the cores grouped
-    by omega ascending, and ascending within a group; spf is a
-    least-prime-factor table that covers them.  root is floor(sqrt(X)); a
-    tuple with weight factor c and 2-placement power pw is admitted when
-    pw * c * core <= root, i.e. disc <= X.
+    slabs is a stream of (n, w) as _core_slabs yields them: ascending
+    cores n, all with w prime factors; spf is a least-prime-factor table
+    that covers them.  root is floor(sqrt(X)); a tuple with weight factor
+    c and 2-placement power pw is admitted when pw * c * core <= root,
+    i.e. disc <= X.
 
-    The slabs, taken group by group in ascending omega, go to the parts
-    in turn, and only those of part ``part`` (of ``parts``) are
-    enumerated.  A field's ordered tuples share their odd core, so the
-    parts hold disjoint sets of whole fields.
+    The slabs go to the parts in turn, and only those of part ``part``
+    (of ``parts``) are enumerated.  A field's ordered tuples share their
+    odd core, so the parts hold disjoint sets of whole fields.
 
     Only the kept pair of each field's six ordered tuples is enumerated
     (_assignments); its class tallies are unfolded through class_id_maps
@@ -474,23 +484,15 @@ def enumerate_block(cores, root, spf, collect, part=0, parts=1):
     class_total = np.zeros(CLASS_SPACE, dtype=np.int64)
     class_fail = np.zeros(CLASS_SPACE, dtype=np.int64)
     records = _RecordBuffer() if collect else None
-    cores, omega = cores
-    counts = np.bincount(omega)
-    ends = np.cumsum(counts)
-    slab = -1
-    for w in np.flatnonzero(counts):
-        group = cores[ends[w] - counts[w] : ends[w]]
-        for lo in range(0, len(group), SLAB):
-            slab += 1
-            if slab % parts != part:
-                continue
-            n = group[lo : lo + SLAB]
-            primes = np.empty((len(n), int(w)), dtype=np.int64)
-            t = n.copy()
-            for i in range(int(w)):
-                primes[:, i] = spf[t]
-                t //= primes[:, i]
-            _enumerate_slab(n, primes, root, class_total, class_fail, records)
+    for slab, (n, w) in enumerate(slabs):
+        if slab % parts != part:
+            continue
+        primes = np.empty((len(n), w), dtype=np.int64)
+        t = n.copy()
+        for i in range(w):
+            primes[:, i] = spf[t]
+            t //= primes[:, i]
+        _enumerate_slab(n, primes, root, class_total, class_fail, records)
     # the six maps form a group, so gathering each id's moved ids over all
     # of them adds the tallies of every id in its orbit
     maps = class_id_maps()

@@ -15,17 +15,14 @@ import numpy as np
 from . import _kernels
 
 # The bytes per n up to sqrt(X) that a count may need, against physical
-# memory: the sieve, and on top of it the odd squarefree cores of
-# _kernels._odd_cores, 17 bytes per core (int64 cores, their int64
-# grouped copy, int8 omega) and a window, with 0.405 cores per n.  A
-# count lists the cores once, before it forks, and its two processes
-# read that one copy; each adds only its slabs' work arrays, and its
-# records when it collects.  The measured peak of the sieve and the
-# cores (peak RSS growth of build_sieve(L) and _odd_cores(L, spf, mob) in a
-# fresh process) is 14.1 bytes per n at L = 1e6, 13.0 at 2e6, 12.4 at
-# 2e7 and 12.3 at 1e8, of which the sieve is 7.7, 5.3 and 5.1 at 2e6,
-# 2e7, 1e8.
-SIEVE_BYTES_PER_N = 16
+# memory: the sieve (uint32 spf, int8 mobius and build_mobius's range).
+# The cores are read from it one window at a time by _kernels._core_slabs
+# in each process of a count, which adds its window, slabs and records,
+# none of them growing with n.  The measured peak of the sieve and one
+# pass over the slabs (peak RSS growth of build_sieve(L) and
+# _core_slabs(L, spf, mob) in a fresh process) is 10.3 bytes per n at
+# L = 1e6, 6.3 at 4e6, 5.3 at 2e7 and 5.05 at 1e8, all of it the sieve's.
+SIEVE_BYTES_PER_N = 8
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except InvalidFieldError as exc:
         return _error(str(exc))
     data = subfield_data(triple)
-    status = classify_by_splitting(triple)
+    status = _classify_with(triple, data, None)
     payload = {
         "m": triple.m,
         "a1": triple.a1,

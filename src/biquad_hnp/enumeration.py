@@ -16,14 +16,14 @@ records of each field, for ``tuple_records``.  Both move records by the
 kernel's own S3 table, ``_kernels._S3``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
-processes when it can (``fork_parts``).  The cores are listed once,
-before the fork; a forked child reads them copy-on-write, takes every
-other slab of them, tallies those slabs, dedups and checks its own
-fields, and sends back its tallies and field table as they are,
-pickled.  This works because a field's six ordered triples share their
-odd core, so the slabs split the fields too.  This process runs the
-other slabs, sums the tallies and inserts the child's field table into
-its own by disc.
+processes when it can (``fork_parts``).  Each process walks its own
+stream of the cores' slabs (``_kernels._core_slabs``) over the sieve
+built before the fork; a forked child takes every other slab, tallies
+those slabs, dedups and checks its own fields, and sends back its
+tallies and field table as they are, pickled.  This works because a
+field's six ordered triples share their odd core, so the slabs split
+the fields too.  This process runs the other slabs, sums the tallies
+and inserts the child's field table into its own by disc.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
 
     With more than _kernels.SLAB odd squarefree cores up to sqrt(X), the
     count is split with fork_parts; the result is the same either way.
-    The cores are listed once, before the fork, and the forked child
-    reads the same copy, so the two parts add only their own work arrays
-    to what the sieve and the cores hold.
+    Each part walks the cores one window at a time from the sieve built
+    before the fork, so the two parts add only their own window and work
+    arrays to what the sieve holds.
 
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
@@ -254,8 +254,6 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     sieve = build_sieve(root)
     t = _lap(stats, "sieve_s", t)
     spf = sieve.smallest_prime_factor
-    cores = _kernels._odd_cores(root, spf, sieve.mobius)
-    t = _lap(stats, "kernel_s", t)
     collect = sink is not None
 
     def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -263,7 +261,8 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
         collect is true, the field columns of its fields, deduped and
         sorted (else None).  Each stage's seconds go to stats."""
         t = time.perf_counter()
-        total, fails, records = _kernels.enumerate_block(cores, root, spf, collect, part, parts)
+        slabs = _kernels._core_slabs(root, spf, sieve.mobius)
+        total, fails, records = _kernels.enumerate_block(slabs, root, spf, collect, part, parts)
         t = _lap(stats, "kernel_s", t)
         if not collect:
             return total, fails, None
@@ -275,7 +274,8 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
         return total, fails, columns
 
     before = sum(stats.values())
-    outs = fork_parts(work) if len(cores[0]) > _kernels.SLAB else [work(0, 1)]
+    split = np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB
+    outs = fork_parts(work) if split else [work(0, 1)]
     # this process's own part is in stats; the rest is the wait for the child
     waited = time.perf_counter() - t - (sum(stats.values()) - before)
     stats["deliver_s" if collect else "kernel_s"] += waited
@@ -318,8 +318,8 @@ def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
         return np.empty((0, 6), np.int64)
     sieve = build_sieve(max_core)
     spf = sieve.smallest_prime_factor
-    cores = _kernels._odd_cores(max_core, spf, sieve.mobius)
-    _, _, records = _kernels.enumerate_block(cores, 8 * max_core, spf, True, part, parts)
+    slabs = _kernels._core_slabs(max_core, spf, sieve.mobius)
+    _, _, records = _kernels.enumerate_block(slabs, 8 * max_core, spf, True, part, parts)
     return unfold_records(
         records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
     )

@@ -19,8 +19,8 @@ def kernel_rows(X: int) -> np.ndarray:
     root = _sieve_root(X)
     sieve = build_sieve(max(root, 1))
     spf = sieve.smallest_prime_factor
-    cores = _kernels._odd_cores(root, spf, sieve.mobius)
-    _, _, records = _kernels.enumerate_block(cores, root, spf, True)
+    slabs = _kernels._core_slabs(root, spf, sieve.mobius)
+    _, _, records = _kernels.enumerate_block(slabs, root, spf, True)
     return records
 
 

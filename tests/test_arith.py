@@ -152,17 +152,17 @@ class TestSieve:
 
     def test_peak_memory_is_within_the_refusal_bound(self):
         # the bound build_sieve refuses by must cover the real peak of the
-        # sieve and the odd cores a count lists from it, measured as growth
+        # sieve and of a count's pass over the core slabs, measured as growth
         # of the peak RSS (KiB) in a fresh process.  The peak is VmHWM, that
         # of the process image: ru_maxrss would start at the peak of this
         # test process, which spawned it, and miss any growth below that.
         limit = 4 * 10**6
         code = (
             "from biquad_hnp.arith import build_sieve; "
-            "from biquad_hnp._kernels import _odd_cores; "
+            "from biquad_hnp._kernels import _core_slabs; "
             "peak = lambda: int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); "
             f"before = peak(); s = build_sieve({limit}); "
-            f"cores = _odd_cores({limit}, s.smallest_prime_factor, s.mobius); "
+            f"all(_core_slabs({limit}, s.smallest_prime_factor, s.mobius)); "
             "print(peak() - before)"
         )
         src = Path(__file__).resolve().parents[1] / "src"

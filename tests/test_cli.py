@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biquad_hnp import cli, enumeration
+from biquad_hnp import cli, enumeration, hnp
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, parse_bound
 from biquad_hnp.hnp import FAILS, HOLDS
 
@@ -421,7 +421,7 @@ class TestCount:
     def test_sieve_beyond_physical_memory_is_refused_unallocated(self, capsys, monkeypatch):
         from biquad_hnp import _kernels, arith
 
-        # a machine of 4 MB: the sieve to 10^6 would peak near 15 MB
+        # a machine of 4 MB: the sieve to 10^6 would peak near 10 MB
         allocations = []
         monkeypatch.setattr(arith, "physical_memory", lambda: 4 * 2**20)
         monkeypatch.setattr(_kernels, "build_spf", lambda limit: allocations.append(limit))
@@ -462,6 +462,16 @@ class TestClassify:
         assert payload["verdict"] == "fails"
         assert payload["disc"] == 48841
         assert payload["kernels"] == [13, 17, 221]
+
+    def test_field_data_is_derived_once(self, monkeypatch, capsys):
+        # the verdict reuses the field data classify printed: the oracle's
+        # own derivation of it is never called
+        def derived_again(triple):
+            raise AssertionError("subfield_data called twice")
+
+        monkeypatch.setattr(hnp, "subfield_data", derived_again)
+        assert main(["classify", "--gens", "13", "17"]) == EXIT_OK
+        assert "fails" in capsys.readouterr().out
 
     def test_non_squarefree_rejected(self, capsys):
         assert main(["classify", "--gens", "4", "5"]) == EXIT_USAGE

@@ -127,9 +127,9 @@ class TestConsistency:
         # records of the part, and block k their moves by _S3[k], with the
         # signs of all three components flipped when the first is negative
         sieve = build_sieve(2000)
-        cores = _kernels._odd_cores(2000, sieve.smallest_prime_factor, sieve.mobius)
+        slabs = _kernels._core_slabs(2000, sieve.smallest_prime_factor, sieve.mobius)
         records = _kernels.enumerate_block(
-            cores, 8 * 2000, sieve.smallest_prime_factor, True, part, 2
+            slabs, 8 * 2000, sieve.smallest_prime_factor, True, part, 2
         )[2]
         records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= 2000]
         rows = tuple_records(2000, part, 2)
@@ -697,24 +697,21 @@ class TestSplitCount:
                 fh.write(f"{os.getpid()}\n")
         assert pids.read_text().split() == [str(parent)]
 
-    def test_cores_are_listed_once_before_the_fork(self, forked, monkeypatch, tmp_path):
-        # the child reads the parent's cores: listing them again in each
-        # part would hold two copies, which the sieve's memory bound
-        # does not allow for
+    def test_small_windows_and_slabs_give_the_same_count(self, forked, monkeypatch):
+        # windows of 64 odd n and slabs of 8 cores: cores are held back
+        # over windows, which with the default sizes only counts above
+        # 1.7e10 reach, and each part walks its own stream
         from biquad_hnp import _kernels
 
-        pids = tmp_path / "pids"
-        true_cores = _kernels._odd_cores
-
-        def listed(*args):
-            with open(pids, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return true_cores(*args)
-
-        monkeypatch.setattr(_kernels, "_odd_cores", listed)
-        report = enumerate_fields(10**8, sink=lambda columns: None)
-        assert (report.S, report.parts) == (16679, 2)
-        assert pids.read_text().split() == [str(os.getpid())]
+        want, want_table = self.count(10**8)
+        monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
+        monkeypatch.setattr(_kernels, "SLAB", 8)
+        got, got_table = self.count(10**8)
+        for name in ("S", "S_tilde", "parts"):
+            assert getattr(got, name) == getattr(want, name)
+        for name in ("class_total", "class_fail"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got_table.tobytes() == want_table.tobytes()
 
     def test_disc_in_both_parts_raises(self):
         from biquad_hnp import enumeration

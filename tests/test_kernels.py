@@ -35,12 +35,13 @@ def _ordered_rows(records):
 
 
 def _kernel_args(X):
-    """(cores, root, spf): the listed cores and the root of a kernel call
-    to disc X, and the sieve table it reads."""
+    """(slabs, root, spf): the core slabs and the root of a kernel call
+    to disc X, and the sieve table it reads; the slabs are a list, so
+    that several calls can read them."""
     root = math.isqrt(X)
     sieve = build_sieve(root)
     spf = sieve.smallest_prime_factor
-    return _kernels._odd_cores(root, spf, sieve.mobius), root, spf
+    return list(_kernels._core_slabs(root, spf, sieve.mobius)), root, spf
 
 
 def _reference_block(X):
@@ -62,15 +63,13 @@ def test_enumerate_block_matches_reference(X):
 
 @pytest.mark.parametrize("X", [10**6, 10**8])
 def test_enumerate_block_core_subsets_add_up_to_reference(X):
-    (cores, omega), root, spf = _kernel_args(X)
+    slabs, root, spf = _kernel_args(X)
     want = _reference_block(X)
-    # two disjoint subsets cut by core value, each still grouped by omega
-    # and ascending in each group
-    low = cores <= root // 3
-    parts = [
-        _kernels.enumerate_block((cores[side], omega[side]), root, spf, True)
-        for side in (low, ~low)
-    ]
+    # two disjoint subsets cut by core value, each still made of ascending
+    # slabs of one omega
+    low = [(n[n <= root // 3], w) for n, w in slabs]
+    high = [(n[n > root // 3], w) for n, w in slabs]
+    parts = [_kernels.enumerate_block(side, root, spf, True) for side in (low, high)]
     assert all(len(p[2]) > 0 for p in parts)
     assert np.array_equal(sum(p[0] for p in parts), want[0])
     assert np.array_equal(sum(p[1] for p in parts), want[1])
@@ -136,15 +135,21 @@ def test_class_id_maps_are_s3_and_keep_the_class_tables():
 
 @pytest.mark.parametrize("limit", [1, 4, 100, 7777, 10**4])
 def test_odd_cores_are_grouped_by_omega(limit, monkeypatch):
-    # windows of 64 cores, so that most groups are filled from several
+    # the slab contract of _core_slabs, with windows of 64 odd n and slabs
+    # of 8 cores, so that the sparser omegas hold cores back over windows
     monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
+    monkeypatch.setattr(_kernels, "SLAB", 8)
     sieve = build_sieve(10**4)
-    cores, omega = _kernels._odd_cores(limit, sieve.smallest_prime_factor, sieve.mobius)
-    want = sorted(
-        (len(sieve.factor(n)), n) for n in range(1, limit + 1) if n % 2 and sieve.mobius[n] != 0
-    )
-    assert omega.dtype == np.int8
-    assert list(zip(omega.tolist(), cores.tolist())) == want
+    slabs = list(_kernels._core_slabs(limit, sieve.smallest_prime_factor, sieve.mobius))
+    cores = [n for slab, _ in slabs for n in slab.tolist()]
+    want = [n for n in range(1, limit + 1, 2) if sieve.mobius[n] != 0]
+    assert sorted(cores) == want
+    lengths = {}
+    for slab, w in slabs:
+        assert slab.dtype == np.int64 and 0 < len(slab) <= 8 and np.all(np.diff(slab) > 0)
+        assert all(len(sieve.factor(n)) == w for n in slab.tolist())
+        lengths.setdefault(w, []).append(len(slab))
+    assert all(set(each[:-1]) <= {8} for each in lengths.values())
 
 
 def test_enumerate_block_without_collect_returns_no_records():
