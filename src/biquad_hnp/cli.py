@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels, asymptotics, enumeration
 from .arith import build_sieve
 from .fields import FieldTriple, InvalidFieldError, from_generators, subfield_data
-from .hnp import FAILS, HOLDS, _classify_with, classify_by_splitting
+from .hnp import FAILS, HOLDS, _classify_with, oracle_row
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -266,15 +266,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _audit(bound: int) -> tuple[int, int]:
-    """(fields, mismatches) of subfield_data and classify_by_splitting
-    against columns 3-11 of enumerate_fields(bound), on a sieve to
-    isqrt(bound), which covers |m a1 b1| = sqrt(disc) / c.  This is both
-    the audit of count --audit-bound and check 5 of verify.
+    """(fields, mismatches) of the scalar oracle hnp.oracle_row against
+    columns 3-11 of enumerate_fields(bound), on a sieve to isqrt(bound),
+    which covers |m a1 b1| = sqrt(disc) / c.  This is both the audit of
+    count --audit-bound and check 5 of verify.
 
     enumeration.fork_parts runs the parts in two processes when two CPUs
     are usable; part p of parts checks the sink's chunks p, p + parts,
     ... (EMIT_CHUNK fields each), so the parts check every field once.  A
-    field that FieldTriple or the oracles reject counts as one mismatch.
+    field that the oracle rejects counts as one mismatch.
     """
     chunks: list[np.ndarray] = []
     enumeration.enumerate_fields(bound, sink=chunks.append)
@@ -287,16 +287,11 @@ def _audit(bound: int) -> tuple[int, int]:
             # list per field, would raise the peak memory
             block = chunk.T.tolist()
             seen += len(block[0])
-            for m, a1, b1, *values in zip(*block):
+            for m, a1, b1, values in zip(*block[:3], zip(*block[3:])):
                 try:
-                    triple = FieldTriple(m, a1, b1)
-                    data = subfield_data(triple)
-                    status = _classify_with(triple, data, sieve)
+                    bad += oracle_row(m, a1, b1, sieve) != values
                 except InvalidFieldError:
                     bad += 1
-                    continue
-                derived = [*data.kernels, *data.fundamental_discs, data.c, data.field_disc]
-                bad += [*derived, status.witness or 0] != values  # witness 0 where it fails
         return seen, bad
 
     seen, bad = zip(*enumeration.fork_parts(work))
@@ -353,14 +348,15 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
 
     def sweep(part: int, parts: int) -> tuple[int, int]:
         """(rows, disagreements) of the kernel's verdicts, column 5 of the
-        part's tuple records, against classify_by_splitting.
+        part's tuple records, against the scalar oracle hnp.oracle_row.
 
         The rows are six blocks of the part's kernel records, block 0 the
         records themselves (enumeration.unfold_records).  The oracle is
-        asked once per record, and its verdict is compared with the
-        kernel's on the record's six rows.  A row disagrees when it names
-        no field, when its sorted kernels differ from its record's (it
-        names another field), or when the oracle rejects its record.
+        asked once per record, and its verdict (witness 0: fails) is
+        compared with the kernel's on the record's six rows.  A row
+        disagrees when it names no field, when its sorted kernels differ
+        from its record's (it names another field), or when the oracle
+        rejects its record.
         """
         rows = enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts)
         m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
@@ -368,9 +364,9 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         bad = enumeration.invalid_rows(m, a1, b1).reshape(6, -1)
         bad |= np.any(kernels != kernels[:, :1], axis=0)
         verdicts = []  # the oracle's fails of each record, -1 where it raised
-        for triple in rows[: len(rows) // 6, :3].tolist():
+        for record in rows[: len(rows) // 6, :3].tolist():
             try:
-                verdicts.append(classify_by_splitting(FieldTriple(*triple), sieve).fails)
+                verdicts.append(oracle_row(*record, sieve)[8] == 0)
             except InvalidFieldError:
                 verdicts.append(-1)
         bad |= np.array(verdicts, dtype=np.int64) != rows[:, 5].reshape(6, -1)

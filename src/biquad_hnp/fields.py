@@ -6,6 +6,12 @@ kernels m*a1, m*b1 and a1*b1, and the field discriminant is the product
 of the three fundamental discriminants.  Distinct triples can name the
 same field (signs can migrate between components); the sorted
 fundamental discriminants of the three subfields tell them apart.
+
+``field_values`` states the rules of a triple once, on plain ints: the
+checks that it names a field, and its kernels, discriminants and c.
+``FieldTriple`` and ``subfield_data`` are built on it as named tuples;
+the scalar oracle of ``verify``'s sweeps (``hnp.oracle_row``) calls it
+directly and builds no object per row.
 """
 
 from __future__ import annotations
@@ -24,31 +30,19 @@ class InvalidFieldError(ValueError):
 class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int)])):
     """Canonical generators (m, a1, b1); see module docstring.
 
-    Construction checks coprimality, signs and nondegeneracy, which are
-    cheap.  Squarefreeness of the components is the caller's contract
-    (``from_generators`` and ``validate`` enforce it; the enumeration
-    produces squarefree components by construction);
+    Construction checks coprimality, signs and nondegeneracy by
+    ``field_values``, which is cheap.  Squarefreeness of the components is
+    the caller's contract (``from_generators`` and ``validate`` enforce
+    it; the enumeration produces squarefree components by construction);
     ``enumeration.invalid_rows`` applies the same checks to int64 arrays.
-    A tuple, cheap to build once per field in verify's sweeps: it equals
-    the plain tuple (m, a1, b1).
+    A tuple: it equals the plain tuple (m, a1, b1).
     """
 
     __slots__ = ()
 
     def __new__(cls, m: int, a1: int, b1: int) -> FieldTriple:
-        self = tuple.__new__(cls, (m, a1, b1))
-        if m < 1:
-            raise InvalidFieldError(f"m must be positive, got {m}")
-        if a1 == 0 or b1 == 0:
-            raise InvalidFieldError("a1 and b1 must be nonzero")
-        if math.gcd(m, a1) != 1 or math.gcd(m, b1) != 1 or math.gcd(a1, b1) != 1:
-            raise InvalidFieldError(f"components of {self} are not pairwise coprime")
-        # degenerate exactly when two subfield kernels collide or equal 1
-        if a1 == b1 and abs(a1) == 1:
-            raise InvalidFieldError(f"{self} has a repeated quadratic subfield")
-        if m == 1 and 1 in (a1, b1):
-            raise InvalidFieldError(f"{self} contains the kernel 1 (quadratic field)")
-        return self
+        field_values(m, a1, b1)
+        return tuple.__new__(cls, (m, a1, b1))
 
     @classmethod
     def _make(cls, iterable) -> FieldTriple:
@@ -107,12 +101,31 @@ def from_generators(a: int, b: int) -> FieldTriple:
 
 
 def subfield_data(t: FieldTriple) -> SubfieldData:
-    """Kernels, fundamental discriminants, c and the field discriminant.
+    """Kernels, fundamental discriminants, c and the field discriminant."""
+    k1, k2, k3, d1, d2, d3, c, field_disc = field_values(*t)
+    return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
 
-    Straight-line integer code: this runs once per field in the audits
-    and in ``verify``'s sweep of ordered tuples.
+
+def field_values(m: int, a1: int, b1: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """(k1, k2, k3, d1, d2, d3, c, disc) of the triple (m, a1, b1): its
+    kernels, fundamental discriminants, c and field discriminant.
+
+    Raises InvalidFieldError where FieldTriple(m, a1, b1) would, with the
+    same text.  Straight-line integer code on plain ints: FieldTriple
+    and subfield_data are built on it, and the scalar oracle of verify's
+    sweeps (hnp.oracle_row) calls it once per row.
     """
-    m, a1, b1 = t
+    if m < 1:
+        raise InvalidFieldError(f"m must be positive, got {m}")
+    if a1 == 0 or b1 == 0:
+        raise InvalidFieldError("a1 and b1 must be nonzero")
+    if math.gcd(m, a1) != 1 or math.gcd(m, b1) != 1 or math.gcd(a1, b1) != 1:
+        raise InvalidFieldError(f"components of {_name(m, a1, b1)} are not pairwise coprime")
+    # degenerate exactly when two subfield kernels collide or equal 1
+    if a1 == b1 and abs(a1) == 1:
+        raise InvalidFieldError(f"{_name(m, a1, b1)} has a repeated quadratic subfield")
+    if m == 1 and 1 in (a1, b1):
+        raise InvalidFieldError(f"{_name(m, a1, b1)} contains the kernel 1 (quadratic field)")
     k1, k2, k3 = m * a1, m * b1, a1 * b1
     one1, one2, one3 = k1 & 3 == 1, k2 & 3 == 1, k3 & 3 == 1
     d1 = k1 if one1 else 4 * k1
@@ -127,9 +140,14 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
         c = 8
     else:
         # two kernels = 1 mod 4 force the third one too
-        raise InvalidFieldError(f"kernel parity law violated for {t}")
+        raise InvalidFieldError(f"kernel parity law violated for {_name(m, a1, b1)}")
     field_disc = abs(d1 * d2 * d3)
     root = c * m * abs(k3)
     if field_disc != root * root:
-        raise InvalidFieldError(f"discriminant identity violated for {t}")
-    return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
+        raise InvalidFieldError(f"discriminant identity violated for {_name(m, a1, b1)}")
+    return k1, k2, k3, d1, d2, d3, c, field_disc
+
+
+def _name(m: int, a1: int, b1: int) -> str:
+    """The repr of FieldTriple(m, a1, b1), for error texts."""
+    return f"FieldTriple(m={m!r}, a1={a1!r}, b1={b1!r})"

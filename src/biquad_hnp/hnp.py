@@ -4,23 +4,26 @@ For a biquadratic field the principle fails exactly when every
 decomposition group is cyclic, i.e. when every ramified prime splits in
 at least one of the three quadratic subfields.  ``classify_by_splitting``
 tests that directly, one field at a time, and is the ground truth.
-``splitting_witnesses`` runs the same test on arrays of fields at once;
-the enumeration uses it for the witnesses of the record stream.
+``oracle_row`` is the same test on plain ints, with no named tuple per
+field: it gives the nine values of a record-stream row, witness 0 where
+the principle fails.  ``splitting_witnesses`` runs the test on arrays of
+fields at once; the enumeration uses it for the witnesses of the record
+stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
 against ``classify_by_splitting`` on every ordered tuple with
 |m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
-of those tuples too: it asks the oracle once per kernel record, and
+of those tuples too: it asks ``oracle_row`` once per kernel record, and
 holds each of the record's six ordered tuples to that verdict, and to
 the record's sorted kernels.  The oracle reads only the fundamental
 discriminants, symmetrically, and the primes of |m*a1*b1| =
 sqrt|k1*k2*k3|, so the sorted kernels fix its verdict, witness and any
 InvalidFieldError, and the six ordered tuples of a field share them.
 The enumeration holds the kernel against ``splitting_witnesses`` on
-every field it delivers.  The audit of
-``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,
-holds each delivered witness against ``classify_by_splitting``.
+every field it delivers.  The audit of ``count --audit-bound``, which is
+also check 5 of ``verify`` at disc 1e8, holds each delivered row
+against ``oracle_row``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import jacobi_array
-from .arith import FactorSieve, jacobi, kronecker, prime_factors
-from .fields import FieldTriple, SubfieldData, subfield_data
+from .arith import FactorSieve, jacobi, prime_factors
+from .fields import FieldTriple, SubfieldData, field_values, subfield_data
 
 FAILS = "fails"
 HOLDS = "holds"
@@ -60,33 +63,59 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
     returned as the witness.
 
     Straight-line integer code, pure Python and independent of the
-    kernel.  For odd p, kronecker(d, p) is jacobi(d, p).
+    kernel: subfield_data and _splitting_witness, the rules that
+    oracle_row applies to plain ints.
     """
     return _classify_with(t, subfield_data(t), sieve)
 
 
 def _classify_with(t: FieldTriple, data: SubfieldData, sieve: FactorSieve | None) -> HnpStatus:
     """classify_by_splitting(t, sieve), given data = subfield_data(t)."""
-    d1, d2, d3 = data.fundamental_discs
-    # the components are pairwise coprime, so their primes are those of
-    # the product; beyond the sieve, trial division of each component
-    # stops at the square root of the largest one, not of the product
-    m, a1, b1 = t
+    witness = _splitting_witness(*t, *data.fundamental_discs, data.c, sieve)
+    return HnpStatus(HOLDS, witness=witness) if witness else HnpStatus(FAILS)
+
+
+def oracle_row(
+    m: int, a1: int, b1: int, sieve: FactorSieve | None = None
+) -> tuple[int, int, int, int, int, int, int, int, int]:
+    """(k1, k2, k3, d1, d2, d3, c, disc, witness) of the triple (m, a1, b1):
+    fields.field_values and the witness of classify_by_splitting, 0 where
+    the principle fails.  Raises InvalidFieldError where FieldTriple,
+    subfield_data or classify_by_splitting would.
+
+    The scalar oracle on plain ints, with no named tuple built: verify's
+    sweeps call it once per row, and compare it with columns 3-11 of the
+    record stream.
+    """
+    k1, k2, k3, d1, d2, d3, c, disc = field_values(m, a1, b1)
+    return k1, k2, k3, d1, d2, d3, c, disc, _splitting_witness(m, a1, b1, d1, d2, d3, c, sieve)
+
+
+def _splitting_witness(
+    m: int, a1: int, b1: int, d1: int, d2: int, d3: int, c: int, sieve: FactorSieve | None
+) -> int:
+    """The smallest prime of the field (m, a1, b1), with fundamental
+    discriminants d1, d2, d3 and scale c, that splits in no subfield, or 0.
+
+    2 is ramified exactly when c > 1, and comes first; kronecker(d, 2) = 1
+    exactly when d = 1 mod 8, as in splitting_witnesses, since an odd d
+    here is 1 mod 4.  The odd primes of |m a1 b1| follow in ascending
+    order: from the sieve when it covers |m a1 b1|, else by trial
+    division of each component (pairwise coprime, so their primes are
+    those of the product), which stops at the square root of the largest
+    one, not of the product.  For odd p, kronecker(d, p) is jacobi(d, p).
+    """
+    if c > 1 and d1 & 7 != 1 and d2 & 7 != 1 and d3 & 7 != 1:
+        return 2
     n = abs(m * a1 * b1)
     if sieve is not None and n <= sieve.limit:
-        primes = sieve.factor(n)  # ascending
+        primes = sieve.factor(n)
     else:
-        primes = sorted({p for part in t for p in prime_factors(part, sieve)})
-    if data.c > 1 and (not primes or primes[0] != 2):
-        primes = [2, *primes]
+        primes = sorted({p for part in (m, a1, b1) for p in prime_factors(part, sieve)})
     for p in primes:
-        if p == 2:
-            if kronecker(d1, 2) == 1 or kronecker(d2, 2) == 1 or kronecker(d3, 2) == 1:
-                continue
-        elif jacobi(d1, p) == 1 or jacobi(d2, p) == 1 or jacobi(d3, p) == 1:
-            continue
-        return HnpStatus(HOLDS, witness=p)
-    return HnpStatus(FAILS)
+        if p > 2 and jacobi(d1, p) != 1 and jacobi(d2, p) != 1 and jacobi(d3, p) != 1:
+            return p
+    return 0
 
 
 def splitting_witnesses(

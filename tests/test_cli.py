@@ -17,7 +17,6 @@ import pytest
 
 from biquad_hnp import cli, enumeration, hnp
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, parse_bound
-from biquad_hnp.hnp import FAILS, HOLDS
 
 CLI_ENTRY = "import sys; from biquad_hnp.cli import main; sys.exit(main())"
 
@@ -79,6 +78,20 @@ def splice_field_row(monkeypatch, at, row):
         return report
 
     monkeypatch.setattr(enumeration, "enumerate_fields", spliced)
+
+
+def flipped_at_48841(oracle):
+    """oracle, a function of hnp.oracle_row's signature, with its verdict
+    flipped on the field of disc 48841, (1, 13, 17) and its moves, which
+    fails: witness 13 in place of 0."""
+
+    def flipped(m, a1, b1, sieve=None):
+        *values, witness = oracle(m, a1, b1, sieve)
+        if values[7] == 48841:
+            witness = 0 if witness else 13
+        return (*values, witness)
+
+    return flipped
 
 
 def starve_part_one(monkeypatch):
@@ -1123,14 +1136,14 @@ class TestVerify:
         # check 6 asks the oracle on each kernel record of its 64,140 rows,
         # once for each of the 10,690 kernel sets; check 5 gets no fields,
         # so every call counted is check 6's
-        true_oracle = cli.classify_by_splitting
+        true_oracle = cli.oracle_row
         asked = []
 
-        def counted(triple, sieve=None):
-            asked.append(tuple(sorted(triple.kernels)))
-            return true_oracle(triple, sieve)
+        def counted(m, a1, b1, sieve=None):
+            asked.append(tuple(sorted((m * a1, m * b1, a1 * b1))))
+            return true_oracle(m, a1, b1, sieve)
 
-        monkeypatch.setattr(cli, "classify_by_splitting", counted)
+        monkeypatch.setattr(cli, "oracle_row", counted)
         monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
         checks = cli._verify_checks()
         assert checks[5][2:4] == ("0 disagreements", True)
@@ -1145,15 +1158,15 @@ class TestVerify:
         from biquad_hnp.fields import InvalidFieldError
 
         request.getfixturevalue(path)
-        true_oracle = cli.classify_by_splitting
+        true_oracle = cli.oracle_row
 
-        def rejecting(triple, sieve=None):
+        def rejecting(m, a1, b1, sieve=None):
             sweep = sieve.limit == cli.EQUIVALENCE_SWEEP_BOUND
-            if sweep and sorted(triple.kernels) == [13, 17, 221]:
-                raise InvalidFieldError(f"{triple} rejected")
-            return true_oracle(triple, sieve)
+            if sweep and sorted((m * a1, m * b1, a1 * b1)) == [13, 17, 221]:
+                raise InvalidFieldError(f"{(m, a1, b1)} rejected")
+            return true_oracle(m, a1, b1, sieve)
 
-        monkeypatch.setattr(cli, "classify_by_splitting", rejecting)
+        monkeypatch.setattr(cli, "oracle_row", rejecting)
         assert main(["verify"]) == EXIT_VERIFY_FAILED
         captured = capfd.readouterr()
         assert captured.err == ""
@@ -1174,26 +1187,59 @@ class TestVerify:
 
         request.getfixturevalue(path)
         assert cli._verify_checks()[5][2:4] == ("0 disagreements", True)
-        true_block, true_oracle = _kernels.enumerate_block, cli.classify_by_splitting
+        true_block = _kernels.enumerate_block
 
         def faulty_kernel(*args, **kwargs):
             total, fails, records = true_block(*args, **kwargs)
             records[records[:, 3] == 48841, 5] ^= 1
             return total, fails, records
 
-        def faulty_oracle(triple, sieve=None):
-            status = true_oracle(triple, sieve)
-            if sorted(triple.kernels) == [13, 17, 221]:  # disc 48841
-                return status._replace(verdict=HOLDS if status.fails else FAILS)
-            return status
-
         for module, name, fault in [
             (_kernels, "enumerate_block", faulty_kernel),
-            (cli, "classify_by_splitting", faulty_oracle),
+            (cli, "oracle_row", flipped_at_48841(cli.oracle_row)),
         ]:
             with monkeypatch.context() as patch:
                 patch.setattr(module, name, fault)
                 assert cli._verify_checks()[5][2:4] == ("6 disagreements", False)
+
+    def test_flipped_witness_fails_both_sweeps(self, capsys, monkeypatch):
+        # the oracle's verdict flipped on the one field of disc 48841: one
+        # mismatch among check 5's fields, and the field's six tuples in
+        # check 6
+        monkeypatch.setattr(cli, "oracle_row", flipped_at_48841(cli.oracle_row))
+        assert main(["verify"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == (
+            "FAIL  scalar oracles on the stream, 16679 fields to disc 1e+08: "
+            "expected 0 mismatches, got 1 mismatches"
+        )
+        assert lines[5] == (
+            "FAIL  classifier equivalence, 64140 triples to |m a1 b1| = 2000: "
+            "expected 0 disagreements, got 6 disagreements"
+        )
+
+    @pytest.mark.parametrize("path", ["forked", "unforked"])
+    def test_sweeps_build_no_named_tuples(self, capsys, monkeypatch, request, path):
+        # checks 5 and 6 run on plain ints: with every way to build a
+        # FieldTriple, SubfieldData or HnpStatus raising, verify passes
+        from biquad_hnp import fields
+
+        request.getfixturevalue(path)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a named tuple was built")
+
+        for cls in (fields.FieldTriple, fields.SubfieldData, hnp.HnpStatus):
+            monkeypatch.setattr(cls, "__new__", staticmethod(refused))
+        for module, name in [
+            (cli, "FieldTriple"),
+            (cli, "subfield_data"),
+            (cli, "_classify_with"),
+            (hnp, "classify_by_splitting"),
+        ]:
+            monkeypatch.setattr(module, name, refused)
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == VERIFY_TEXT
 
 
 class TestClosedOutput:

@@ -161,6 +161,26 @@ class TestConsistency:
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "617d8ab6836302ff8d787bba0790e4de2a4cd666bcb30deca6339fa0111cbaa7"
 
+    @pytest.mark.parametrize(
+        "x, S, S_tilde, digest",
+        [
+            (10**12, 3306085, 269657,
+             "98d3436719a95919de6956731298651db25c7b32056b309f1ce27800fb0d2512"),
+            (10**13, 11982067, 911297,
+             "a4c0c334fe39edb74bd7e1c5de7446794e038aea14c62a035b540046a84701a1"),
+        ],
+        ids=["1e12", "1e13"],
+    )
+    def test_frontier_pins(self, x, S, S_tilde, digest):
+        # S and S~ from ROADMAP's pins table, and a regression pin of the
+        # per-class tables: the sha256 of the little-endian int64 bytes of
+        # class_total, then of class_fail
+        report = enumerate_fields(x)
+        assert (report.S, report.S_tilde) == (S, S_tilde)
+        tables = [report.class_total, report.class_fail]
+        tables = b"".join(table.astype("<i8").tobytes() for table in tables)
+        assert hashlib.sha256(tables).hexdigest() == digest
+
     def test_generator_cross_check_1e6(self):
         report = enumerate_fields(10**6)
         assert count_by_generator_pairs(10**6) == (report.S, report.S_tilde)

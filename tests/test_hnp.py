@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from _reference_enumeration import iter_valid_triples
-from biquad_hnp.arith import build_sieve, kronecker
-from biquad_hnp.enumeration import tuple_records
-from biquad_hnp.fields import FieldTriple, subfield_data
-from biquad_hnp.hnp import classify_by_splitting, splitting_witnesses
+from biquad_hnp.arith import build_sieve, kronecker, prime_factors
+from biquad_hnp.enumeration import invalid_rows, tuple_records
+from biquad_hnp.fields import FieldTriple, InvalidFieldError, subfield_data
+from biquad_hnp.hnp import classify_by_splitting, oracle_row, splitting_witnesses
 
 
 class TestSplittingOracle:
@@ -102,6 +102,81 @@ class TestSplittingOracle:
             for p in primes:
                 assert any(kronecker(d, p) == 1 for d in data.fundamental_discs)
         assert checked > 10
+
+
+# every (m, a1, b1) with -1 <= m <= 12 and |a1|, |b1| <= 12: zero, negative
+# m, non-coprime, non-squarefree and degenerate components among them
+ORACLE_BOX = [
+    (m, a1, b1) for m in range(-1, 13) for a1 in range(-12, 13) for b1 in range(-12, 13)
+]
+
+
+def _named_row(m, a1, b1, sieve):
+    """The nine values of oracle_row from FieldTriple, subfield_data and
+    classify_by_splitting, or None where one of them raises."""
+    try:
+        t = FieldTriple(m, a1, b1)
+        data = subfield_data(t)
+        status = classify_by_splitting(t, sieve)
+    except InvalidFieldError:
+        return None
+    return (*data.kernels, *data.fundamental_discs, data.c, data.field_disc, status.witness or 0)
+
+
+def _oracle_row_or_none(m, a1, b1, sieve):
+    try:
+        return oracle_row(m, a1, b1, sieve)
+    except InvalidFieldError:
+        return None
+
+
+class TestOracleRow:
+    """hnp.oracle_row, the scalar oracle on plain ints of verify's sweeps."""
+
+    @pytest.mark.parametrize("limit", [None, 1728, 104], ids=["no_sieve", "covering", "below"])
+    def test_matches_the_named_tuple_oracle(self, limit):
+        # the same nine values and the same rejections as FieldTriple,
+        # subfield_data and classify_by_splitting; a sieve to 104 leaves
+        # the field (3, 5, 7), |m a1 b1| = 105, just above it
+        sieve = None if limit is None else build_sieve(limit)
+        rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
+        assert [got for _, got in rows] == [_named_row(*row, sieve) for row, _ in rows]
+        rejected = np.array([got is None for _, got in rows])
+        assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
+        assert 0 < np.count_nonzero(rejected) < len(rows)
+        assert {got[6] for _, got in rows if got} == {1, 4, 8}
+        assert {got[8] == 0 for _, got in rows if got} == {True, False}
+        assert _oracle_row_or_none(3, 5, 7, sieve) is not None
+
+    def test_matches_the_definition(self):
+        # independent of the walk: the witness is the least prime of disc
+        # with kronecker(d, p) != 1 for all three discriminants
+        sieve = build_sieve(104)
+        checked = 0
+        for row in ORACLE_BOX:
+            got = _oracle_row_or_none(*row, sieve)
+            if got is None:
+                continue
+            checked += 1
+            k1, k2, k3, d1, d2, d3, c, disc, witness = got
+            m, a1, b1 = row
+            assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
+            assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
+            unsplit = [
+                p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
+            ]
+            assert witness == (unsplit[0] if unsplit else 0), row
+        assert checked > 1000
+
+    def test_row_beyond_the_sieve_is_trial_divided(self):
+        # no IndexError past the sieve's table: the components of a field
+        # above the limit are trial-divided
+        sieve = build_sieve(10)
+        assert oracle_row(1, 13, 17, sieve) == oracle_row(1, 13, 17) == (
+            13, 17, 221, 13, 17, 221, 1, 48841, 0
+        )
+        status = classify_by_splitting(FieldTriple(1, 11, 13))
+        assert oracle_row(1, 11, 13, sieve)[8] == (status.witness or 0)
 
 
 class TestSplittingWitnesses:
