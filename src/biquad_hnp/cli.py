@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import os
@@ -127,7 +128,14 @@ def _write(
     """
     stream = out or sys.stdout
     if fmt == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2), file=stream)
+        report = {"schema_version": SCHEMA_VERSION, **payload}
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        # joined a few thousand at a time: the whole text at once was the
+        # peak memory of a count, and a write per chunk is a system call
+        # each where stdout is unbuffered
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            stream.write(batch)
+        stream.write("\n")
     elif fmt == "csv":
         header, rows = table
         cells = [[_float15(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
@@ -348,19 +356,19 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
 
     def sweep(part: int, parts: int) -> tuple[int, int]:
         """(rows, disagreements) of the kernel's verdicts, column 5 of the
-        part's tuple records, against the scalar oracle hnp.oracle_row.
+        part's tuple records, against hnp.oracle_row.
 
         The rows are six blocks of the part's kernel records, block 0 the
         records themselves (enumeration.unfold_records).  The oracle is
-        asked once per record, and its verdict (witness 0: fails) is
-        compared with the kernel's on the record's six rows.  A row
-        disagrees when it names no field, when its sorted kernels differ
-        from its record's (it names another field), or when the oracle
-        rejects its record.
+        asked once per record, and its verdict is compared with the
+        kernel's on the record's six rows.  A row disagrees when it names
+        no field, when its sorted kernels differ from its record's (it
+        names another field), or when the oracle rejects its record.
         """
         rows = enumeration.tuple_records(EQUIVALENCE_SWEEP_BOUND, part, parts)
         m, a1, b1 = rows[:, 0], rows[:, 1], rows[:, 2]
-        kernels = np.sort([m * a1, m * b1, a1 * b1], axis=0).reshape(3, 6, -1)
+        kernels = np.array([m * a1, m * b1, a1 * b1]).reshape(3, 6, -1)
+        kernels.sort(axis=0)  # in place: a sorted copy would raise verify's peak memory
         bad = enumeration.invalid_rows(m, a1, b1).reshape(6, -1)
         bad |= np.any(kernels != kernels[:, :1], axis=0)
         verdicts = []  # the oracle's fails of each record, -1 where it raised

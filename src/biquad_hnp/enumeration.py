@@ -280,12 +280,14 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     waited = time.perf_counter() - t - (sum(stats.values()) - before)
     stats["deliver_s" if collect else "kernel_s"] += waited
     totals, failures, tables = zip(*outs)
+    del outs
     total = np.sum(totals, axis=0)
     fails = np.sum(failures, axis=0)
     ordered_total = int(total.sum())
     if collect:
         t = time.perf_counter()
         columns = _merged_fields(list(tables), ordered_total)
+        del tables  # the parts' tables go before the sink's chunks are built
         for lo in range(0, len(columns), EMIT_CHUNK):
             sink(columns[lo : lo + EMIT_CHUNK])
         _lap(stats, "deliver_s", t)
@@ -299,7 +301,7 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
         class_total=total,
         class_fail=fails,
         stats=stats,
-        parts=len(outs),
+        parts=len(totals),
     )
 
 

@@ -6,12 +6,6 @@ kernels m*a1, m*b1 and a1*b1, and the field discriminant is the product
 of the three fundamental discriminants.  Distinct triples can name the
 same field (signs can migrate between components); the sorted
 fundamental discriminants of the three subfields tell them apart.
-
-``field_values`` states the rules of a triple once, on plain ints: the
-checks that it names a field, and its kernels, discriminants and c.
-``FieldTriple`` and ``subfield_data`` are built on it as named tuples;
-the scalar oracle of ``verify``'s sweeps (``hnp.oracle_row``) calls it
-directly and builds no object per row.
 """
 
 from __future__ import annotations
@@ -30,10 +24,10 @@ class InvalidFieldError(ValueError):
 class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int)])):
     """Canonical generators (m, a1, b1); see module docstring.
 
-    Construction checks coprimality, signs and nondegeneracy by
-    ``field_values``, which is cheap.  Squarefreeness of the components is
-    the caller's contract (``from_generators`` and ``validate`` enforce
-    it; the enumeration produces squarefree components by construction);
+    Construction checks coprimality, signs and nondegeneracy, which are
+    cheap.  Squarefreeness of the components is the caller's contract
+    (``from_generators`` and ``validate`` enforce it; the enumeration
+    produces squarefree components by construction);
     ``enumeration.invalid_rows`` applies the same checks to int64 arrays.
     A tuple: it equals the plain tuple (m, a1, b1).
     """
@@ -41,7 +35,7 @@ class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int
     __slots__ = ()
 
     def __new__(cls, m: int, a1: int, b1: int) -> FieldTriple:
-        field_values(m, a1, b1)
+        _check(m, a1, b1)
         return tuple.__new__(cls, (m, a1, b1))
 
     @classmethod
@@ -106,26 +100,10 @@ def subfield_data(t: FieldTriple) -> SubfieldData:
     return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
 
 
-def field_values(m: int, a1: int, b1: int) -> tuple[int, int, int, int, int, int, int, int]:
-    """(k1, k2, k3, d1, d2, d3, c, disc) of the triple (m, a1, b1): its
-    kernels, fundamental discriminants, c and field discriminant.
-
-    Raises InvalidFieldError where FieldTriple(m, a1, b1) would, with the
-    same text.  Straight-line integer code on plain ints: FieldTriple
-    and subfield_data are built on it, and the scalar oracle of verify's
-    sweeps (hnp.oracle_row) calls it once per row.
-    """
-    if m < 1:
-        raise InvalidFieldError(f"m must be positive, got {m}")
-    if a1 == 0 or b1 == 0:
-        raise InvalidFieldError("a1 and b1 must be nonzero")
-    if math.gcd(m, a1) != 1 or math.gcd(m, b1) != 1 or math.gcd(a1, b1) != 1:
-        raise InvalidFieldError(f"components of {_name(m, a1, b1)} are not pairwise coprime")
-    # degenerate exactly when two subfield kernels collide or equal 1
-    if a1 == b1 and abs(a1) == 1:
-        raise InvalidFieldError(f"{_name(m, a1, b1)} has a repeated quadratic subfield")
-    if m == 1 and 1 in (a1, b1):
-        raise InvalidFieldError(f"{_name(m, a1, b1)} contains the kernel 1 (quadratic field)")
+def field_values(m: int, a1: int, b1: int) -> tuple[int, ...]:
+    """subfield_data(FieldTriple(m, a1, b1)) as the plain tuple
+    (k1, k2, k3, d1, d2, d3, c, disc), or the InvalidFieldError it raises."""
+    _check(m, a1, b1)
     k1, k2, k3 = m * a1, m * b1, a1 * b1
     one1, one2, one3 = k1 & 3 == 1, k2 & 3 == 1, k3 & 3 == 1
     d1 = k1 if one1 else 4 * k1
@@ -146,6 +124,21 @@ def field_values(m: int, a1: int, b1: int) -> tuple[int, int, int, int, int, int
     if field_disc != root * root:
         raise InvalidFieldError(f"discriminant identity violated for {_name(m, a1, b1)}")
     return k1, k2, k3, d1, d2, d3, c, field_disc
+
+
+def _check(m: int, a1: int, b1: int) -> None:
+    """Raise InvalidFieldError unless (m, a1, b1) passes FieldTriple's checks."""
+    if m < 1:
+        raise InvalidFieldError(f"m must be positive, got {m}")
+    if a1 == 0 or b1 == 0:
+        raise InvalidFieldError("a1 and b1 must be nonzero")
+    if math.gcd(m, a1) != 1 or math.gcd(m, b1) != 1 or math.gcd(a1, b1) != 1:
+        raise InvalidFieldError(f"components of {_name(m, a1, b1)} are not pairwise coprime")
+    # degenerate exactly when two subfield kernels collide or equal 1
+    if a1 == b1 and abs(a1) == 1:
+        raise InvalidFieldError(f"{_name(m, a1, b1)} has a repeated quadratic subfield")
+    if m == 1 and 1 in (a1, b1):
+        raise InvalidFieldError(f"{_name(m, a1, b1)} contains the kernel 1 (quadratic field)")
 
 
 def _name(m: int, a1: int, b1: int) -> str:

@@ -3,27 +3,25 @@
 For a biquadratic field the principle fails exactly when every
 decomposition group is cyclic, i.e. when every ramified prime splits in
 at least one of the three quadratic subfields.  ``classify_by_splitting``
-tests that directly, one field at a time, and is the ground truth.
-``oracle_row`` is the same test on plain ints, with no named tuple per
-field: it gives the nine values of a record-stream row, witness 0 where
-the principle fails.  ``splitting_witnesses`` runs the test on arrays of
-fields at once; the enumeration uses it for the witnesses of the record
-stream.
+tests that directly, one field at a time, and is the ground truth;
+``oracle_row`` is the same test on plain ints.  ``splitting_witnesses``
+runs it on arrays of fields at once; the enumeration uses it for the
+witnesses of the record stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
 against ``classify_by_splitting`` on every ordered tuple with
 |m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
-of those tuples too: it asks ``oracle_row`` once per kernel record, and
+of those tuples too: it asks the oracle once per kernel record, and
 holds each of the record's six ordered tuples to that verdict, and to
 the record's sorted kernels.  The oracle reads only the fundamental
 discriminants, symmetrically, and the primes of |m*a1*b1| =
 sqrt|k1*k2*k3|, so the sorted kernels fix its verdict, witness and any
 InvalidFieldError, and the six ordered tuples of a field share them.
 The enumeration holds the kernel against ``splitting_witnesses`` on
-every field it delivers.  The audit of ``count --audit-bound``, which is
-also check 5 of ``verify`` at disc 1e8, holds each delivered row
-against ``oracle_row``.
+every field it delivers.  The audit of
+``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,
+holds each delivered row against the oracle.
 """
 
 from __future__ import annotations
@@ -60,11 +58,7 @@ def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> H
 
     Fails iff for every prime p | disc some subfield discriminant d has
     kronecker(d, p) = +1.  The smallest prime with no split subfield is
-    returned as the witness.
-
-    Straight-line integer code, pure Python and independent of the
-    kernel: subfield_data and _splitting_witness, the rules that
-    oracle_row applies to plain ints.
+    returned as the witness.  Pure Python and independent of the kernel.
     """
     return _classify_with(t, subfield_data(t), sieve)
 
@@ -75,18 +69,10 @@ def _classify_with(t: FieldTriple, data: SubfieldData, sieve: FactorSieve | None
     return HnpStatus(HOLDS, witness=witness) if witness else HnpStatus(FAILS)
 
 
-def oracle_row(
-    m: int, a1: int, b1: int, sieve: FactorSieve | None = None
-) -> tuple[int, int, int, int, int, int, int, int, int]:
-    """(k1, k2, k3, d1, d2, d3, c, disc, witness) of the triple (m, a1, b1):
-    fields.field_values and the witness of classify_by_splitting, 0 where
-    the principle fails.  Raises InvalidFieldError where FieldTriple,
-    subfield_data or classify_by_splitting would.
-
-    The scalar oracle on plain ints, with no named tuple built: verify's
-    sweeps call it once per row, and compare it with columns 3-11 of the
-    record stream.
-    """
+def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tuple[int, ...]:
+    """(k1, k2, k3, d1, d2, d3, c, disc, witness) of the triple, as in a
+    record-stream row: fields.field_values and the witness of
+    classify_by_splitting, 0 where the principle fails."""
     k1, k2, k3, d1, d2, d3, c, disc = field_values(m, a1, b1)
     return k1, k2, k3, d1, d2, d3, c, disc, _splitting_witness(m, a1, b1, d1, d2, d3, c, sieve)
 
@@ -94,17 +80,11 @@ def oracle_row(
 def _splitting_witness(
     m: int, a1: int, b1: int, d1: int, d2: int, d3: int, c: int, sieve: FactorSieve | None
 ) -> int:
-    """The smallest prime of the field (m, a1, b1), with fundamental
-    discriminants d1, d2, d3 and scale c, that splits in no subfield, or 0.
-
-    2 is ramified exactly when c > 1, and comes first; kronecker(d, 2) = 1
-    exactly when d = 1 mod 8, as in splitting_witnesses, since an odd d
-    here is 1 mod 4.  The odd primes of |m a1 b1| follow in ascending
-    order: from the sieve when it covers |m a1 b1|, else by trial
-    division of each component (pairwise coprime, so their primes are
-    those of the product), which stops at the square root of the largest
-    one, not of the product.  For odd p, kronecker(d, p) is jacobi(d, p).
-    """
+    """The smallest ramified prime that splits in none of the subfields
+    Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)), or 0.  2 is ramified exactly
+    when c > 1 and splits exactly when some d = 1 mod 8; the odd primes of
+    |m a1 b1| follow in ascending order, by trial division of each
+    (pairwise coprime) component where the sieve does not cover them."""
     if c > 1 and d1 & 7 != 1 and d2 & 7 != 1 and d3 & 7 != 1:
         return 2
     n = abs(m * a1 * b1)

@@ -173,6 +173,13 @@ class TestCount:
         assert len(classes) == entries
         assert hashlib.sha256(json.dumps(classes, indent=2).encode()).hexdigest() == digest
 
+    def test_json_is_the_text_of_json_dumps(self, capsys):
+        # the report is written chunk by chunk; its bytes are those of
+        # json.dumps(..., indent=2) and a newline
+        assert main(["count", "--max-disc", "1e6", "--format", "json"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         assert (

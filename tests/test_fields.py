@@ -89,6 +89,15 @@ class TestTripleValidation:
             FieldTriple(m, a1, b1)
         assert str(exc.value) == text
 
+    def test_construction_derives_no_discriminants(self, monkeypatch):
+        # FieldTriple runs the checks alone; subfield_data derives the rest
+        from biquad_hnp import fields
+
+        monkeypatch.setattr(fields, "field_values", None)
+        assert FieldTriple(1, 13, 17) == (1, 13, 17)
+        with pytest.raises(InvalidFieldError, match="not pairwise coprime"):
+            FieldTriple(3, 3, 5)
+
     def test_make_and_replace_check_too(self):
         t = FieldTriple(1, 13, 17)
         assert t == (1, 13, 17) and t._replace(b1=5) == FieldTriple(1, 13, 5)
