@@ -4,7 +4,7 @@ Library surface:
 
 * :mod:`biquad_hnp.arith` - sieves, Jacobi/Kronecker symbols
 * :mod:`biquad_hnp.fields` - field triples, subfield discriminants
-* :mod:`biquad_hnp.hnp` - the splitting-criterion norm-principle classifier
+* :mod:`biquad_hnp.hnp` - ``oracle_row``, the splitting-criterion norm-principle oracle
 * :mod:`biquad_hnp.enumeration` - bounded-discriminant enumeration
 * :mod:`biquad_hnp.asymptotics` - Euler products, main terms, exact identities
 * :mod:`biquad_hnp.cli` - the ``biquad-hnp`` command
@@ -15,12 +15,11 @@ from .enumeration import CountReport, enumerate_fields
 from .fields import (
     FieldTriple,
     InvalidFieldError,
-    SubfieldData,
+    field_values,
     from_generators,
     quadratic_discriminant,
-    subfield_data,
 )
-from .hnp import HnpStatus, classify_by_splitting
+from .hnp import oracle_row
 
 __version__ = "0.1.0"
 
@@ -28,16 +27,14 @@ __all__ = [
     "FactorSieve",
     "FieldTriple",
     "InvalidFieldError",
-    "SubfieldData",
-    "HnpStatus",
     "CountReport",
     "build_sieve",
     "jacobi",
     "kronecker",
     "quadratic_discriminant",
     "from_generators",
-    "subfield_data",
-    "classify_by_splitting",
+    "field_values",
+    "oracle_row",
     "enumerate_fields",
     "__version__",
 ]

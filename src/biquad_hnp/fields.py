@@ -59,15 +59,6 @@ class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int
                 raise InvalidFieldError(f"component {part} of {self} is not squarefree")
 
 
-class SubfieldData(NamedTuple):
-    """The three quadratic subfields and the assembled field discriminant."""
-
-    kernels: tuple[int, int, int]
-    fundamental_discs: tuple[int, int, int]
-    c: int  # 1, 4 or 8: the power-of-two scale in sqrt(disc)
-    field_disc: int
-
-
 def quadratic_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)): d if d = 1 mod 4, else 4d."""
     if d in (0, 1):
@@ -94,15 +85,12 @@ def from_generators(a: int, b: int) -> FieldTriple:
     return FieldTriple(m=m, a1=a // m, b1=b // m)
 
 
-def subfield_data(t: FieldTriple) -> SubfieldData:
-    """Kernels, fundamental discriminants, c and the field discriminant."""
-    k1, k2, k3, d1, d2, d3, c, field_disc = field_values(*t)
-    return SubfieldData((k1, k2, k3), (d1, d2, d3), c, field_disc)
-
-
 def field_values(m: int, a1: int, b1: int) -> tuple[int, ...]:
-    """subfield_data(FieldTriple(m, a1, b1)) as the plain tuple
-    (k1, k2, k3, d1, d2, d3, c, disc), or the InvalidFieldError it raises."""
+    """(k1, k2, k3, d1, d2, d3, c, disc) of the field (m, a1, b1): the
+    subfield kernels, their fundamental discriminants, the power of two
+    c in {1, 4, 8} with disc = (c m |a1 b1|)^2, and the field
+    discriminant.  Raises InvalidFieldError where FieldTriple(m, a1, b1)
+    would, or where the parity law or that identity fails."""
     _check(m, a1, b1)
     k1, k2, k3 = m * a1, m * b1, a1 * b1
     one1, one2, one3 = k1 & 3 == 1, k2 & 3 == 1, k3 & 3 == 1

@@ -2,77 +2,39 @@
 
 For a biquadratic field the principle fails exactly when every
 decomposition group is cyclic, i.e. when every ramified prime splits in
-at least one of the three quadratic subfields.  ``classify_by_splitting``
-tests that directly, one field at a time, and is the ground truth;
-``oracle_row`` is the same test on plain ints.  ``splitting_witnesses``
-runs it on arrays of fields at once; the enumeration uses it for the
-witnesses of the record stream.
+at least one of the three quadratic subfields.  ``oracle_row`` tests
+that directly, one field at a time on plain ints, and is the ground
+truth.  ``splitting_witnesses`` runs it on arrays of fields at once; the
+enumeration uses it for the witnesses of the record stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
-against ``classify_by_splitting`` on every ordered tuple with
-|m*a1*b1| <= 2000.  ``verify`` checks the kernel's verdict on every one
-of those tuples too: it asks the oracle once per kernel record, and
-holds each of the record's six ordered tuples to that verdict, and to
-the record's sorted kernels.  The oracle reads only the fundamental
-discriminants, symmetrically, and the primes of |m*a1*b1| =
-sqrt|k1*k2*k3|, so the sorted kernels fix its verdict, witness and any
-InvalidFieldError, and the six ordered tuples of a field share them.
-The enumeration holds the kernel against ``splitting_witnesses`` on
-every field it delivers.  The audit of
-``count --audit-bound``, which is also check 5 of ``verify`` at disc 1e8,
-holds each delivered row against the oracle.
+against ``oracle_row`` on every ordered tuple with |m*a1*b1| <= 2000.
+The oracle reads only the fundamental discriminants, symmetrically, and
+the primes of |m*a1*b1| = sqrt|k1*k2*k3|, so the sorted kernels fix its
+verdict, witness and any InvalidFieldError, and the six ordered tuples
+of a field share them.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import jacobi_array
 from .arith import FactorSieve, jacobi, prime_factors
-from .fields import FieldTriple, SubfieldData, field_values, subfield_data
+from .fields import field_values
 
 FAILS = "fails"
 HOLDS = "holds"
 
 
-class HnpStatus(NamedTuple):
-    """Verdict plus, when the principle holds, one obstructing prime.
-
-    The witness is a prime dividing the field discriminant whose
-    decomposition group is the full Galois group.
-    """
-
-    verdict: str
-    witness: int | None = None
-
-    @property
-    def fails(self) -> bool:
-        return self.verdict == FAILS
-
-
-def classify_by_splitting(t: FieldTriple, sieve: FactorSieve | None = None) -> HnpStatus:
-    """Ground-truth classifier: check splitting at every ramified prime.
-
-    Fails iff for every prime p | disc some subfield discriminant d has
-    kronecker(d, p) = +1.  The smallest prime with no split subfield is
-    returned as the witness.  Pure Python and independent of the kernel.
-    """
-    return _classify_with(t, subfield_data(t), sieve)
-
-
-def _classify_with(t: FieldTriple, data: SubfieldData, sieve: FactorSieve | None) -> HnpStatus:
-    """classify_by_splitting(t, sieve), given data = subfield_data(t)."""
-    witness = _splitting_witness(*t, *data.fundamental_discs, data.c, sieve)
-    return HnpStatus(HOLDS, witness=witness) if witness else HnpStatus(FAILS)
-
-
 def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tuple[int, ...]:
     """(k1, k2, k3, d1, d2, d3, c, disc, witness) of the triple, as in a
-    record-stream row: fields.field_values and the witness of
-    classify_by_splitting, 0 where the principle fails."""
+    record-stream row: fields.field_values and the smallest ramified
+    prime that splits in no quadratic subfield, 0 where the principle
+    fails, i.e. where every ramified prime splits in some subfield.
+    Pure Python and independent of the kernel; the sieve, where it
+    covers a component, only speeds up the factoring."""
     k1, k2, k3, d1, d2, d3, c, disc = field_values(m, a1, b1)
     return k1, k2, k3, d1, d2, d3, c, disc, _splitting_witness(m, a1, b1, d1, d2, d3, c, sieve)
 
@@ -101,8 +63,8 @@ def _splitting_witness(
 def splitting_witnesses(
     m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, sieve: FactorSieve
 ) -> np.ndarray:
-    """classify_by_splitting on arrays of fields: the witness prime of each
-    field, or 0 where the principle fails.
+    """The witness of oracle_row on arrays of fields: the witness prime of
+    each field, or 0 where the principle fails.
 
     discs holds the three fundamental discriminants of each field as the
     rows of an (n, 3) int64 array; the sieve must cover m * |a1| * |b1|.

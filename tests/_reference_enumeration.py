@@ -11,7 +11,7 @@ from typing import Iterator
 
 from biquad_hnp.arith import build_sieve
 from biquad_hnp.fields import FieldTriple
-from biquad_hnp.hnp import classify_by_splitting
+from biquad_hnp.hnp import oracle_row
 
 
 def count_by_generator_pairs(X: int) -> tuple[int, int]:
@@ -50,8 +50,7 @@ def count_by_generator_pairs(X: int) -> tuple[int, int]:
             seen.setdefault((d[0], d[1], d[2]), (m, a1, b1))
     failing = 0
     for m, a1, b1 in seen.values():
-        t = FieldTriple(m, a1, b1)
-        if classify_by_splitting(t, sieve).fails:
+        if oracle_row(m, a1, b1, sieve)[8] == 0:
             failing += 1
     return len(seen), failing
 

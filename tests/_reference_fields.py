@@ -5,13 +5,12 @@ the tests.
 ``class_label`` the scalar form of the kernel's class of a triple.
 """
 
-from biquad_hnp.fields import FieldTriple, subfield_data
+from biquad_hnp.fields import FieldTriple, field_values
 
 
 def canonical_key(t: FieldTriple) -> tuple[int, int, int]:
     """Sorted fundamental discriminants; equal keys mean equal fields."""
-    data = subfield_data(t)
-    d = sorted(data.fundamental_discs)
+    d = sorted(field_values(*t)[3:6])
     return (d[0], d[1], d[2])
 
 

@@ -36,8 +36,8 @@ from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key
 from biquad_hnp import asymptotics, enumeration
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.fields import FieldTriple, subfield_data
-from biquad_hnp.hnp import classify_by_splitting
+from biquad_hnp.fields import FieldTriple, field_values
+from biquad_hnp.hnp import oracle_row
 
 CHECKPOINTS = (10**6, 10**8, 10**10)
 
@@ -106,7 +106,7 @@ def test_criterion_4_classifier_equivalence():
         checked = 0
         for t in iter_valid_triples(bound):
             checked += 1
-            assert classify_by_splitting(t, sieve).fails == verdicts[(t.m, t.a1, t.b1)], t
+            assert (oracle_row(*t, sieve)[8] == 0) == verdicts[(t.m, t.a1, t.b1)], t
         assert checked == 64140  # tens of thousands of cases, all sign patterns
 
 
@@ -123,11 +123,11 @@ def test_criterion_5_discriminant_identity():
         ones = (k % 4 == 1).sum(axis=1)
         assert set(np.unique(ones)) <= {0, 1, 3}
         # independent object-layer route, exhaustive over |m a1 b1| <= 10^4
-        # (subfield_data recomputes c and asserts the identity internally)
+        # (field_values recomputes c and asserts the identity internally)
         checked = 0
         for t in iter_valid_triples(10**4):
-            data = subfield_data(t)
-            assert sum(1 for kk in data.kernels if kk % 4 == 1) in (0, 1, 3)
+            k1, k2, k3 = field_values(*t)[:3]
+            assert (k1 % 4 == 1) + (k2 % 4 == 1) + (k3 % 4 == 1) in (0, 1, 3)
             checked += 1
         assert checked == 428580
 

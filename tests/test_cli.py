@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biquad_hnp import cli, enumeration, hnp
+from biquad_hnp import cli, enumeration
 from biquad_hnp.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, parse_bound
 
 CLI_ENTRY = "import sys; from biquad_hnp.cli import main; sys.exit(main())"
@@ -484,14 +484,32 @@ class TestClassify:
         assert payload["kernels"] == [13, 17, 221]
 
     def test_field_data_is_derived_once(self, monkeypatch, capsys):
-        # the verdict reuses the field data classify printed: the oracle's
-        # own derivation of it is never called
-        def derived_again(triple):
-            raise AssertionError("subfield_data called twice")
+        # classify asks the oracle once, with no sieve, and prints its nine
+        # values and the verdict they give: c = 1 failing, c = 4 and c = 8
+        calls = []
+        true_oracle = cli.oracle_row
 
-        monkeypatch.setattr(hnp, "subfield_data", derived_again)
-        assert main(["classify", "--gens", "13", "17"]) == EXIT_OK
-        assert "fails" in capsys.readouterr().out
+        def counted(*args):
+            calls.append(args)
+            return true_oracle(*args)
+
+        monkeypatch.setattr(cli, "oracle_row", counted)
+        for triple, c, witness in [((1, 13, 17), 1, 0), ((1, -1, 3), 4, 2), ((1, -1, 2), 8, 2)]:
+            calls.clear()
+            argv = ["classify", "--triple", *map(str, triple), "--format", "json"]
+            assert main(argv) == EXIT_OK
+            assert calls == [triple]
+            payload = json.loads(capsys.readouterr().out)
+            got = (
+                *payload["kernels"],
+                *payload["fundamental_discs"],
+                payload["c"],
+                payload["disc"],
+                payload["witness"] or 0,
+            )
+            assert got == true_oracle(*triple)
+            assert (payload["c"], payload["witness"]) == (c, witness or None)
+            assert payload["verdict"] == ("holds" if witness else "fails")
 
     def test_non_squarefree_rejected(self, capsys):
         assert main(["classify", "--gens", "4", "5"]) == EXIT_USAGE
@@ -1228,7 +1246,7 @@ class TestVerify:
     @pytest.mark.parametrize("path", ["forked", "unforked"])
     def test_sweeps_build_no_named_tuples(self, capsys, monkeypatch, request, path):
         # checks 5 and 6 run on plain ints: with every way to build a
-        # FieldTriple, SubfieldData or HnpStatus raising, verify passes
+        # FieldTriple raising, verify passes
         from biquad_hnp import fields
 
         request.getfixturevalue(path)
@@ -1236,15 +1254,8 @@ class TestVerify:
         def refused(*args, **kwargs):
             raise AssertionError("a named tuple was built")
 
-        for cls in (fields.FieldTriple, fields.SubfieldData, hnp.HnpStatus):
-            monkeypatch.setattr(cls, "__new__", staticmethod(refused))
-        for module, name in [
-            (cli, "FieldTriple"),
-            (cli, "subfield_data"),
-            (cli, "_classify_with"),
-            (hnp, "classify_by_splitting"),
-        ]:
-            monkeypatch.setattr(module, name, refused)
+        monkeypatch.setattr(fields.FieldTriple, "__new__", staticmethod(refused))
+        monkeypatch.setattr(cli, "FieldTriple", refused)
         assert main(["verify"]) == EXIT_OK
         assert capsys.readouterr().out == VERIFY_TEXT
 

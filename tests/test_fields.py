@@ -10,9 +10,9 @@ from _reference_fields import canonical_key, class_label
 from biquad_hnp.fields import (
     FieldTriple,
     InvalidFieldError,
+    field_values,
     from_generators,
     quadratic_discriminant,
-    subfield_data,
 )
 
 
@@ -90,7 +90,7 @@ class TestTripleValidation:
         assert str(exc.value) == text
 
     def test_construction_derives_no_discriminants(self, monkeypatch):
-        # FieldTriple runs the checks alone; subfield_data derives the rest
+        # FieldTriple runs the checks alone; field_values derives the rest
         from biquad_hnp import fields
 
         monkeypatch.setattr(fields, "field_values", None)
@@ -123,39 +123,27 @@ class TestTripleValidation:
             t.validate()
 
 
-class TestSubfieldData:
+class TestFieldValues:
     def test_gaussian_times_sqrt2(self):
-        data = subfield_data(FieldTriple(1, -1, 2))
-        assert data.kernels == (-1, 2, -2)
-        assert data.fundamental_discs == (-4, 8, -8)
-        assert data.field_disc == 256
-        assert data.c == 8
+        assert field_values(1, -1, 2) == (-1, 2, -2, -4, 8, -8, 8, 256)
 
     def test_all_one_mod_four(self):
-        data = subfield_data(FieldTriple(1, 13, 17))
-        assert data.kernels == (13, 17, 221)
-        assert data.fundamental_discs == (13, 17, 221)
-        assert data.field_disc == 221**2 == 48841
-        assert data.c == 1
+        assert field_values(1, 13, 17) == (13, 17, 221, 13, 17, 221, 1, 221**2)
 
     def test_exactly_one_kernel_one_mod_four(self):
-        data = subfield_data(FieldTriple(1, -1, 3))
-        assert data.kernels == (-1, 3, -3)
-        assert data.fundamental_discs == (-4, 12, -3)
-        assert data.field_disc == 144
-        assert data.c == 4
+        assert field_values(1, -1, 3) == (-1, 3, -3, -4, 12, -3, 4, 144)
 
     def test_disc_identity_and_parity_sweep(self):
         # both sides of disc = (c m |a1 b1|)^2 plus the parity law, for all
         # valid triples with m |a1 b1| <= 300 (disc up to 5.76e6)
         seen_c = set()
         for t in iter_valid_triples(300):
-            data = subfield_data(t)  # raises internally if identity fails
-            ones = sum(1 for k in data.kernels if k % 4 == 1)
+            *kernels, _, _, _, c, disc = field_values(*t)  # raises if identity fails
+            ones = sum(1 for k in kernels if k % 4 == 1)
             assert ones in (0, 1, 3)
-            assert data.field_disc == (data.c * t.m * abs(t.a1 * t.b1)) ** 2
-            assert data.field_disc > 0
-            seen_c.add(data.c)
+            assert disc == (c * t.m * abs(t.a1 * t.b1)) ** 2
+            assert disc > 0
+            seen_c.add(c)
         assert seen_c == {1, 4, 8}
 
 

@@ -1,56 +1,57 @@
 """Tests for the Hasse-norm-principle classifiers.
 
-classify_by_splitting is the ground truth (it reads off decomposition
-groups at ramified primes); splitting_witnesses is the same test on
-arrays.  The production kernel classifies by congruences (class tables
-plus symbol bitmasks).  The exhaustive sweep of the kernel against the
-oracle, to the acceptance bound, lives in test_acceptance; here we cover
-the documented examples and the structure of the verdicts.
+oracle_row is the ground truth (it reads off decomposition groups at
+ramified primes; its ninth value, the witness, is 0 where the principle
+fails); splitting_witnesses is the same test on arrays.  The production
+kernel classifies by congruences (class tables plus symbol bitmasks).
+The exhaustive sweep of the kernel against the oracle, to the acceptance
+bound, lives in test_acceptance; here we cover the documented examples
+and the structure of the verdicts.
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from _reference_enumeration import iter_valid_triples
-from biquad_hnp.arith import build_sieve, kronecker, prime_factors
+from biquad_hnp.arith import build_sieve, is_squarefree, kronecker, prime_factors
 from biquad_hnp.enumeration import invalid_rows, tuple_records
-from biquad_hnp.fields import FieldTriple, InvalidFieldError, subfield_data
-from biquad_hnp.hnp import classify_by_splitting, oracle_row, splitting_witnesses
+from biquad_hnp.fields import InvalidFieldError, field_values, quadratic_discriminant
+from biquad_hnp.hnp import FAILS, HOLDS, oracle_row, splitting_witnesses
+
+
+def _witness(m, a1, b1, sieve=None):
+    return oracle_row(m, a1, b1, sieve)[8]
 
 
 class TestSplittingOracle:
     def test_fails_example(self):
-        status = classify_by_splitting(FieldTriple(1, 13, 17))
-        assert status.fails
-        assert status.witness is None
+        assert _witness(1, 13, 17) == 0
 
     def test_holds_with_witness_2(self):
-        status = classify_by_splitting(FieldTriple(1, -1, 3))
-        assert not status.fails
-        assert status.witness == 2
+        assert _witness(1, -1, 3) == 2
 
     def test_totally_ramified_2(self):
         # discs (8, 12, 24): 2 divides all three
-        status = classify_by_splitting(FieldTriple(1, 2, 3))
-        assert status.verdict == "holds"
-        assert status.witness == 2
+        assert oracle_row(1, 2, 3)[3:6] == (8, 12, 24)
+        assert _witness(1, 2, 3) == 2
 
     @pytest.mark.parametrize(
         "triple, verdict",
         [
             # residues (1, 1, 3) mod 4; the agreeing pair (1, 5) differs mod 8
-            ((1, 5, -1), "holds"),
+            ((1, 5, -1), HOLDS),
             # the even component is the odd one out; (1, 17) agree mod 8
-            ((2, 1, 17), "fails"),
+            ((2, 1, 17), FAILS),
             # unit components impose no symbol condition, but (-1|7) = -1
-            ((1, -1, -7), "holds"),
+            ((1, -1, -7), HOLDS),
         ],
         ids=["mod8_pair_differs", "even_component", "unit_components"],
     )
     def test_congruence_examples(self, triple, verdict):
-        assert classify_by_splitting(FieldTriple(*triple)).verdict == verdict
+        assert (HOLDS if _witness(*triple) else FAILS) == verdict
 
     def test_factorization_paths_agree(self):
         # without a sieve the components are trial-divided; build_sieve(300)
@@ -58,22 +59,22 @@ class TestSplittingOracle:
         # the product to the component-wise path, with sieve lookups for the
         # components it covers
         full, small = build_sieve(300), build_sieve(17)
-        triples = [FieldTriple(v1, v2, v3) for v1, v2, v3 in tuple_records(300)[:, :3].tolist()]
-        beyond = sum(1 for t in triples if abs(t.m * t.a1 * t.b1) > small.limit)
+        triples = tuple_records(300)[:, :3].tolist()
+        beyond = sum(1 for m, a1, b1 in triples if abs(m * a1 * b1) > small.limit)
         assert beyond > 0.9 * len(triples) > 1000
         for t in triples:
-            want = classify_by_splitting(t)
-            assert classify_by_splitting(t, full) == want, t
-            assert classify_by_splitting(t, small) == want, t
+            want = oracle_row(*t)
+            assert oracle_row(*t, full) == want, t
+            assert oracle_row(*t, small) == want, t
 
     def test_witness_divides_disc(self):
+        holds = 0
         for t in iter_valid_triples(200):
-            status = classify_by_splitting(t)
-            data = subfield_data(t)
-            if status.fails:
-                assert status.witness is None
-            else:
-                assert data.field_disc % status.witness == 0
+            *_, disc, witness = oracle_row(*t)
+            if witness:
+                holds += 1
+                assert disc % witness == 0
+        assert holds > 1000
 
     def test_verdict_and_witness_are_properties_of_the_kernel_set(self):
         # verify asks the oracle once per sorted kernel set and reuses the
@@ -82,25 +83,23 @@ class TestSplittingOracle:
         sieve = build_sieve(2000)
         groups = defaultdict(list)
         for t in iter_valid_triples(2000):
-            groups[tuple(sorted(t.kernels))].append(classify_by_splitting(t, sieve))
+            groups[tuple(sorted(t.kernels))].append(_witness(*t, sieve))
         assert len(groups) == 10690
         assert all(len(group) == 6 and len(set(group)) == 1 for group in groups.values())
 
     def test_failure_means_every_ramified_prime_splits_somewhere(self):
         # independent per-prime recheck of the Fails verdict
-        from biquad_hnp.arith import prime_factors
-
         checked = 0
         for t in iter_valid_triples(150):
-            if not classify_by_splitting(t).fails:
+            _, _, _, d1, d2, d3, c, _, witness = oracle_row(*t)
+            if witness:
                 continue
             checked += 1
-            data = subfield_data(t)
             primes = set(prime_factors(t.m * t.a1 * t.b1))
-            if data.c > 1:
+            if c > 1:
                 primes.add(2)
             for p in primes:
-                assert any(kronecker(d, p) == 1 for d in data.fundamental_discs)
+                assert any(kronecker(d, p) == 1 for d in (d1, d2, d3))
         assert checked > 10
 
 
@@ -111,18 +110,6 @@ ORACLE_BOX = [
 ]
 
 
-def _named_row(m, a1, b1, sieve):
-    """The nine values of oracle_row from FieldTriple, subfield_data and
-    classify_by_splitting, or None where one of them raises."""
-    try:
-        t = FieldTriple(m, a1, b1)
-        data = subfield_data(t)
-        status = classify_by_splitting(t, sieve)
-    except InvalidFieldError:
-        return None
-    return (*data.kernels, *data.fundamental_discs, data.c, data.field_disc, status.witness or 0)
-
-
 def _oracle_row_or_none(m, a1, b1, sieve):
     try:
         return oracle_row(m, a1, b1, sieve)
@@ -131,42 +118,42 @@ def _oracle_row_or_none(m, a1, b1, sieve):
 
 
 class TestOracleRow:
-    """hnp.oracle_row, the scalar oracle on plain ints of verify's sweeps."""
-
-    @pytest.mark.parametrize("limit", [None, 1728, 104], ids=["no_sieve", "covering", "below"])
-    def test_matches_the_named_tuple_oracle(self, limit):
-        # the same nine values and the same rejections as FieldTriple,
-        # subfield_data and classify_by_splitting; a sieve to 104 leaves
-        # the field (3, 5, 7), |m a1 b1| = 105, just above it
-        sieve = None if limit is None else build_sieve(limit)
-        rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
-        assert [got for _, got in rows] == [_named_row(*row, sieve) for row, _ in rows]
-        rejected = np.array([got is None for _, got in rows])
-        assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
-        assert 0 < np.count_nonzero(rejected) < len(rows)
-        assert {got[6] for _, got in rows if got} == {1, 4, 8}
-        assert {got[8] == 0 for _, got in rows if got} == {True, False}
-        assert _oracle_row_or_none(3, 5, 7, sieve) is not None
+    """hnp.oracle_row, the one scalar oracle."""
 
     def test_matches_the_definition(self):
         # independent of the walk: the witness is the least prime of disc
-        # with kronecker(d, p) != 1 for all three discriminants
-        sieve = build_sieve(104)
-        checked = 0
-        for row in ORACLE_BOX:
-            got = _oracle_row_or_none(*row, sieve)
-            if got is None:
-                continue
-            checked += 1
-            k1, k2, k3, d1, d2, d3, c, disc, witness = got
-            m, a1, b1 = row
-            assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
-            assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
-            unsplit = [
-                p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
-            ]
-            assert witness == (unsplit[0] if unsplit else 0), row
-        assert checked > 1000
+        # with kronecker(d, p) != 1 for all three discriminants.  With no
+        # sieve, a covering sieve and a sieve to 104, which leaves the
+        # field (3, 5, 7), |m a1 b1| = 105, just above it
+        for limit in (None, 1728, 104):
+            sieve = None if limit is None else build_sieve(limit)
+            rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
+            rejected = np.array([got is None for _, got in rows])
+            assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
+            assert 1000 < np.count_nonzero(~rejected) < len(rows)
+            assert _oracle_row_or_none(3, 5, 7, sieve) is not None
+            squarefree = 0
+            for row, got in rows:
+                if got is None:
+                    continue
+                k1, k2, k3, d1, d2, d3, c, disc, witness = got
+                m, a1, b1 = row
+                assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
+                if all(is_squarefree(k) for k in (k1, k2, k3)):
+                    squarefree += 1
+                    assert (d1, d2, d3) == tuple(map(quadratic_discriminant, (k1, k2, k3))), row
+                assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
+                assert c == math.isqrt(disc) // abs(m * a1 * b1)
+                unsplit = [
+                    p
+                    for p in prime_factors(disc)
+                    if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
+                ]
+                assert witness == (unsplit[0] if unsplit else 0), row
+            assert squarefree == 810
+            accepted = [got for got in (got for _, got in rows) if got]
+            assert {got[6] for got in accepted} == {1, 4, 8}
+            assert {got[8] == 0 for got in accepted} == {True, False}
 
     def test_row_beyond_the_sieve_is_trial_divided(self):
         # no IndexError past the sieve's table: the components of a field
@@ -175,15 +162,14 @@ class TestOracleRow:
         assert oracle_row(1, 13, 17, sieve) == oracle_row(1, 13, 17) == (
             13, 17, 221, 13, 17, 221, 1, 48841, 0
         )
-        status = classify_by_splitting(FieldTriple(1, 11, 13))
-        assert oracle_row(1, 11, 13, sieve)[8] == (status.witness or 0)
+        assert oracle_row(1, 11, 13, sieve) == oracle_row(1, 11, 13)
 
 
 class TestSplittingWitnesses:
     @staticmethod
     def _columns(triples):
-        cols = np.array([(t.m, t.a1, t.b1) for t in triples], dtype=np.int64)
-        discs = np.array([subfield_data(t).fundamental_discs for t in triples], dtype=np.int64)
+        cols = np.array(triples, dtype=np.int64)
+        discs = np.array([field_values(*t)[3:6] for t in triples], dtype=np.int64)
         return cols[:, 0], cols[:, 1], cols[:, 2], discs
 
     def test_matches_scalar_oracle(self):
@@ -192,18 +178,18 @@ class TestSplittingWitnesses:
         triples = list(iter_valid_triples(2000))
         assert len(triples) == 64140
         got = splitting_witnesses(*self._columns(triples), sieve)
-        want = [classify_by_splitting(t, sieve).witness or 0 for t in triples]
+        want = [_witness(*t, sieve) for t in triples]
         assert got.tolist() == want
         assert 0 < np.count_nonzero(got == 0) < len(got)
 
     def test_empty(self):
-        m, a1, b1, discs = self._columns([FieldTriple(1, -1, 3)])
+        m, a1, b1, discs = self._columns([(1, -1, 3)])
         got = splitting_witnesses(m[:0], a1[:0], b1[:0], discs[:0], build_sieve(10))
         assert got.shape == (0,)
 
     def test_sieve_must_cover_the_fields(self):
         with pytest.raises(ValueError, match="sieve"):
-            splitting_witnesses(*self._columns([FieldTriple(1, 13, 17)]), build_sieve(100))
+            splitting_witnesses(*self._columns([(1, 13, 17)]), build_sieve(100))
 
 
 def _kernel_fails(m, a1, b1):
@@ -230,7 +216,7 @@ class TestCongruenceClassifier:
 
     def test_case3_distinct_residues(self):
         assert not _kernel_fails(1, 2, 3)
-        assert classify_by_splitting(FieldTriple(1, 2, 3)).witness == 2
+        assert _witness(1, 2, 3) == 2
 
     def test_unit_components_impose_no_symbol_conditions(self):
         # (1, -1, d): only primes of d are constrained
@@ -244,7 +230,5 @@ class TestCongruenceClassifier:
             if len({v % 4 for v in (m, a1, b1)}) == 3:
                 checked += 1
                 assert not fails
-                oracle = classify_by_splitting(FieldTriple(m, a1, b1))
-                assert oracle.verdict == "holds"
-                assert oracle.witness == 2
+                assert _witness(m, a1, b1) == 2
         assert checked > 0

@@ -6,9 +6,12 @@ of records, over all the odd squarefree cores and over disjoint subsets
 of them.  The kernel enumerates one tuple per field, so its records are
 unfolded into the six ordered records of each field first; the S3
 action it relies on is checked on the (assignment, combo) pairs and on
-the class ids.  ``jacobi_array`` is checked against Euler's criterion
-and against the scalar symbols, and the class tables entry by entry
-against the scalar class functions kept in ``_reference_classes``.
+the class ids.  Core by core, one-core slabs are held against
+``_reference_cores``, which asks the scalar oracle ``hnp.oracle_row``
+about every triple of the core.  ``jacobi_array`` is checked against
+Euler's criterion and against the scalar symbols, and the class tables
+entry by entry against the scalar class functions kept in
+``_reference_classes``.
 """
 
 import itertools
@@ -20,8 +23,9 @@ import pytest
 
 import _reference_classes as reference_classes
 import _reference_kernel as reference
+from _reference_cores import core_fields
 from biquad_hnp import _kernels
-from biquad_hnp.arith import build_sieve, jacobi
+from biquad_hnp.arith import build_sieve, jacobi, prime_factors
 from biquad_hnp.enumeration import unfold_records
 
 
@@ -156,6 +160,58 @@ def test_enumerate_block_without_collect_returns_no_records():
     total, fails, records = _kernels.enumerate_block(*_kernel_args(10**6), False)
     assert records.shape == (0, 6)
     assert total.sum() == 6084 and fails.sum() == 6 * 119
+
+
+def _core_mismatches(cores, X):
+    """The cores whose (fields, failures) to disc X differ between
+    enumerate_block on the one-core slab and the scalar oracle."""
+    root = math.isqrt(X)
+    spf = build_sieve(root).smallest_prime_factor
+    bad = []
+    for n in cores:
+        total, fails, _ = _kernels.enumerate_block(
+            [(np.array([n]), len(prime_factors(n)))], root, spf, False
+        )
+        assert total.sum() % 6 == fails.sum() % 6 == 0
+        if (total.sum() // 6, fails.sum() // 6) != core_fields(n, X):
+            bad.append(n)
+    return bad
+
+
+def test_core_oracle_counts_to_1e6():
+    mobius = build_sieve(1000).mobius
+    cores = [n for n in range(1, 1001, 2) if mobius[n] != 0]
+    assert tuple(map(sum, zip(*(core_fields(n, 10**6) for n in cores)))) == (1014, 119)
+    assert _core_mismatches(cores, 10**6) == []
+
+
+def _random_cores_1e12():
+    """200 seeded odd squarefree cores up to sqrt(1e12)."""
+    mobius = build_sieve(10**6).mobius
+    cores = (np.flatnonzero(mobius[1::2]) * 2 + 1).tolist()
+    return sorted(random.Random(12).sample(cores, 200))
+
+
+def test_kernel_matches_core_oracle_at_1e12():
+    # a core's symbols (p_k|p_i) are computed with the smaller prime as
+    # modulus, below 10^3 at this bound; the larger primes reach 10^6
+    cores = _random_cores_1e12()
+    assert sum(1 for n in cores if prime_factors(n)[-1] > 10**4) == 89
+    assert _core_mismatches(cores, 10**12) == []
+
+
+def test_core_oracle_catches_a_symbol_flip_on_large_primes(monkeypatch):
+    # (a|n) negated wherever a > 10^4: the kernel's verdicts change on
+    # the cores with such a prime, and the oracle, on arith.jacobi, does not
+    true_symbols = _kernels.jacobi_array
+
+    def flipped(a, n):
+        out = true_symbols(a, n)
+        return np.where(np.broadcast_to(a, out.shape) > 10**4, -out, out).astype(np.int8)
+
+    monkeypatch.setattr(_kernels, "jacobi_array", flipped)
+    bad = _core_mismatches(_random_cores_1e12(), 10**12)
+    assert len(bad) > 10 and all(prime_factors(n)[-1] > 10**4 for n in bad)
 
 
 def _euler_table(p):
