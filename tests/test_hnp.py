@@ -18,7 +18,12 @@ import pytest
 from _reference_enumeration import iter_valid_triples
 from biquad_hnp.arith import build_sieve, is_squarefree, kronecker, prime_factors
 from biquad_hnp.enumeration import invalid_rows, tuple_records
-from biquad_hnp.fields import InvalidFieldError, field_values, quadratic_discriminant
+from biquad_hnp.fields import (
+    FieldTriple,
+    InvalidFieldError,
+    field_values,
+    quadratic_discriminant,
+)
 from biquad_hnp.hnp import FAILS, HOLDS, oracle_row, splitting_witnesses
 
 
@@ -117,43 +122,65 @@ def _oracle_row_or_none(m, a1, b1, sieve):
         return None
 
 
+def _named_row(m, a1, b1):
+    """The nine values of oracle_row from their definitions on the
+    FieldTriple named tuple, or None where FieldTriple rejects the row:
+    the discriminant of kernel k is k if k = 1 mod 4, else 4k, and the
+    witness is the least prime of disc with kronecker(d, p) != 1 for all
+    three discriminants."""
+    try:
+        t = FieldTriple(m, a1, b1)
+    except InvalidFieldError:
+        return None
+    discs = tuple(k if k % 4 == 1 else 4 * k for k in t.kernels)
+    disc = abs(math.prod(discs))
+    c = math.isqrt(disc) // abs(m * a1 * b1)
+    unsplit = [p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in discs)]
+    return (*t.kernels, *discs, c, disc, unsplit[0] if unsplit else 0)
+
+
 class TestOracleRow:
     """hnp.oracle_row, the one scalar oracle."""
 
+    @pytest.mark.parametrize("limit", [None, 1728, 104], ids=["no_sieve", "covering", "below"])
+    def test_matches_the_named_tuple_oracle(self, limit):
+        # the same nine values and the same rejections as the definitions
+        # on FieldTriple; a sieve to 104 leaves the field (3, 5, 7),
+        # |m a1 b1| = 105, just above it
+        sieve = None if limit is None else build_sieve(limit)
+        rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
+        assert [got for _, got in rows] == [_named_row(*row) for row, _ in rows]
+        rejected = np.array([got is None for _, got in rows])
+        assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
+        assert 1000 < np.count_nonzero(~rejected) < len(rows)
+        assert {got[6] for _, got in rows if got} == {1, 4, 8}
+        assert {got[8] == 0 for _, got in rows if got} == {True, False}
+        assert _oracle_row_or_none(3, 5, 7, sieve) is not None
+
     def test_matches_the_definition(self):
         # independent of the walk: the witness is the least prime of disc
-        # with kronecker(d, p) != 1 for all three discriminants.  With no
-        # sieve, a covering sieve and a sieve to 104, which leaves the
-        # field (3, 5, 7), |m a1 b1| = 105, just above it
-        for limit in (None, 1728, 104):
-            sieve = None if limit is None else build_sieve(limit)
-            rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
-            rejected = np.array([got is None for _, got in rows])
-            assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
-            assert 1000 < np.count_nonzero(~rejected) < len(rows)
-            assert _oracle_row_or_none(3, 5, 7, sieve) is not None
-            squarefree = 0
-            for row, got in rows:
-                if got is None:
-                    continue
-                k1, k2, k3, d1, d2, d3, c, disc, witness = got
-                m, a1, b1 = row
-                assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
-                if all(is_squarefree(k) for k in (k1, k2, k3)):
-                    squarefree += 1
-                    assert (d1, d2, d3) == tuple(map(quadratic_discriminant, (k1, k2, k3))), row
-                assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
-                assert c == math.isqrt(disc) // abs(m * a1 * b1)
-                unsplit = [
-                    p
-                    for p in prime_factors(disc)
-                    if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
-                ]
-                assert witness == (unsplit[0] if unsplit else 0), row
-            assert squarefree == 810
-            accepted = [got for got in (got for _, got in rows) if got]
-            assert {got[6] for got in accepted} == {1, 4, 8}
-            assert {got[8] == 0 for got in accepted} == {True, False}
+        # with kronecker(d, p) != 1 for all three discriminants
+        sieve = build_sieve(104)
+        checked = squarefree = 0
+        for row in ORACLE_BOX:
+            got = _oracle_row_or_none(*row, sieve)
+            if got is None:
+                continue
+            checked += 1
+            k1, k2, k3, d1, d2, d3, c, disc, witness = got
+            m, a1, b1 = row
+            assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
+            if all(is_squarefree(k) for k in (k1, k2, k3)):
+                squarefree += 1
+                assert (d1, d2, d3) == tuple(map(quadratic_discriminant, (k1, k2, k3))), row
+            assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
+            assert c == math.isqrt(disc) // abs(m * a1 * b1)
+            unsplit = [
+                p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
+            ]
+            assert witness == (unsplit[0] if unsplit else 0), row
+        assert checked > 1000
+        assert squarefree == 810
 
     def test_row_beyond_the_sieve_is_trial_divided(self):
         # no IndexError past the sieve's table: the components of a field
