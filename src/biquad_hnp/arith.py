@@ -1,8 +1,8 @@
 """Exact integer number theory: factor sieves, Mobius values, residue symbols.
 
 Everything here is pure integer arithmetic.  A built FactorSieve is
-immutable and may be shared freely across threads; the symbol functions
-are stateless.
+immutable: a count builds it before it forks, and the forked child reads
+the parent's tables copy-on-write.  The symbol functions are stateless.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ The two counting asymptotics are
 
 with C_total = prod_p (1-1/p)^3 (1+3/p) and
 C_failing = prod_p (1-1/p)^(3/2) (1+3/(2p)).  The integers 23 and 112,
-and the signed cancellation to 0, are exact weighted counts over the
-kernel's class tables (``_kernels._class_tables``: the weight factor c,
-the failure compatibility ok and the reciprocity sign u of each of its
-1024 ids, by sign pair, factor-of-2 slot and odd residues mod 8).  Every
+and the signed sums of signed_failing_class_weights, which cancel to 0
+in each sign pair, are exact weighted counts over the kernel's class
+tables (``_kernels._class_tables``: the weight factor c, the failure
+compatibility ok and the reciprocity sign u of each of its 1024 ids, by
+sign pair, factor-of-2 slot and odd residues mod 8).  Every
 exact sum here is a rational sum over those tables, so the identities
 check the classes every count uses.
 
@@ -54,7 +55,6 @@ class EulerProductValue:
 
     value: float
     tail_bound: float
-    prime_limit: int
 
 
 # The bytes per n up to a prime limit that constants and compare may
@@ -83,7 +83,7 @@ def _euler_product(a: float, tail: tuple[float, float], prime_limit: int) -> Eul
     x = 1.0 / _primes_up_to(prime_limit)
     value = math.exp(float(np.sum(a * np.log1p(-x) + np.log1p(a * x))))
     tail_log = tail[0] / prime_limit + tail[1] / prime_limit**2
-    return EulerProductValue(value=value, tail_bound=value * tail_log, prime_limit=prime_limit)
+    return EulerProductValue(value=value, tail_bound=value * tail_log)
 
 
 def euler_product_total(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProductValue:
@@ -105,18 +105,11 @@ def euler_product_failing(prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerProduc
     return _euler_product(1.5, (2.0, 1.0), prime_limit)
 
 
-@lru_cache(maxsize=2)
-def _default_constant(which: str) -> float:
-    if which == "total":
-        return euler_product_total().value
-    return euler_product_failing().value
-
-
 def main_term_total(X: float, constant: float | None = None) -> float:
     """(23/960) sqrt(X) (log X)^2 times the all-fields Euler product."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    c = _default_constant("total") if constant is None else constant
+    c = euler_product_total().value if constant is None else constant
     return (23.0 / 960.0) * math.sqrt(X) * math.log(X) ** 2 * c
 
 
@@ -124,7 +117,7 @@ def main_term_failing(X: float, constant: float | None = None) -> float:
     """sqrt(X log X) / (3 sqrt(2 pi)) times the failing-fields Euler product."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    c = _default_constant("failing") if constant is None else constant
+    c = euler_product_failing().value if constant is None else constant
     return math.sqrt(X * math.log(X)) / (3.0 * math.sqrt(2.0 * math.pi)) * c
 
 
@@ -141,18 +134,15 @@ def _block_sums(weights) -> np.ndarray:
     """Sum of weight / scale over the 64 ids of each (sign pair, slot)
     block, exactly: a (4, 4) object array of Fractions.
 
-    weights holds an int per class id, or one int for all.  Each block's
-    ids are grouped by scale, so the sums are exact for any positive c.
+    weights holds an int per class id, or one int for all.  Each block
+    sums integer numerators over the lcm L of all scales (16 on the
+    kernel's table), so the sums are exact for any positive c.
     """
     scales = _scales()
+    lcm = int(np.lcm.reduce(scales.ravel()))
     weights = np.broadcast_to(weights, (_kernels.CLASS_SPACE,)).reshape(scales.shape)
-    sums = np.empty(scales.shape[:2], dtype=object)
-    for block in np.ndindex(sums.shape):
-        w, s = weights[block], scales[block]
-        sums[block] = sum(
-            (Fraction(int(w[s == v].sum()), v) for v in set(s.tolist())), Fraction(0)
-        )
-    return sums
+    numerators = (weights * (lcm // scales)).sum(axis=2)
+    return numerators.astype(object) * Fraction(1, lcm)
 
 
 def total_class_weight() -> Fraction:
@@ -167,20 +157,12 @@ def failing_class_weight() -> Fraction:
     return _block_sums(_kernels._class_tables()[1]).sum()
 
 
-def signed_failing_class_weight(
-    sign_pairs: tuple[tuple[int, int], ...] = SIGN_PAIRS,
-) -> Fraction:
-    """Sum of u/(c 2^k) over the failure-compatible ids of the given sign
-    pairs, with u the reciprocity sign of the class table; cancels to 0.
-
-    Each pair of SIGN_PAIRS alone still gives 0 (the cancellation is
-    block by block); any other entry, or none, raises ValueError.
-    """
-    if not sign_pairs or any(pair not in SIGN_PAIRS for pair in sign_pairs):
-        raise ValueError(f"sign_pairs must be pairs of SIGN_PAIRS, got {sign_pairs!r}")
+def signed_failing_class_weights() -> tuple[Fraction, ...]:
+    """Sum of u/(c 2^k) over the failure-compatible ids of each sign pair,
+    in SIGN_PAIRS order, with u the reciprocity sign of the class table.
+    Each cancels to 0 (block by block), and so does their total."""
     _c, ok, u = _kernels._class_tables()
-    chosen = [pair in sign_pairs for pair in SIGN_PAIRS]
-    return _block_sums(ok * u)[chosen].sum()
+    return tuple(_block_sums(ok * u).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -192,7 +174,6 @@ class ConstantCrossCheck:
     assembled: float
     residual: float  # |direct - assembled| / assembled
     combined_tail: float
-    prime_limit: int
 
 
 def main_term_constant_crosscheck(prime_limit: int) -> ConstantCrossCheck:
@@ -223,7 +204,6 @@ def main_term_constant_crosscheck(prime_limit: int) -> ConstantCrossCheck:
         assembled=assembled,
         residual=diff / assembled,
         combined_tail=combined,
-        prime_limit=prime_limit,
     )
 
 
@@ -307,11 +287,10 @@ class TotalExpansion:
     A: float
     B: float
     C: float
-    prime_limit: int
 
 
-@lru_cache(maxsize=4)
-def expansion_total_coefficients(prime_limit: int = DEFAULT_PRIME_LIMIT) -> TotalExpansion:
+@lru_cache(maxsize=1)
+def expansion_total_coefficients() -> TotalExpansion:
     """The three coefficients of the expansion of S(X), from the classes.
 
     6 S(X) = (1/64) sum_id F_0(isqrt(X) // scale(id)) - D(X), scale = 2^t.
@@ -325,17 +304,16 @@ def expansion_total_coefficients(prime_limit: int = DEFAULT_PRIME_LIMIT) -> Tota
     A, B and C.  D(X) = (2/pi^2) sqrt(X) degenerate_class_weight() +
     o(sqrt(X)): odd squarefree m <= y in one class mod 4 number
     (2/pi^2) y.  A equals (23/960) times the all-fields Euler product.
+    The Euler data run over the primes to DEFAULT_PRIME_LIMIT.
     """
-    if prime_limit < 2:
-        raise ValueError("prime_limit must be >= 2")
     log2 = math.log(2.0)
     m0, m1, m2 = (float(m) for m in class_moments())
-    c0, c1, c2 = _f0_polynomial(prime_limit)
+    c0, c1, c2 = _f0_polynomial(DEFAULT_PRIME_LIMIT)
     a = c2 * m0 / 4.0
     b = c1 * m0 / 2.0 - c2 * log2 * m1
     c = c0 * m0 - c1 * log2 * m1 + c2 * log2 * log2 * m2
     c -= 2.0 / math.pi**2 * float(degenerate_class_weight())
-    return TotalExpansion(A=a / 6.0, B=b / 6.0, C=c / 6.0, prime_limit=prime_limit)
+    return TotalExpansion(A=a / 6.0, B=b / 6.0, C=c / 6.0)
 
 
 def expansion_total(X: float) -> float:

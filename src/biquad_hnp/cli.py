@@ -244,10 +244,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         else:
             m, a1, b1 = args.triple
             triple = FieldTriple(m, a1, b1)
-            triple.validate()
+        k1, k2, k3, d1, d2, d3, c, disc, witness = oracle_row(*triple)
     except InvalidFieldError as exc:
         return _error(str(exc))
-    k1, k2, k3, d1, d2, d3, c, disc, witness = oracle_row(*triple)
     verdict = HOLDS if witness else FAILS
     payload = {
         "m": triple.m,
@@ -326,12 +325,9 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
     value = asymptotics.failing_class_weight()
     add("class weight sum (failure classes)", "112", str(value), value == 112)
 
-    signed = asymptotics.signed_failing_class_weight()
+    blocks = asymptotics.signed_failing_class_weights()
+    signed = sum(blocks)
     add("signed class weight sum", "0", str(signed), signed == 0)
-    blocks = [
-        asymptotics.signed_failing_class_weight(sign_pairs=(pair,))
-        for pair in asymptotics.SIGN_PAIRS
-    ]
     add(
         "signed class weight sum per sign pair",
         "0, 0, 0, 0",

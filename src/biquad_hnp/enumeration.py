@@ -20,10 +20,11 @@ processes when it can (``fork_parts``).  Each process walks its own
 stream of the cores' slabs (``_kernels._core_slabs``) over the sieve
 built before the fork; a forked child takes every other slab, tallies
 those slabs, dedups and checks its own fields, and sends back its
-tallies and field table as they are, pickled.  This works because a
-field's six ordered triples share their odd core, so the slabs split
-the fields too.  This process runs the other slabs, sums the tallies
-and inserts the child's field table into its own by disc.
+tallies, field table and stage seconds as they are, pickled.  This
+works because a field's six ordered triples share their odd core, so
+the slabs split the fields too.  This process runs the other slabs,
+sums the tallies and inserts the child's field table into its own by
+disc.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ class CountReport:
     parts is the number of processes that counted: 2 when a forked
     child took half of the slabs, else 1.
 
-    stats holds wall seconds measured in this process: sieve_s, kernel_s
-    (its kernel call), dedup_s (its dedup) and deliver_s (its field
-    columns and witnesses, then the merge of the field tables and the
-    sink).  With two parts, the wait for the child counts toward
-    deliver_s, or toward kernel_s when nothing is collected.  dedup and
-    deliver run only with a sink, and read 0 otherwise.
+    stats holds wall seconds by stage: sieve_s (the sieve, built before
+    any fork), kernel_s (a part's kernel call), dedup_s (its dedup) and
+    deliver_s (its field columns and witnesses, then this process's
+    merge of the field tables and the sink).  Each part times its own
+    stages, a forked child included, and each stage reports the larger
+    part's seconds.  dedup and deliver run only with a sink, and read 0
+    otherwise.
     """
 
     X: int
@@ -249,38 +251,36 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
     root = _sieve_root(X)
-    stats = {"sieve_s": 0.0, "kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
+    stats = {"sieve_s": 0.0}
     t = time.perf_counter()
     sieve = build_sieve(root)
-    t = _lap(stats, "sieve_s", t)
+    _lap(stats, "sieve_s", t)
     spf = sieve.smallest_prime_factor
     collect = sink is not None
 
-    def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The class totals and failures of one part's slabs, and, when
-        collect is true, the field columns of its fields, deduped and
-        sorted (else None).  Each stage's seconds go to stats."""
+    def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, dict]:
+        """The class totals and failures of one part's slabs, when
+        collect is true the field columns of its fields, deduped and
+        sorted (else None), and the seconds of its stages."""
+        laps = {"kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
         t = time.perf_counter()
         slabs = _kernels._core_slabs(root, spf, sieve.mobius)
         total, fails, records = _kernels.enumerate_block(slabs, root, spf, collect, part, parts)
-        t = _lap(stats, "kernel_s", t)
+        t = _lap(laps, "kernel_s", t)
         if not collect:
-            return total, fails, None
+            return total, fails, None, laps
         rows, _ = unique_field_rows(records)
         del records  # free them before the field columns
-        t = _lap(stats, "dedup_s", t)
+        t = _lap(laps, "dedup_s", t)
         columns = _field_columns(rows, sieve)
-        _lap(stats, "deliver_s", t)
-        return total, fails, columns
+        _lap(laps, "deliver_s", t)
+        return total, fails, columns, laps
 
-    before = sum(stats.values())
     split = np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB
     outs = fork_parts(work) if split else [work(0, 1)]
-    # this process's own part is in stats; the rest is the wait for the child
-    waited = time.perf_counter() - t - (sum(stats.values()) - before)
-    stats["deliver_s" if collect else "kernel_s"] += waited
-    totals, failures, tables = zip(*outs)
+    totals, failures, tables, laps = zip(*outs)
     del outs
+    stats.update({key: max(lap[key] for lap in laps) for key in laps[0]})
     total = np.sum(totals, axis=0)
     fails = np.sum(failures, axis=0)
     ordered_total = int(total.sum())

@@ -26,8 +26,8 @@ class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int
 
     Construction checks coprimality, signs and nondegeneracy, which are
     cheap.  Squarefreeness of the components is the caller's contract
-    (``from_generators`` and ``validate`` enforce it; the enumeration
-    produces squarefree components by construction);
+    (``from_generators``, ``validate`` and ``hnp.oracle_row`` enforce it;
+    the enumeration produces squarefree components by construction);
     ``enumeration.invalid_rows`` applies the same checks to int64 arrays.
     A tuple: it equals the plain tuple (m, a1, b1).
     """

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import jacobi_array
 from .arith import FactorSieve, jacobi, prime_factors
-from .fields import field_values
+from .fields import FieldTriple, field_values
 
 FAILS = "fails"
 HOLDS = "holds"
@@ -33,9 +33,16 @@ def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tu
     record-stream row: fields.field_values and the smallest ramified
     prime that splits in no quadratic subfield, 0 where the principle
     fails, i.e. where every ramified prime splits in some subfield.
-    Pure Python and independent of the kernel; the sieve, where it
-    covers a component, only speeds up the factoring."""
+    Raises InvalidFieldError where FieldTriple(m, a1, b1).validate()
+    would: field_values's checks, then a component that is not
+    squarefree.  Pure Python and independent of the kernel; the sieve,
+    where it covers |m a1 b1| or a component, only speeds up the
+    squarefree test and the factoring."""
     k1, k2, k3, d1, d2, d3, c, disc = field_values(m, a1, b1)
+    n = abs(k1 * b1)
+    # the components are pairwise coprime: n is squarefree when each is
+    if sieve is None or n > sieve.limit or not sieve.mobius.item(n):
+        FieldTriple(m, a1, b1).validate()
     return k1, k2, k3, d1, d2, d3, c, disc, _splitting_witness(m, a1, b1, d1, d2, d3, c, sieve)
 
 

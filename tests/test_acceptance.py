@@ -88,9 +88,9 @@ def test_criterion_2_exact_constant_112():
 
 def test_criterion_3_exact_cancellation():
     with _criterion(3, "signed class weights cancel to 0"):
-        assert asymptotics.signed_failing_class_weight() == 0
-        for pair in asymptotics.SIGN_PAIRS:
-            assert asymptotics.signed_failing_class_weight(sign_pairs=(pair,)) == 0
+        weights = asymptotics.signed_failing_class_weights()
+        assert len(weights) == len(asymptotics.SIGN_PAIRS)
+        assert all(w == 0 for w in weights) and sum(weights) == 0
 
 
 def test_criterion_4_classifier_equivalence():

@@ -33,7 +33,7 @@ from biquad_hnp.asymptotics import (
     main_term_constant_crosscheck,
     main_term_failing,
     main_term_total,
-    signed_failing_class_weight,
+    signed_failing_class_weights,
     total_class_weight,
 )
 from biquad_hnp.enumeration import enumerate_fields
@@ -189,6 +189,17 @@ def _odd_pair(slot):
     return {1: (1, 2), 2: (0, 2), 3: (0, 1)}[slot]
 
 
+def _signed_weights_by_id():
+    """Sum of u/(c 2^k) over the failure-compatible ids of each sign pair,
+    one id at a time, in SIGN_PAIRS order."""
+    c, ok, u = _kernels._class_tables()
+    labels = _kernels.class_labels().tolist()
+    sums = dict.fromkeys(SIGN_PAIRS, Fraction(0))
+    for w, ci, (sign2, sign3, slot, *_) in zip((ok * u).tolist(), c.tolist(), labels):
+        sums[sign2, sign3] += Fraction(w, ci * (1 if slot == 0 else 2))
+    return tuple(sums.values())
+
+
 class TestExactIdentities:
     def test_total_class_weight_is_23(self):
         assert total_class_weight() == 23
@@ -207,26 +218,12 @@ class TestExactIdentities:
         assert by_slot[0] == 88 and by_slot[1:].sum() == 24
 
     def test_signed_weight_cancels(self):
-        value = signed_failing_class_weight()
-        assert isinstance(value, Fraction)
-        assert value == 0
+        values = signed_failing_class_weights()
+        assert all(isinstance(v, Fraction) for v in values)
+        assert sum(values) == 0
 
     def test_signed_weight_cancels_per_sign_pair(self):
-        for pair in SIGN_PAIRS:
-            assert signed_failing_class_weight(sign_pairs=(pair,)) == 0
-
-    @pytest.mark.parametrize(
-        "sign_pairs", [(1, 1), ((2, 2),), (), ((1, -1), (1, 0))], ids=repr
-    )
-    def test_sign_pairs_that_name_no_sign_pair_raise(self, sign_pairs, monkeypatch):
-        # with a perturbed table the full sum is -2/3; a selection of no
-        # class would still give 0
-        c, ok, u = _kernels._class_tables()
-        perturbed = c.copy()
-        perturbed[0] = 3
-        monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok, u))
-        with pytest.raises(ValueError, match="sign_pairs"):
-            signed_failing_class_weight(sign_pairs=sign_pairs)
+        assert signed_failing_class_weights() == _signed_weights_by_id() == (0, 0, 0, 0)
 
     def test_blocks_are_sign_pair_and_slot(self):
         # the (4, 4, 64) reshape of the class ids puts SIGN_PAIRS[s] and the
@@ -244,7 +241,9 @@ class TestExactIdentities:
         monkeypatch.setattr(_kernels, "_class_tables", lambda: (perturbed, ok, u))
         assert total_class_weight() == Fraction(275, 12)
         assert failing_class_weight() == Fraction(334, 3)
-        assert signed_failing_class_weight() == Fraction(-2, 3)
+        # id 0 lies in the first sign pair, (1, 1)
+        want = (Fraction(-2, 3), 0, 0, 0)
+        assert signed_failing_class_weights() == _signed_weights_by_id() == want
 
 
 class TestConstantCrossCheck:
@@ -278,19 +277,17 @@ def _f0_direct(y):
 
 class TestExpansionTotal:
     def test_leading_coefficient_is_main_term(self):
-        a = expansion_total_coefficients(10**7).A
+        a = expansion_total_coefficients().A
         assert a == pytest.approx((23 / 960) * euler_product_total(10**7).value, rel=1e-12)
 
     def test_pinned_coefficients(self):
-        e = expansion_total_coefficients(10**7)
+        e = expansion_total_coefficients()
         assert e.B == pytest.approx(0.0513796, rel=1e-6)
         assert e.C == pytest.approx(-0.214858, rel=1e-5)
 
     def test_rejects_x_below_one(self):
         with pytest.raises(ValueError):
             expansion_total(0.5)
-        with pytest.raises(ValueError):
-            expansion_total_coefficients(1)
 
     def test_closed_form(self):
         e = expansion_total_coefficients()

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -784,6 +785,23 @@ class TestSplitCount:
         monkeypatch.setattr(os, "fork", no_fork)
         report = enumerate_fields(10**6, sink=lambda columns: None)
         assert (report.S, report.parts) == (1014, 1)
+
+    def test_stats_keep_the_childs_stage_seconds(self, forked, monkeypatch):
+        # the child's kernel call sleeps 0.3 s: kernel_s is the slower
+        # part's kernel seconds, and the parent's wait for the child is
+        # booked to no stage
+        true_block = _kernels.enumerate_block
+
+        def slow_in_the_child(slabs, root, spf, collect, part=0, parts=1):
+            if part == 1:
+                time.sleep(0.3)
+            return true_block(slabs, root, spf, collect, part, parts)
+
+        monkeypatch.setattr(_kernels, "enumerate_block", slow_in_the_child)
+        report = enumerate_fields(10**8, sink=lambda columns: None)
+        assert report.parts == 2
+        assert report.stats["kernel_s"] >= 0.3
+        assert report.stats["deliver_s"] < 0.3
 
     def test_stats_keep_four_stages_on_both_paths(self, request):
         for path in ("forked", "unforked"):

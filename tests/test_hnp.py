@@ -10,6 +10,7 @@ and the structure of the verdicts.
 """
 
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -124,12 +125,13 @@ def _oracle_row_or_none(m, a1, b1, sieve):
 
 def _named_row(m, a1, b1):
     """The nine values of oracle_row from their definitions on the
-    FieldTriple named tuple, or None where FieldTriple rejects the row:
-    the discriminant of kernel k is k if k = 1 mod 4, else 4k, and the
-    witness is the least prime of disc with kronecker(d, p) != 1 for all
-    three discriminants."""
+    FieldTriple named tuple, or None where FieldTriple or its validate
+    rejects the row: the discriminant of kernel k is k if k = 1 mod 4,
+    else 4k, and the witness is the least prime of disc with
+    kronecker(d, p) != 1 for all three discriminants."""
     try:
         t = FieldTriple(m, a1, b1)
+        t.validate()
     except InvalidFieldError:
         return None
     discs = tuple(k if k % 4 == 1 else 4 * k for k in t.kernels)
@@ -151,17 +153,19 @@ class TestOracleRow:
         rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
         assert [got for _, got in rows] == [_named_row(*row) for row, _ in rows]
         rejected = np.array([got is None for _, got in rows])
-        assert rejected.tolist() == invalid_rows(*np.array(ORACLE_BOX).T).tolist()
-        assert 1000 < np.count_nonzero(~rejected) < len(rows)
+        square = [not all(map(is_squarefree, row)) for row in ORACLE_BOX]
+        assert rejected.tolist() == (invalid_rows(*np.array(ORACLE_BOX).T) | square).tolist()
+        assert np.count_nonzero(~rejected) == 810
         assert {got[6] for _, got in rows if got} == {1, 4, 8}
         assert {got[8] == 0 for _, got in rows if got} == {True, False}
         assert _oracle_row_or_none(3, 5, 7, sieve) is not None
 
     def test_matches_the_definition(self):
         # independent of the walk: the witness is the least prime of disc
-        # with kronecker(d, p) != 1 for all three discriminants
+        # with kronecker(d, p) != 1 for all three discriminants; the rows
+        # accepted are the box's fields, with squarefree kernels
         sieve = build_sieve(104)
-        checked = squarefree = 0
+        checked = 0
         for row in ORACLE_BOX:
             got = _oracle_row_or_none(*row, sieve)
             if got is None:
@@ -170,17 +174,27 @@ class TestOracleRow:
             k1, k2, k3, d1, d2, d3, c, disc, witness = got
             m, a1, b1 = row
             assert (k1, k2, k3) == (m * a1, m * b1, a1 * b1)
-            if all(is_squarefree(k) for k in (k1, k2, k3)):
-                squarefree += 1
-                assert (d1, d2, d3) == tuple(map(quadratic_discriminant, (k1, k2, k3))), row
+            assert (d1, d2, d3) == tuple(map(quadratic_discriminant, (k1, k2, k3))), row
             assert disc == abs(d1 * d2 * d3) == (c * m * a1 * b1) ** 2
             assert c == math.isqrt(disc) // abs(m * a1 * b1)
             unsplit = [
                 p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in (d1, d2, d3))
             ]
             assert witness == (unsplit[0] if unsplit else 0), row
-        assert checked > 1000
-        assert squarefree == 810
+        assert checked == 810
+
+    @pytest.mark.parametrize("limit", [None, 100, 40], ids=["no_sieve", "covering", "below"])
+    def test_non_squarefree_component_raises(self, limit):
+        # 9 * 5 = 45: μ(45) = 0 decides on a covering sieve; below it, and
+        # without one, each component is trial-divided
+        sieve = None if limit is None else build_sieve(limit)
+        text = "component 9 of FieldTriple(m=1, a1=9, b1=5) is not squarefree"
+        with pytest.raises(InvalidFieldError, match=re.escape(text)):
+            oracle_row(1, 9, 5, sieve)
+        with pytest.raises(InvalidFieldError, match=re.escape(text)):
+            FieldTriple(1, 9, 5).validate()
+        with pytest.raises(InvalidFieldError, match="component 4 of"):
+            oracle_row(3, 4, -7, sieve)
 
     def test_row_beyond_the_sieve_is_trial_divided(self):
         # no IndexError past the sieve's table: the components of a field
