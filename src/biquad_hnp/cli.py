@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels, asymptotics, enumeration
 from .arith import build_sieve
-from .fields import FieldTriple, InvalidFieldError, from_generators
+from .fields import InvalidFieldError, from_generators
 from .hnp import FAILS, HOLDS, oracle_row
 
 SCHEMA_VERSION = 1
@@ -240,18 +240,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return _error(f"classify inputs must satisfy |v| <= 10^12, got {values}")
     try:
         if args.gens:
-            triple = from_generators(args.gens[0], args.gens[1])
+            m, a1, b1 = from_generators(args.gens[0], args.gens[1])
         else:
             m, a1, b1 = args.triple
-            triple = FieldTriple(m, a1, b1)
-        k1, k2, k3, d1, d2, d3, c, disc, witness = oracle_row(*triple)
+        k1, k2, k3, d1, d2, d3, c, disc, witness = oracle_row(m, a1, b1)
     except InvalidFieldError as exc:
         return _error(str(exc))
     verdict = HOLDS if witness else FAILS
     payload = {
-        "m": triple.m,
-        "a1": triple.a1,
-        "b1": triple.b1,
+        "m": m,
+        "a1": a1,
+        "b1": b1,
         "kernels": [k1, k2, k3],
         "fundamental_discs": [d1, d2, d3],
         "disc": disc,
@@ -260,7 +259,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "witness": witness or None,
     }
     text = [
-        f"triple        (m, a1, b1) = ({triple.m}, {triple.a1}, {triple.b1})",
+        f"triple        (m, a1, b1) = ({m}, {a1}, {b1})",
         f"kernels       {(k1, k2, k3)}",
         f"fundamental   {(d1, d2, d3)}",
         f"disc          {disc}   (c = {c})",

@@ -4,8 +4,10 @@ For a biquadratic field the principle fails exactly when every
 decomposition group is cyclic, i.e. when every ramified prime splits in
 at least one of the three quadratic subfields.  ``oracle_row`` tests
 that directly, one field at a time on plain ints, and is the ground
-truth.  ``splitting_witnesses`` runs it on arrays of fields at once; the
-enumeration uses it for the witnesses of the record stream.
+truth: it factors |m*a1*b1| once and decides each odd prime by Euler's
+criterion.  ``splitting_witnesses`` runs the test on arrays of fields at
+once, with the kernel's Jacobi symbols; the enumeration uses it for the
+witnesses of the record stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
@@ -18,11 +20,13 @@ of a field share them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._kernels import jacobi_array
-from .arith import FactorSieve, jacobi, prime_factors
-from .fields import FieldTriple, field_values
+from .arith import FactorSieve, prime_factors
+from .fields import InvalidFieldError, _name, field_values
 
 FAILS = "fails"
 HOLDS = "holds"
@@ -35,36 +39,30 @@ def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tu
     fails, i.e. where every ramified prime splits in some subfield.
     Raises InvalidFieldError where FieldTriple(m, a1, b1).validate()
     would: field_values's checks, then a component that is not
-    squarefree.  Pure Python and independent of the kernel; the sieve,
-    where it covers |m a1 b1| or a component, only speeds up the
-    squarefree test and the factoring."""
+    squarefree.  Pure Python and independent of the kernel.
+
+    2 is ramified exactly when c > 1 and splits exactly when some d = 1
+    mod 8.  The primes of |m a1 b1| are found once: by the sieve where it
+    has mu(|m a1 b1|) != 0 (the components are pairwise coprime), else by
+    prime_factors of each component, which shows whether it is squarefree.
+    An odd prime p splits in Q(sqrt(d)) exactly when d^(p>>1) = 1 mod p."""
     k1, k2, k3, d1, d2, d3, c, disc = field_values(m, a1, b1)
     n = abs(k1 * b1)
-    # the components are pairwise coprime: n is squarefree when each is
-    if sieve is None or n > sieve.limit or not sieve.mobius.item(n):
-        FieldTriple(m, a1, b1).validate()
-    return k1, k2, k3, d1, d2, d3, c, disc, _splitting_witness(m, a1, b1, d1, d2, d3, c, sieve)
-
-
-def _splitting_witness(
-    m: int, a1: int, b1: int, d1: int, d2: int, d3: int, c: int, sieve: FactorSieve | None
-) -> int:
-    """The smallest ramified prime that splits in none of the subfields
-    Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3)), or 0.  2 is ramified exactly
-    when c > 1 and splits exactly when some d = 1 mod 8; the odd primes of
-    |m a1 b1| follow in ascending order, by trial division of each
-    (pairwise coprime) component where the sieve does not cover them."""
+    covered = sieve is not None and n <= sieve.limit and sieve.mobius.item(n)
+    primes = []
+    if not covered:
+        for part in (m, a1, b1):
+            factors = prime_factors(part, sieve)
+            if math.prod(factors) != abs(part):
+                raise InvalidFieldError(f"component {part} of {_name(m, a1, b1)} is not squarefree")
+            primes += factors
     if c > 1 and d1 & 7 != 1 and d2 & 7 != 1 and d3 & 7 != 1:
-        return 2
-    n = abs(m * a1 * b1)
-    if sieve is not None and n <= sieve.limit:
-        primes = sieve.factor(n)
-    else:
-        primes = sorted({p for part in (m, a1, b1) for p in prime_factors(part, sieve)})
-    for p in primes:
-        if p > 2 and jacobi(d1, p) != 1 and jacobi(d2, p) != 1 and jacobi(d3, p) != 1:
-            return p
-    return 0
+        return k1, k2, k3, d1, d2, d3, c, disc, 2
+    for p in sieve.factor(n) if covered else sorted(primes):
+        h = p >> 1
+        if p > 2 and pow(d1, h, p) != 1 and pow(d2, h, p) != 1 and pow(d3, h, p) != 1:
+            return k1, k2, k3, d1, d2, d3, c, disc, p
+    return k1, k2, k3, d1, d2, d3, c, disc, 0
 
 
 def splitting_witnesses(

@@ -761,6 +761,15 @@ class TestOutputPins:
                 ["count", "--max-disc", "1", "--format", "csv"],
                 "sign2,sign3,even_slot,res1,res2,res3,count,failing\r\n",
             ),
+            (
+                # beyond any sieve: the components are trial-divided, witness 0
+                ["classify", "--triple", "1", "999999999989", "5"],
+                "triple        (m, a1, b1) = (1, 999999999989, 5)\n"
+                "kernels       (999999999989, 5, 4999999999945)\n"
+                "fundamental   (999999999989, 5, 4999999999945)\n"
+                "disc          24999999999450000000003025   (c = 1)\n"
+                "splitting     fails\n",
+            ),
         ],
     )
     def test_literal(self, argv, expected, capsys):
@@ -1255,7 +1264,6 @@ class TestVerify:
             raise AssertionError("a named tuple was built")
 
         monkeypatch.setattr(fields.FieldTriple, "__new__", staticmethod(refused))
-        monkeypatch.setattr(cli, "FieldTriple", refused)
         assert main(["verify"]) == EXIT_OK
         assert capsys.readouterr().out == VERIFY_TEXT
 

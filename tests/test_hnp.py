@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from _reference_enumeration import iter_valid_triples
-from biquad_hnp.arith import build_sieve, is_squarefree, kronecker, prime_factors
+from biquad_hnp import arith, hnp
+from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, kronecker, prime_factors
 from biquad_hnp.enumeration import invalid_rows, tuple_records
 from biquad_hnp.fields import (
     FieldTriple,
@@ -185,8 +186,9 @@ class TestOracleRow:
 
     @pytest.mark.parametrize("limit", [None, 100, 40], ids=["no_sieve", "covering", "below"])
     def test_non_squarefree_component_raises(self, limit):
-        # 9 * 5 = 45: μ(45) = 0 decides on a covering sieve; below it, and
-        # without one, each component is trial-divided
+        # 9 * 5 = 45: μ(45) = 0 on a covering sieve, a sieve below 45 and
+        # no sieve all send each component to prime_factors, which finds 9
+        # not squarefree
         sieve = None if limit is None else build_sieve(limit)
         text = "component 9 of FieldTriple(m=1, a1=9, b1=5) is not squarefree"
         with pytest.raises(InvalidFieldError, match=re.escape(text)):
@@ -204,6 +206,36 @@ class TestOracleRow:
             13, 17, 221, 13, 17, 221, 1, 48841, 0
         )
         assert oracle_row(1, 11, 13, sieve) == oracle_row(1, 11, 13)
+
+    def test_each_component_is_factored_once(self, monkeypatch):
+        # beyond the sieve one prime_factors call per component both tests
+        # it squarefree and gives its primes (is_squarefree, too, would be
+        # counted); a covering sieve factors |m a1 b1| once, and not at all
+        # where 2 is the witness
+        calls = []
+
+        def counted(n, sieve=None):
+            calls.append(n)
+            return prime_factors(n, sieve)
+
+        monkeypatch.setattr(hnp, "prime_factors", counted)
+        monkeypatch.setattr(arith, "prime_factors", counted)
+        big = (999999999989, 5, 4999999999945)
+        assert oracle_row(1, 999999999989, 5) == (*big, *big, 1, 24999999999450000000003025, 0)
+        assert calls == [1, 999999999989, 5]
+        factored = []
+        true_factor = FactorSieve.factor
+
+        def factor(sieve, n):
+            factored.append(n)
+            return true_factor(sieve, n)
+
+        monkeypatch.setattr(FactorSieve, "factor", factor)
+        calls.clear()
+        sieve = build_sieve(300)
+        assert oracle_row(1, 13, 17, sieve)[8] == 0
+        assert oracle_row(1, -1, 3, sieve)[8] == 2
+        assert (calls, factored) == ([], [221])
 
 
 class TestSplittingWitnesses:
