@@ -1,8 +1,8 @@
-"""Exact integer number theory: factor sieves, Mobius values, residue symbols.
+"""Exact integer number theory: factor sieves, Mobius values, trial division.
 
 Everything here is pure integer arithmetic.  A built FactorSieve is
 immutable: a count builds it before it forks, and the forked child reads
-the parent's tables copy-on-write.  The symbol functions are stateless.
+the parent's tables copy-on-write.
 """
 
 from __future__ import annotations
@@ -71,56 +71,6 @@ def build_sieve(limit: int) -> FactorSieve:
     spf.setflags(write=False)
     mob.setflags(write=False)
     return FactorSieve(limit=limit, smallest_prime_factor=spf, mobius=mob)
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd positive n.
-
-    Binary reduction, no factorization.  Negative a is reduced mod n,
-    which agrees with the product-of-Legendre-symbols definition.
-    Returns 0 iff gcd(a, n) > 1.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jacobi modulus must be odd and positive, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for any nonzero n.
-
-    Extends jacobi by the sign rule (a|-1) = sign(a) and the 2-part rule
-    (a|2) = 0 for even a, +1 for a = +-1 mod 8 and -1 for a = +-3 mod 8.
-    """
-    if n == 0:
-        raise ValueError("kronecker modulus must be nonzero")
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 == 1 and a % 8 in (3, 5):
-            result = -result
-    if n == 1:
-        return result  # jacobi(a, 1) = 1
-    return result * jacobi(a, n)
 
 
 def is_squarefree(n: int) -> bool:

@@ -145,7 +145,7 @@ def unique_field_rows(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def invalid_rows(m: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     """Boolean mask of the int64 rows (m, a1, b1) that name no field, by
-    the tests of FieldTriple: m >= 1, nonzero pairwise coprime
+    the tests of fields._check: m >= 1, nonzero pairwise coprime
     components, and no kernel equal to 1 or repeated."""
     bad = (m < 1) | (a1 == 0) | (b1 == 0)
     bad |= (np.gcd(m, a1) != 1) | (np.gcd(m, b1) != 1) | (np.gcd(a1, b1) != 1)

@@ -11,8 +11,6 @@ fundamental discriminants of the three subfields tell them apart.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
-from typing import NamedTuple
 
 from .arith import is_squarefree
 
@@ -21,55 +19,9 @@ class InvalidFieldError(ValueError):
     """Raised for inputs that do not define a genuine biquadratic field."""
 
 
-class FieldTriple(NamedTuple("_Components", [("m", int), ("a1", int), ("b1", int)])):
-    """Canonical generators (m, a1, b1); see module docstring.
-
-    Construction checks coprimality, signs and nondegeneracy, which are
-    cheap.  Squarefreeness of the components is the caller's contract
-    (``from_generators``, ``validate`` and ``hnp.oracle_row`` enforce it;
-    the enumeration produces squarefree components by construction);
-    ``enumeration.invalid_rows`` applies the same checks to int64 arrays.
-    A tuple: it equals the plain tuple (m, a1, b1).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, a1: int, b1: int) -> FieldTriple:
-        _check(m, a1, b1)
-        return tuple.__new__(cls, (m, a1, b1))
-
-    @classmethod
-    def _make(cls, iterable) -> FieldTriple:
-        # namedtuple's _make, which _replace calls, skips __new__
-        return cls(*iterable)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def kernels(self) -> tuple[int, int, int]:
-        """Squarefree kernels of the three quadratic subfields."""
-        m, a1, b1 = self
-        return (m * a1, m * b1, a1 * b1)
-
-    def validate(self) -> None:
-        """Full invariant check including squarefreeness of each component."""
-        for part in self:
-            if not is_squarefree(part):
-                raise InvalidFieldError(f"component {part} of {self} is not squarefree")
-
-
-def quadratic_discriminant(d: int) -> int:
-    """Fundamental discriminant of Q(sqrt(d)): d if d = 1 mod 4, else 4d."""
-    if d in (0, 1):
-        raise InvalidFieldError(f"{d} does not define a quadratic field")
-    if not is_squarefree(d):
-        raise InvalidFieldError(f"{d} is not squarefree")
-    return d if d % 4 == 1 else 4 * d
-
-
-def from_generators(a: int, b: int) -> FieldTriple:
-    """Triple for Q(sqrt(a), sqrt(b)) from squarefree generators a, b.
+def from_generators(a: int, b: int) -> tuple[int, int, int]:
+    """The triple (m, a1, b1) of Q(sqrt(a), sqrt(b)) from squarefree
+    generators a, b, as a plain tuple.
 
     Rejects quadratic degenerations: a or b equal to 1, or a == b (for
     squarefree inputs a*b is a perfect square exactly when a == b).
@@ -82,15 +34,15 @@ def from_generators(a: int, b: int) -> FieldTriple:
     if a == b:
         raise InvalidFieldError(f"generators {a}, {b} span a quadratic field")
     m = math.gcd(abs(a), abs(b))
-    return FieldTriple(m=m, a1=a // m, b1=b // m)
+    return m, a // m, b // m
 
 
 def field_values(m: int, a1: int, b1: int) -> tuple[int, ...]:
     """(k1, k2, k3, d1, d2, d3, c, disc) of the field (m, a1, b1): the
     subfield kernels, their fundamental discriminants, the power of two
     c in {1, 4, 8} with disc = (c m |a1 b1|)^2, and the field
-    discriminant.  Raises InvalidFieldError where FieldTriple(m, a1, b1)
-    would, or where the parity law or that identity fails."""
+    discriminant.  Raises InvalidFieldError where _check rejects the
+    triple, or where the parity law or that identity fails."""
     _check(m, a1, b1)
     k1, k2, k3 = m * a1, m * b1, a1 * b1
     one1, one2, one3 = k1 & 3 == 1, k2 & 3 == 1, k3 & 3 == 1
@@ -115,7 +67,9 @@ def field_values(m: int, a1: int, b1: int) -> tuple[int, ...]:
 
 
 def _check(m: int, a1: int, b1: int) -> None:
-    """Raise InvalidFieldError unless (m, a1, b1) passes FieldTriple's checks."""
+    """Raise InvalidFieldError unless (m, a1, b1) names a field: m >= 1,
+    nonzero pairwise coprime components, and no kernel equal to 1 or
+    repeated.  from_generators and oracle_row test squarefreeness."""
     if m < 1:
         raise InvalidFieldError(f"m must be positive, got {m}")
     if a1 == 0 or b1 == 0:
@@ -130,5 +84,6 @@ def _check(m: int, a1: int, b1: int) -> None:
 
 
 def _name(m: int, a1: int, b1: int) -> str:
-    """The repr of FieldTriple(m, a1, b1), for error texts."""
+    """The error-text form of the triple (m, a1, b1).  The name FieldTriple
+    stays in it so that the pinned error texts keep their bytes."""
     return f"FieldTriple(m={m!r}, a1={a1!r}, b1={b1!r})"

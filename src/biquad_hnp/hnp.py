@@ -37,9 +37,9 @@ def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tu
     record-stream row: fields.field_values and the smallest ramified
     prime that splits in no quadratic subfield, 0 where the principle
     fails, i.e. where every ramified prime splits in some subfield.
-    Raises InvalidFieldError where FieldTriple(m, a1, b1).validate()
-    would: field_values's checks, then a component that is not
-    squarefree.  Pure Python and independent of the kernel.
+    Raises InvalidFieldError where field_values does, then for a
+    component that is not squarefree.  Pure Python and independent of
+    the kernel.
 
     2 is ramified exactly when c > 1 and splits exactly when some d = 1
     mod 8.  The primes of |m a1 b1| are found once: by the sieve where it

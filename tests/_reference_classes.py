@@ -10,7 +10,7 @@ and of the signs of quadratic reciprocity (``reciprocity_exponent``).
 ``_kernels.class_labels``.
 """
 
-from biquad_hnp.arith import kronecker
+from _reference_fields import kronecker
 
 EVEN_SLOTS = (0, 1, 2, 3)
 ODD_RESIDUES = (1, 3, 5, 7)

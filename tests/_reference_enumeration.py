@@ -10,7 +10,6 @@ import math
 from typing import Iterator
 
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.fields import FieldTriple
 from biquad_hnp.hnp import oracle_row
 
 
@@ -55,8 +54,9 @@ def count_by_generator_pairs(X: int) -> tuple[int, int]:
     return len(seen), failing
 
 
-def iter_valid_triples(max_abs_product: int) -> Iterator[FieldTriple]:
-    """All valid triples with m * |a1| * |b1| <= bound, every sign pattern."""
+def iter_valid_triples(max_abs_product: int) -> Iterator[tuple[int, int, int]]:
+    """All valid triples (m, a1, b1) with m * |a1| * |b1| <= bound, every
+    sign pattern."""
     if max_abs_product < 1:
         return
     sieve = build_sieve(max_abs_product)
@@ -77,4 +77,4 @@ def iter_valid_triples(max_abs_product: int) -> Iterator[FieldTriple]:
                             continue
                         if m == 1 and (a1 == 1 or b1 == 1):
                             continue
-                        yield FieldTriple(m, a1, b1)
+                        yield m, a1, b1

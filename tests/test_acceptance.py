@@ -36,7 +36,7 @@ from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key
 from biquad_hnp import asymptotics, enumeration
 from biquad_hnp.arith import build_sieve
-from biquad_hnp.fields import FieldTriple, field_values
+from biquad_hnp.fields import field_values
 from biquad_hnp.hnp import oracle_row
 
 CHECKPOINTS = (10**6, 10**8, 10**10)
@@ -101,12 +101,12 @@ def test_criterion_4_classifier_equivalence():
         for m, a1, b1, _, _, fails in enumeration.tuple_records(bound).tolist():
             assert (m, a1, b1) not in verdicts
             verdicts[(m, a1, b1)] = bool(fails)
-        triples = [(t.m, t.a1, t.b1) for t in iter_valid_triples(bound)]
+        triples = list(iter_valid_triples(bound))
         assert set(verdicts) == set(triples)
         checked = 0
-        for t in iter_valid_triples(bound):
+        for t in triples:
             checked += 1
-            assert (oracle_row(*t, sieve)[8] == 0) == verdicts[(t.m, t.a1, t.b1)], t
+            assert (oracle_row(*t, sieve)[8] == 0) == verdicts[t], t
         assert checked == 64140  # tens of thousands of cases, all sign patterns
 
 
@@ -186,5 +186,5 @@ def test_criterion_10_small_x_ground_truth():
         m, a1, b1, _, _, _, d1, d2, d3, _, disc, witness = delivered[0]
         assert sorted((d1, d2, d3)) == [-4, -3, 12]
         assert disc == 144
-        assert canonical_key(FieldTriple(m, a1, b1)) == (-4, -3, 12)
+        assert canonical_key((m, a1, b1)) == (-4, -3, 12)
         assert witness != 0  # the principle holds

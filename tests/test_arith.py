@@ -1,6 +1,6 @@
-"""Tests for sieves and residue symbols.
+"""Tests for sieves, trial division and the reference residue symbols.
 
-The Jacobi implementation is checked against Euler's criterion (an
+The Jacobi reference in _reference_fields is checked against Euler's criterion (an
 independent oracle) and against its defining properties: periodicity,
 multiplicativity and quadratic reciprocity.
 """
@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 from _reference_classes import reciprocity_exponent
+from _reference_fields import jacobi, kronecker
 from biquad_hnp import _kernels, enumeration
 from biquad_hnp.arith import (
     SIEVE_BYTES_PER_N,
     build_sieve,
     is_squarefree,
-    jacobi,
-    kronecker,
     prime_factors,
 )
 

@@ -513,10 +513,17 @@ class TestClassify:
 
     def test_non_squarefree_rejected(self, capsys):
         assert main(["classify", "--gens", "4", "5"]) == EXIT_USAGE
-        assert "squarefree" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: generator 4 is not squarefree\n"
 
     def test_degenerate_rejected(self, capsys):
         assert main(["classify", "--gens", "13", "13"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: generators 13, 13 span a quadratic field\n"
+
+    def test_generator_one_rejected(self, capsys):
+        assert main(["classify", "--gens", "1", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: generator 1 yields a quadratic, not biquadratic, field\n"
+        )
 
     def test_invalid_triple_rejected(self, capsys):
         assert main(["classify", "--triple", "2", "6", "5"]) == EXIT_USAGE
@@ -1251,21 +1258,6 @@ class TestVerify:
             "FAIL  classifier equivalence, 64140 triples to |m a1 b1| = 2000: "
             "expected 0 disagreements, got 6 disagreements"
         )
-
-    @pytest.mark.parametrize("path", ["forked", "unforked"])
-    def test_sweeps_build_no_named_tuples(self, capsys, monkeypatch, request, path):
-        # checks 5 and 6 run on plain ints: with every way to build a
-        # FieldTriple raising, verify passes
-        from biquad_hnp import fields
-
-        request.getfixturevalue(path)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("a named tuple was built")
-
-        monkeypatch.setattr(fields.FieldTriple, "__new__", staticmethod(refused))
-        assert main(["verify"]) == EXIT_OK
-        assert capsys.readouterr().out == VERIFY_TEXT
 
 
 class TestClosedOutput:

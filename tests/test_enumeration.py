@@ -38,7 +38,7 @@ from biquad_hnp.enumeration import (
     tuple_records,
     unique_field_rows,
 )
-from biquad_hnp.fields import FieldTriple, InvalidFieldError
+from biquad_hnp.fields import InvalidFieldError, _check
 from biquad_hnp.hnp import oracle_row
 
 
@@ -56,7 +56,7 @@ class TestSmallGroundTruth:
         m, a1, b1, _, _, _, d1, d2, d3, _, _, witness = collected[0]
         assert sorted((d1, d2, d3)) == [-4, -3, 12]
         assert witness != 0  # the principle holds
-        assert canonical_key(FieldTriple(m, a1, b1)) == (-4, -3, 12)
+        assert canonical_key((m, a1, b1)) == (-4, -3, 12)
 
     def test_first_failing_field(self):
         # (1, 13, 17) has disc 221^2 = 48841 and fails
@@ -112,7 +112,7 @@ class TestConsistency:
     def test_tuple_records_are_the_valid_triples(self, bound):
         # squarefree bounds, so that tuples sit on the bound
         rows = tuple_records(bound)[:, :3].tolist()
-        want = [[t.m, t.a1, t.b1] for t in iter_valid_triples(bound)]
+        want = [list(t) for t in iter_valid_triples(bound)]
         assert sorted(rows) == sorted(want)
 
     def test_tuple_record_parts_hold_every_row_once(self):
@@ -299,7 +299,7 @@ class TestClassTallies:
         # label and encoder, gives back both tallies
         records = field_records(10**6)
         ids = np.array(
-            [class_index(*class_label(FieldTriple(*row))) for row in records[:, :3].tolist()]
+            [class_index(*class_label(row)) for row in records[:, :3].tolist()]
         )
         report = enumerate_fields(10**6)
         total = np.bincount(ids, minlength=_kernels.CLASS_SPACE)
@@ -325,7 +325,7 @@ class TestSinkAndAudit:
         seen = []
         report = enumerate_fields(10**5, sink=lambda columns: seen.extend(columns.tolist()))
         assert len(seen) == report.S
-        keys = [canonical_key(FieldTriple(*row[:3])) for row in seen]
+        keys = [canonical_key(row[:3]) for row in seen]
         assert len(set(keys)) == len(keys)
         discs = [row[10] for row in seen]
         assert discs == sorted(discs)
@@ -352,7 +352,7 @@ class TestSinkAndAudit:
 
         def rejected(row):
             try:
-                FieldTriple(*row)
+                _check(*row)
             except InvalidFieldError:
                 return True
             return False
@@ -399,7 +399,7 @@ class TestSinkAndAudit:
     )
     def test_row_naming_no_field_raises(self, bad, monkeypatch):
         # both rows pass the discriminant identity and the verdict check,
-        # so only the tests of FieldTriple, run on the columns, catch them
+        # so only the tests of fields._check, run on the columns, catch them
         from biquad_hnp import enumeration
 
         true_rows = enumeration.unique_field_rows
@@ -533,7 +533,7 @@ class TestSinkAndAudit:
         )
 
     def test_audit_counts_a_row_naming_no_field_once(self, monkeypatch):
-        # FieldTriple rejects m = 0: one mismatch, not an error
+        # fields._check rejects m = 0: one mismatch, not an error
         from biquad_hnp import enumeration
 
         true_enumerate = enumeration.enumerate_fields

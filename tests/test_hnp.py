@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 
 from _reference_enumeration import iter_valid_triples
+from _reference_fields import kronecker, quadratic_discriminant
 from biquad_hnp import arith, hnp
-from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, kronecker, prime_factors
+from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, prime_factors
 from biquad_hnp.enumeration import invalid_rows, tuple_records
-from biquad_hnp.fields import (
-    FieldTriple,
-    InvalidFieldError,
-    field_values,
-    quadratic_discriminant,
-)
+from biquad_hnp.fields import InvalidFieldError, _check, field_values
 from biquad_hnp.hnp import FAILS, HOLDS, oracle_row, splitting_witnesses
 
 
@@ -89,8 +85,9 @@ class TestSplittingOracle:
         # six triples, and the oracle gives all six one verdict and witness
         sieve = build_sieve(2000)
         groups = defaultdict(list)
-        for t in iter_valid_triples(2000):
-            groups[tuple(sorted(t.kernels))].append(_witness(*t, sieve))
+        for m, a1, b1 in iter_valid_triples(2000):
+            kernels = tuple(sorted((m * a1, m * b1, a1 * b1)))
+            groups[kernels].append(_witness(m, a1, b1, sieve))
         assert len(groups) == 10690
         assert all(len(group) == 6 and len(set(group)) == 1 for group in groups.values())
 
@@ -102,7 +99,7 @@ class TestSplittingOracle:
             if witness:
                 continue
             checked += 1
-            primes = set(prime_factors(t.m * t.a1 * t.b1))
+            primes = set(prime_factors(math.prod(t)))
             if c > 1:
                 primes.add(2)
             for p in primes:
@@ -125,21 +122,23 @@ def _oracle_row_or_none(m, a1, b1, sieve):
 
 
 def _named_row(m, a1, b1):
-    """The nine values of oracle_row from their definitions on the
-    FieldTriple named tuple, or None where FieldTriple or its validate
-    rejects the row: the discriminant of kernel k is k if k = 1 mod 4,
-    else 4k, and the witness is the least prime of disc with
+    """The nine values of oracle_row from their definitions, or None where
+    the named-tuple checks reject the row: fields._check, then a component
+    that is not squarefree.  The discriminant of kernel k is k if k = 1
+    mod 4, else 4k, and the witness is the least prime of disc with
     kronecker(d, p) != 1 for all three discriminants."""
     try:
-        t = FieldTriple(m, a1, b1)
-        t.validate()
+        _check(m, a1, b1)
     except InvalidFieldError:
         return None
-    discs = tuple(k if k % 4 == 1 else 4 * k for k in t.kernels)
+    if not all(map(is_squarefree, (m, a1, b1))):
+        return None
+    kernels = (m * a1, m * b1, a1 * b1)
+    discs = tuple(k if k % 4 == 1 else 4 * k for k in kernels)
     disc = abs(math.prod(discs))
     c = math.isqrt(disc) // abs(m * a1 * b1)
     unsplit = [p for p in prime_factors(disc) if all(kronecker(d, p) != 1 for d in discs)]
-    return (*t.kernels, *discs, c, disc, unsplit[0] if unsplit else 0)
+    return (*kernels, *discs, c, disc, unsplit[0] if unsplit else 0)
 
 
 class TestOracleRow:
@@ -148,7 +147,7 @@ class TestOracleRow:
     @pytest.mark.parametrize("limit", [None, 1728, 104], ids=["no_sieve", "covering", "below"])
     def test_matches_the_named_tuple_oracle(self, limit):
         # the same nine values and the same rejections as the definitions
-        # on FieldTriple; a sieve to 104 leaves the field (3, 5, 7),
+        # and checks of _named_row; a sieve to 104 leaves the field (3, 5, 7),
         # |m a1 b1| = 105, just above it
         sieve = None if limit is None else build_sieve(limit)
         rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
@@ -193,8 +192,6 @@ class TestOracleRow:
         text = "component 9 of FieldTriple(m=1, a1=9, b1=5) is not squarefree"
         with pytest.raises(InvalidFieldError, match=re.escape(text)):
             oracle_row(1, 9, 5, sieve)
-        with pytest.raises(InvalidFieldError, match=re.escape(text)):
-            FieldTriple(1, 9, 5).validate()
         with pytest.raises(InvalidFieldError, match="component 4 of"):
             oracle_row(3, 4, -7, sieve)
 

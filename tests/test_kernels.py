@@ -24,8 +24,9 @@ import pytest
 import _reference_classes as reference_classes
 import _reference_kernel as reference
 from _reference_cores import core_fields
+from _reference_fields import jacobi
 from biquad_hnp import _kernels
-from biquad_hnp.arith import build_sieve, jacobi, prime_factors
+from biquad_hnp.arith import build_sieve, prime_factors
 from biquad_hnp.enumeration import unfold_records
 
 
@@ -202,7 +203,8 @@ def test_kernel_matches_core_oracle_at_1e12():
 
 def test_core_oracle_catches_a_symbol_flip_on_large_primes(monkeypatch):
     # (a|n) negated wherever a > 10^4: the kernel's verdicts change on
-    # the cores with such a prime, and the oracle, on arith.jacobi, does not
+    # the cores with such a prime, and the oracle, which decides by Euler's
+    # criterion, does not
     true_symbols = _kernels.jacobi_array
 
     def flipped(a, n):
