@@ -8,10 +8,13 @@ Library surface:
 * :mod:`biquad_hnp.enumeration` - bounded-discriminant enumeration
 * :mod:`biquad_hnp.asymptotics` - Euler products, main terms, exact identities
 * :mod:`biquad_hnp.cli` - the ``biquad-hnp`` command
+
+``import biquad_hnp`` loads no numpy: ``CountReport`` and
+``enumerate_fields`` import :mod:`biquad_hnp.enumeration`, and numpy with
+it, on first access.
 """
 
 from .arith import FactorSieve, build_sieve
-from .enumeration import CountReport, enumerate_fields
 from .fields import InvalidFieldError, field_values, from_generators
 from .hnp import oracle_row
 
@@ -28,3 +31,15 @@ __all__ = [
     "enumerate_fields",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("CountReport", "enumerate_fields"):
+        from . import enumeration
+
+        return getattr(enumeration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

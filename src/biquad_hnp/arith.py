@@ -1,18 +1,15 @@
 """Exact integer number theory: factor sieves, Mobius values, trial division.
 
-Everything here is pure integer arithmetic.  A built FactorSieve is
-immutable: a count builds it before it forks, and the forked child reads
-the parent's tables copy-on-write.
+Everything here is pure integer arithmetic.  Only build_sieve needs
+numpy, through _kernels, and imports it when called.  A built
+FactorSieve is immutable: a count builds it before it forks, and the
+forked child reads the parent's tables copy-on-write.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import numpy as np
-
-from . import _kernels
 
 # The bytes per n up to sqrt(X) that a count may need, against physical
 # memory: the sieve (uint32 spf, int8 mobius and build_mobius's range).
@@ -23,6 +20,9 @@ from . import _kernels
 # _core_slabs(L, spf, mob) in a fresh process) is 10.3 bytes per n at
 # L = 1e6, 6.3 at 4e6, 5.3 at 2e7 and 5.05 at 1e8, all of it the sieve's.
 SIEVE_BYTES_PER_N = 8
+# the primes the Euler products of asymptotics run over by default; here,
+# so that the command line's parser has it without importing numpy
+DEFAULT_PRIME_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ def build_sieve(limit: int) -> FactorSieve:
 
     A sieve larger than physical memory raises MemoryError unallocated.
     """
+    from . import _kernels  # here, so that arith imports without numpy
+
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
     if SIEVE_BYTES_PER_N * (limit + 1) > physical_memory():

@@ -38,8 +38,7 @@ from itertools import product
 import numpy as np
 
 from . import _kernels, arith
-
-DEFAULT_PRIME_LIMIT = 10_000_000
+from .arith import DEFAULT_PRIME_LIMIT
 
 # (sign2, sign3) of the sign pair s of a class id
 SIGN_PAIRS = tuple(product((1, -1), repeat=2))

@@ -7,6 +7,10 @@ bad path, a full device, or a pipe whose reader has gone).  Each command
 builds its report once, as a JSON payload, text lines and, for count and
 compare, a CSV table; _write renders the chosen format to stdout or to
 --out, which get the same bytes.
+
+Only the commands that compute with arrays import numpy and the modules
+built on it (_kernels, enumeration, asymptotics), each when it runs:
+the parser, its usage errors and classify run without them.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal, InvalidOperation
-from typing import Callable, TextIO
+from typing import TYPE_CHECKING, Callable, TextIO
 
-import numpy as np
-
-from . import _kernels, asymptotics, enumeration
-from .arith import build_sieve
+from .arith import DEFAULT_PRIME_LIMIT, build_sieve
 from .fields import InvalidFieldError, from_generators
 from .hnp import FAILS, HOLDS, oracle_row
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .enumeration import CountReport
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -144,10 +150,14 @@ def _write(
         stream.writelines(line + "\n" for line in text)
 
 
-def _class_rows(report: enumeration.CountReport) -> list[list[int]]:
+def _class_rows(report: CountReport) -> list[list[int]]:
     """(sign2, sign3, even_slot, r1, r2, r3, count, failing) of each class
     that holds a tuple: by slot, then sign pair (+ before -), then residues.
     """
+    import numpy as np
+
+    from . import _kernels
+
     labels = _kernels.class_labels()
     sign2, sign3, even_slot, r1, r2, r3 = labels.T
     order = np.lexsort((r3, r2, r1, -sign3, -sign2, even_slot))
@@ -178,6 +188,8 @@ def _ndjson_lines(columns: np.ndarray) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import enumeration
+
     # checked before the outputs are opened, so that a bad bound cannot
     # leave an existing records or --out file truncated
     if args.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
@@ -282,6 +294,8 @@ def _audit(bound: int) -> tuple[int, int]:
     ... (EMIT_CHUNK fields each), so the parts check every field once.  A
     field that the oracle rejects counts as one mismatch.
     """
+    from . import enumeration
+
     chunks: list[np.ndarray] = []
     enumeration.enumerate_fields(bound, sink=chunks.append)
     sieve = build_sieve(math.isqrt(bound))
@@ -309,6 +323,10 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
 
     A check's duration is the time since the previous check was added.
     """
+    import numpy as np
+
+    from . import asymptotics, enumeration
+
     checks: list[tuple[str, str, str, bool, float]] = []
     last = time.perf_counter()
 
@@ -405,6 +423,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    from . import asymptotics
+
     total = asymptotics.euler_product_total(args.prime_limit)
     failing = asymptotics.euler_product_failing(args.prime_limit)
     cross = asymptotics.main_term_constant_crosscheck(args.prime_limit)
@@ -434,6 +454,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import asymptotics, enumeration
+
     checkpoints = args.checkpoints
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         return _error("checkpoints must be strictly ascending")
@@ -500,9 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_const = sub.add_parser("constants", help="evaluate the Euler-product constants")
-    p_const.add_argument(
-        "--prime-limit", type=bound_at_least(2), default=asymptotics.DEFAULT_PRIME_LIMIT
-    )
+    p_const.add_argument("--prime-limit", type=bound_at_least(2), default=DEFAULT_PRIME_LIMIT)
     p_const.add_argument("--format", choices=("text", "json"), default="text")
     p_const.set_defaults(func=cmd_constants)
 
@@ -515,9 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--format", choices=("csv", "json", "text"), default="csv")
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument(
-        "--prime-limit", type=bound_at_least(2), default=asymptotics.DEFAULT_PRIME_LIMIT
-    )
+    p_cmp.add_argument("--prime-limit", type=bound_at_least(2), default=DEFAULT_PRIME_LIMIT)
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

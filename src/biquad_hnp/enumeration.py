@@ -11,8 +11,9 @@ one ordered triple per field and tallies all six.  This module turns its
 tallies into reports, replaces each field's record by the field's least
 ordered record, checks that no field is kept twice and that the fields
 kept number the ordered count over 6, and rebuilds each kept field's
-columns from its record.  ``unfold_records`` writes out the six ordered
-records of each field, for ``tuple_records``.  Both move records by the
+columns from its record, the witness by ``splitting_witnesses``, the
+splitting oracle run on arrays.  ``unfold_records`` writes out the six
+ordered records of each field, for ``tuple_records``.  Both move records by the
 kernel's own S3 table, ``_kernels._S3``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
@@ -40,7 +41,6 @@ import numpy as np
 
 from . import _kernels
 from .arith import FactorSieve, build_sieve
-from .hnp import splitting_witnesses
 
 # receives the field columns of _field_columns, at most EMIT_CHUNK rows a call
 Sink = Callable[[np.ndarray], None]
@@ -151,6 +151,41 @@ def invalid_rows(m: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
     bad |= (np.gcd(m, a1) != 1) | (np.gcd(m, b1) != 1) | (np.gcd(a1, b1) != 1)
     bad |= ((a1 == b1) & (np.abs(a1) == 1)) | ((m == 1) & ((a1 == 1) | (b1 == 1)))
     return bad
+
+
+def splitting_witnesses(
+    m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, sieve: FactorSieve
+) -> np.ndarray:
+    """The witness of hnp.oracle_row on arrays of fields, with the kernel's
+    Jacobi symbols: the witness prime of each field, or 0 where the
+    principle fails.
+
+    discs holds the three fundamental discriminants of each field as the
+    rows of an (n, 3) int64 array; the sieve must cover m * |a1| * |b1|.
+    2 is the witness when no d is 1 mod 8, the condition for 2 to split
+    in some subfield; the odd primes of m * |a1| * |b1| are then walked in
+    ascending order, on the fields still without a witness, until one has
+    no subfield with symbol +1.
+    """
+    core = m * np.abs(a1) * np.abs(b1)
+    if len(core) and int(core.max()) > sieve.limit:
+        raise ValueError(f"fields beyond the sieve range 1..{sieve.limit}")
+    spf = sieve.smallest_prime_factor
+    # with 2 unramified the d are the kernels, all 1 mod 4, and
+    # d3 = d1 d2 / m^2 = d1 d2 mod 8 (m odd), so one d is 1 mod 8: no
+    # separate test that 2 ramifies is needed
+    witness = np.where(np.any((discs & 7) == 1, axis=1), 0, 2)
+    odd = core >> np.bitwise_count((core & -core) - 1)
+    live = np.flatnonzero((witness == 0) & (odd > 1))
+    rest = odd[live]
+    while len(live):
+        p = spf[rest]
+        splits = np.any(_kernels.jacobi_array(discs[live], p[:, None]) == 1, axis=1)
+        witness[live[~splits]] = p[~splits]
+        rest //= p
+        keep = splits & (rest > 1)
+        live, rest = live[keep], rest[keep]
+    return witness
 
 
 def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:

@@ -5,9 +5,9 @@ decomposition group is cyclic, i.e. when every ramified prime splits in
 at least one of the three quadratic subfields.  ``oracle_row`` tests
 that directly, one field at a time on plain ints, and is the ground
 truth: it factors |m*a1*b1| once and decides each odd prime by Euler's
-criterion.  ``splitting_witnesses`` runs the test on arrays of fields at
-once, with the kernel's Jacobi symbols; the enumeration uses it for the
-witnesses of the record stream.
+criterion.  It needs no numpy, so neither does ``classify``;
+``enumeration.splitting_witnesses`` runs the same test on arrays of
+fields for the witnesses of the record stream.
 
 The verdicts of a count come from ``_kernels.enumerate_block`` (class
 tables plus residue-symbol bitmasks).  The test suite holds that kernel
@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ._kernels import jacobi_array
 from .arith import FactorSieve, prime_factors
 from .fields import InvalidFieldError, _name, field_values
 
@@ -63,38 +60,4 @@ def oracle_row(m: int, a1: int, b1: int, sieve: FactorSieve | None = None) -> tu
         if p > 2 and pow(d1, h, p) != 1 and pow(d2, h, p) != 1 and pow(d3, h, p) != 1:
             return k1, k2, k3, d1, d2, d3, c, disc, p
     return k1, k2, k3, d1, d2, d3, c, disc, 0
-
-
-def splitting_witnesses(
-    m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, sieve: FactorSieve
-) -> np.ndarray:
-    """The witness of oracle_row on arrays of fields: the witness prime of
-    each field, or 0 where the principle fails.
-
-    discs holds the three fundamental discriminants of each field as the
-    rows of an (n, 3) int64 array; the sieve must cover m * |a1| * |b1|.
-    2 is the witness when no d is 1 mod 8, the condition for 2 to split
-    in some subfield; the odd primes of m * |a1| * |b1| are then walked in
-    ascending order, on the fields still without a witness, until one has
-    no subfield with symbol +1.
-    """
-    core = m * np.abs(a1) * np.abs(b1)
-    if len(core) and int(core.max()) > sieve.limit:
-        raise ValueError(f"fields beyond the sieve range 1..{sieve.limit}")
-    spf = sieve.smallest_prime_factor
-    # with 2 unramified the d are the kernels, all 1 mod 4, and
-    # d3 = d1 d2 / m^2 = d1 d2 mod 8 (m odd), so one d is 1 mod 8: no
-    # separate test that 2 ramifies is needed
-    witness = np.where(np.any((discs & 7) == 1, axis=1), 0, 2)
-    odd = core >> np.bitwise_count((core & -core) - 1)
-    live = np.flatnonzero((witness == 0) & (odd > 1))
-    rest = odd[live]
-    while len(live):
-        p = spf[rest]
-        splits = np.any(jacobi_array(discs[live], p[:, None]) == 1, axis=1)
-        witness[live[~splits]] = p[~splits]
-        rest //= p
-        keep = splits & (rest > 1)
-        live, rest = live[keep], rest[keep]
-    return witness
 

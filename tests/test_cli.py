@@ -1351,3 +1351,40 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    # the commands that compute with no arrays, with their exit codes
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "--triple", "1", "13", "17"], EXIT_OK),
+            (["classify", "--gens", "13", "17", "--format", "json"], EXIT_OK),
+            (["classify", "--gens", "4", "5"], EXIT_USAGE),
+            (["--help"], EXIT_OK),
+            (["count", "--max-disc", "abc"], EXIT_USAGE),
+        ],
+        ids=["classify-triple", "classify-gens-json", "classify-invalid", "help", "bad-bound"],
+    )
+    def test_scalar_commands_load_no_array_module(self, argv, code):
+        # numpy and the modules built on it are imported by the commands
+        # that use them; these run without, so they start faster
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from biquad_hnp.cli import main\n"
+             "try:\n"
+             "    code = main()\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "modules = ('numpy', 'biquad_hnp._kernels', 'biquad_hnp.enumeration',"
+             " 'biquad_hnp.asymptotics')\n"
+             "print('loaded', [m for m in modules if m in sys.modules], file=sys.stderr)\n"
+             "sys.exit(code)",
+             *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.endswith("loaded []\n"), proc.stderr

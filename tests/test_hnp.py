@@ -20,9 +20,9 @@ from _reference_enumeration import iter_valid_triples
 from _reference_fields import kronecker, quadratic_discriminant
 from biquad_hnp import arith, hnp
 from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, prime_factors
-from biquad_hnp.enumeration import invalid_rows, tuple_records
+from biquad_hnp.enumeration import invalid_rows, splitting_witnesses, tuple_records
 from biquad_hnp.fields import InvalidFieldError, _check, field_values
-from biquad_hnp.hnp import FAILS, HOLDS, oracle_row, splitting_witnesses
+from biquad_hnp.hnp import FAILS, HOLDS, oracle_row
 
 
 def _witness(m, a1, b1, sieve=None):

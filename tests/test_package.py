@@ -2,12 +2,19 @@
 library example, run as written."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import biquad_hnp
+import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+import biquad_hnp
+from biquad_hnp import enumeration
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_exported_names():
@@ -48,3 +55,29 @@ def test_readme_library_example():
         assert value == want, line
         checked += 1
     assert checked == 3
+
+
+def test_package_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, biquad_hnp; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_lazy_names_are_the_enumeration_objects():
+    assert biquad_hnp.enumerate_fields is enumeration.enumerate_fields
+    assert biquad_hnp.CountReport is enumeration.CountReport
+
+
+def test_dir_lists_every_exported_name():
+    assert set(biquad_hnp.__all__) <= set(dir(biquad_hnp))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        biquad_hnp.no_such_name
