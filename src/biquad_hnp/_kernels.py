@@ -44,7 +44,12 @@ every parts-th slab only, so that two processes, each walking the same
 slabs, split the cores without running any slab twice.  The enumeration
 works in int64, which caps the discriminant bound at X < 2^63 (records
 hold disc = (c * 2^[even] * n)^2); the sieve limit sqrt(X) then stays
-below 2^32, so the least-prime-factor table is uint32.
+below 2^32, so every odd composite n up to it has a prime factor below
+2^16.  The cores and their primes are read from one table of those
+factors, ``odd_lpf_table``: uint16, one entry per odd n, so one byte per
+n up to sqrt(X).  ``build_spf`` and ``build_mobius`` build the scalar
+oracles' ``arith.FactorSieve``; a count uses them only for the Mobius
+values to X^(1/4) of ``odd_squarefree_count``.
 """
 
 from __future__ import annotations
@@ -76,6 +81,43 @@ def primes_up_to(limit: int) -> np.ndarray:
             flags[p * p :: p] = False
     # nonzero gives intp, which is int64 on 64-bit platforms: no copy there
     return np.nonzero(flags)[0].astype(np.int64, copy=False)
+
+
+def odd_lpf_table(limit: int) -> np.ndarray:
+    """Least prime factors of the odd n <= limit as uint16, for 1 <= limit
+    < 2^32: entry (n - 1) // 2 holds that of each odd composite n, and 0
+    stands for 1 and for the primes (see least_factor).
+
+    An odd composite n < 2^32 has a prime factor below 2^16, so uint16
+    holds it.  Each odd prime p <= sqrt(limit), the largest first, writes
+    p from the entry of p^2 on with stride p (the odd multiples), so the
+    last write to a composite is its least prime factor.
+    """
+    if not 1 <= limit < 2**32:
+        raise ValueError(f"sieve limit must lie in [1, 2^32), got {limit}")
+    table = np.zeros((limit + 1) // 2, dtype=np.uint16)
+    for p in primes_up_to(math.isqrt(limit))[:0:-1].tolist():
+        table[p * p // 2 :: p] = p
+    return table
+
+
+def least_factor(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The least prime factor of each odd t >= 1 that odd_lpf_table covers,
+    and t itself where t is 1 or prime, in the dtype of t."""
+    p = table[t >> 1]
+    return np.where(p == 0, t, p)
+
+
+def odd_squarefree_count(y: int) -> int:
+    """Q(y): the odd squarefree n <= y, 1 included, for y >= 0.
+
+    Q(y) = sum over odd d <= sqrt(y) of mu(d) ((y // d^2 + 1) // 2), the odd
+    multiples of d^2 counted with mu(d); mu comes from a sieve to sqrt(y).
+    """
+    r = math.isqrt(y)
+    mob = build_mobius(build_spf(max(r, 1)))[1 : r + 1 : 2]
+    d = np.arange(1, r + 1, 2, dtype=np.int64)
+    return int(mob @ ((y // (d * d) + 1) // 2))
 
 
 def build_spf(limit: int) -> np.ndarray:
@@ -344,29 +386,51 @@ class _RecordBuffer:
         self.n = need
 
 
-def _core_slabs(limit: int, spf: np.ndarray, mob: np.ndarray):
+def _core_slabs(limit: int, table: np.ndarray):
     """The odd squarefree n <= limit as slabs (n, w): at most SLAB
     ascending cores, each with w = omega(n) prime factors.
 
-    The odd n are read one window of CORE_WINDOW at a time, and each
-    window's cores are sorted by (omega, n).  Per omega, ascending, its
-    full slabs are yielded and the rest is held back for the next window;
-    the last window yields everything.  So every slab of an omega but its
-    last is full, and with one window the slabs are those of each omega
-    in turn.
+    The odd n are read one window of CORE_WINDOW at a time, and each is
+    divided by its least prime factors (least_factor on table, which must
+    cover limit) until 1 is left: a prime met twice marks n as not
+    squarefree, and the primes met count omega.  Each window's cores are
+    sorted by (omega, n).  Per omega, ascending, its full slabs are
+    yielded and the rest is held back for the next window; the last
+    window yields everything.  So every slab of an omega but its last is
+    full, and with one window the slabs are those of each omega in turn.
     """
-    odd = mob[1 : limit + 1 : 2]
+    count = (limit + 1) // 2  # odd n <= limit
     held = {}  # per omega, fewer than SLAB cores below the window
-    for lo in range(0, len(odd), CORE_WINDOW):
-        n = np.flatnonzero(odd[lo : lo + CORE_WINDOW])
+    for lo in range(0, count, CORE_WINDOW):
+        hi = min(lo + CORE_WINDOW, count)
+        # the window's own slice of the table gives each n its first
+        # prime, so 1 and the primes are done at once
+        first = table[lo:hi]
+        omega = np.ones(hi - lo, dtype=np.int8)
+        if lo == 0:
+            omega[0] = 0  # n = 1
+        squarefree = np.ones(hi - lo, dtype=bool)
+        # per composite n left: its place, n over the primes met so far,
+        # and the last of them; it leaves at 1 or at a prime met twice
+        pos = np.flatnonzero(first)
+        prev = first[pos]
+        t = pos.astype(np.uint32)
+        t *= 2
+        t += 2 * lo + 1
+        t //= prev
+        while len(pos):
+            p = least_factor(table, t)
+            omega[pos] += 1
+            square = p == prev
+            squarefree[pos[square]] = False
+            t //= p
+            # one index for the three arrays: a mask would be found thrice
+            keep = np.flatnonzero((t > 1) & ~square)
+            pos, t, prev = pos[keep], t[keep], p[keep]
+        n = np.flatnonzero(squarefree)
+        omega = omega[n].astype(np.int64)
         n *= 2
         n += 2 * lo + 1
-        omega = np.zeros(n.shape, dtype=np.int64)
-        t = n.astype(np.uint32)
-        while (live := t > 1).any():
-            omega += live
-            t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
-        del t, live  # free the walk before the sort
         ends = np.cumsum(np.bincount(omega, minlength=max(held, default=0) + 1)).tolist()
         # sort by (omega, n) in place: n < 2^32, so omega goes above it
         omega <<= 32
@@ -374,7 +438,7 @@ def _core_slabs(limit: int, spf: np.ndarray, mob: np.ndarray):
         del omega
         n.sort()
         n &= 0xFFFFFFFF
-        last = lo + CORE_WINDOW >= len(odd)
+        last = hi == count
         for w, (a, b) in enumerate(zip([0, *ends], ends)):
             group = n[a:b]
             if w in held:
@@ -460,12 +524,12 @@ def _enumerate_slab(n, primes, root, class_total, class_fail, records) -> None:
                 )
 
 
-def enumerate_block(slabs, root, spf, collect, part=0, parts=1):
+def enumerate_block(slabs, root, table, collect, part=0, parts=1):
     """Enumerate the fields whose odd squarefree core lies in one of slabs.
 
     slabs is a stream of (n, w) as _core_slabs yields them: ascending
-    cores n, all with w prime factors; spf is a least-prime-factor table
-    that covers them.  root is floor(sqrt(X)); a tuple with weight factor
+    cores n, all with w prime factors; table is an odd_lpf_table that
+    covers them.  root is floor(sqrt(X)); a tuple with weight factor
     c and 2-placement power pw is admitted when pw * c * core <= root,
     i.e. disc <= X.
 
@@ -490,7 +554,7 @@ def enumerate_block(slabs, root, spf, collect, part=0, parts=1):
         primes = np.empty((len(n), w), dtype=np.int64)
         t = n.copy()
         for i in range(w):
-            primes[:, i] = spf[t]
+            primes[:, i] = least_factor(table, t)
             t //= primes[:, i]
         _enumerate_slab(n, primes, root, class_total, class_fail, records)
     # the six maps form a group, so gathering each id's moved ids over all

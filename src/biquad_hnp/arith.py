@@ -1,9 +1,12 @@
 """Exact integer number theory: factor sieves, Mobius values, trial division.
 
 Everything here is pure integer arithmetic.  Only build_sieve needs
-numpy, through _kernels, and imports it when called.  A built
-FactorSieve is immutable: a count builds it before it forks, and the
-forked child reads the parent's tables copy-on-write.
+numpy, through _kernels, and imports it when called.  The FactorSieve
+is the scalar oracles': hnp.oracle_row reads it at the audit bounds of
+count --audit-bound and of verify's checks 5 and 6.  A count reads its
+cores from _kernels.odd_lpf_table instead.  A built FactorSieve is
+immutable: the audits build it before they fork, and the forked child
+reads the parent's tables copy-on-write.
 """
 
 from __future__ import annotations
@@ -11,18 +14,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-# The bytes per n up to sqrt(X) that a count may need, against physical
-# memory: the sieve (uint32 spf, int8 mobius and build_mobius's range).
-# The cores are read from it one window at a time by _kernels._core_slabs
-# in each process of a count, which adds its window, slabs and records,
-# none of them growing with n.  The measured peak of the sieve and one
-# pass over the slabs (peak RSS growth of build_sieve(L) and
-# _core_slabs(L, spf, mob) in a fresh process) is 10.3 bytes per n at
-# L = 1e6, 6.3 at 4e6, 5.3 at 2e7 and 5.05 at 1e8, all of it the sieve's.
+# The bytes per n up to the limit that build_sieve may need, against
+# physical memory: uint32 spf, int8 mobius and build_mobius's range.  The
+# measured peak (peak RSS growth of build_sieve(L) in a fresh process) is
+# 10.3 bytes per n at L = 1e6, 6.3 at 4e6, 5.3 at 2e7 and 5.05 at 1e8.
+# The oracles sieve to the square root of their audit bound only; a
+# count's own table is bounded by enumeration.TABLE_BYTES_PER_N.
 SIEVE_BYTES_PER_N = 8
-# the primes the Euler products of asymptotics run over by default; here,
-# so that the command line's parser has it without importing numpy
+# the primes the Euler products of asymptotics run over by default, and
+# the bound of the discriminants a count takes (its records hold disc as
+# int64); here, so that the command line has both without importing numpy
 DEFAULT_PRIME_LIMIT = 10_000_000
+MAX_DISC_EXCLUSIVE = 2**63
 
 
 @dataclass(frozen=True)

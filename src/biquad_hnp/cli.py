@@ -9,8 +9,9 @@ compare, a CSV table; _write renders the chosen format to stdout or to
 --out, which get the same bytes.
 
 Only the commands that compute with arrays import numpy and the modules
-built on it (_kernels, enumeration, asymptotics), each when it runs:
-the parser, its usage errors and classify run without them.
+built on it (_kernels, enumeration, asymptotics), each when it runs,
+after the checks of its options: the parser, every usage error found
+in the options and classify run without them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from .arith import DEFAULT_PRIME_LIMIT, build_sieve
+from .arith import DEFAULT_PRIME_LIMIT, MAX_DISC_EXCLUSIVE, build_sieve
 from .fields import InvalidFieldError, from_generators
 from .hnp import FAILS, HOLDS, oracle_row
 
@@ -188,16 +189,16 @@ def _ndjson_lines(columns: np.ndarray) -> str:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from . import enumeration
-
     # checked before the outputs are opened, so that a bad bound cannot
     # leave an existing records or --out file truncated
-    if args.max_disc >= enumeration.MAX_DISC_EXCLUSIVE:
+    if args.max_disc >= MAX_DISC_EXCLUSIVE:
         return _error(f"--max-disc must be below 2^63, got {args.max_disc}")
     if not 0 <= args.audit_bound <= args.max_disc:
         return _error("--audit-bound must lie between 0 and --max-disc")
     if args.records and args.out and _same_file(args.records, args.out):
         return _error("--records and --out name the same file")
+    from . import enumeration
+
     with (
         _open_output("--records", args.records) as records_file,
         _open_output("--out", args.out) as out_file,
@@ -454,13 +455,13 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from . import asymptotics, enumeration
-
     checkpoints = args.checkpoints
     if any(a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         return _error("checkpoints must be strictly ascending")
-    if checkpoints and checkpoints[-1] >= enumeration.MAX_DISC_EXCLUSIVE:
+    if checkpoints and checkpoints[-1] >= MAX_DISC_EXCLUSIVE:
         return _error(f"checkpoints must be below 2^63, got {checkpoints[-1]}")
+    from . import asymptotics, enumeration
+
     with _open_output("--out", args.out) as out_file:
         c_total = asymptotics.euler_product_total(args.prime_limit).value
         c_failing = asymptotics.euler_product_failing(args.prime_limit).value

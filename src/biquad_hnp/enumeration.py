@@ -18,8 +18,9 @@ kernel's own S3 table, ``_kernels._S3``.
 
 A count with more than ``_kernels.SLAB`` odd squarefree cores runs in two
 processes when it can (``fork_parts``).  Each process walks its own
-stream of the cores' slabs (``_kernels._core_slabs``) over the sieve
-built before the fork; a forked child takes every other slab, tallies
+stream of the cores' slabs (``_kernels._core_slabs``) through the
+least-prime-factor table of the odd n, ``_kernels.odd_lpf_table``, built
+before the fork; a forked child takes every other slab, tallies
 those slabs, dedups and checks its own fields, and sends back its
 tallies, field table and stage seconds as they are, pickled.  This
 works because a field's six ordered triples share their odd core, so
@@ -39,17 +40,24 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from . import _kernels
-from .arith import FactorSieve, build_sieve
+from . import _kernels, arith
+from .arith import MAX_DISC_EXCLUSIVE
 
 # receives the field columns of _field_columns, at most EMIT_CHUNK rows a call
 Sink = Callable[[np.ndarray], None]
 
-MAX_DISC_EXCLUSIVE = 2**63  # records hold disc as int64
 # rows per sink call, and per block turned into Python ints by the
 # scalar-oracle sweeps: lists of a whole table would raise peak memory
 EMIT_CHUNK = 4096
 FIELD_COLUMNS = 12  # columns of _field_columns
+# The bytes per n up to sqrt(X) that a count may need, against physical
+# memory: its factor table, uint16 per odd n, so 1 byte per n.  Each
+# process of a count adds one window of the core stream, its slabs and
+# records, none of them growing with n.  The measured peak of the table
+# and one pass over the slabs (peak RSS growth of odd_lpf_table(L) and
+# _core_slabs(L, table) in a fresh process) is 3.43 bytes per n at
+# L = 1e6, 1.65 at 4e6, 1.13 at 2e7 and 1.03 at 1e8.
+TABLE_BYTES_PER_N = 2
 T = TypeVar("T")
 
 
@@ -67,13 +75,14 @@ class CountReport:
     parts is the number of processes that counted: 2 when a forked
     child took half of the slabs, else 1.
 
-    stats holds wall seconds by stage: sieve_s (the sieve, built before
-    any fork), kernel_s (a part's kernel call), dedup_s (its dedup) and
-    deliver_s (its field columns and witnesses, then this process's
-    merge of the field tables and the sink).  Each part times its own
-    stages, a forked child included, and each stage reports the larger
-    part's seconds.  dedup and deliver run only with a sink, and read 0
-    otherwise.
+    stats holds wall seconds by stage: sieve_s (the factor table of the
+    odd n up to sqrt(X) and the count of cores that decides the split,
+    both before any fork), kernel_s (a part's kernel call), dedup_s (its
+    dedup) and deliver_s (its field columns and witnesses, then this
+    process's merge of the field tables and the sink).  Each part times
+    its own stages, a forked child included, and each stage reports the
+    larger part's seconds.  dedup and deliver run only with a sink, and
+    read 0 otherwise.
     """
 
     X: int
@@ -154,32 +163,33 @@ def invalid_rows(m: np.ndarray, a1: np.ndarray, b1: np.ndarray) -> np.ndarray:
 
 
 def splitting_witnesses(
-    m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, sieve: FactorSieve
+    m: np.ndarray, a1: np.ndarray, b1: np.ndarray, discs: np.ndarray, table: np.ndarray
 ) -> np.ndarray:
     """The witness of hnp.oracle_row on arrays of fields, with the kernel's
     Jacobi symbols: the witness prime of each field, or 0 where the
     principle fails.
 
     discs holds the three fundamental discriminants of each field as the
-    rows of an (n, 3) int64 array; the sieve must cover m * |a1| * |b1|.
+    rows of an (n, 3) int64 array; table is a _kernels.odd_lpf_table
+    that covers the odd part of m * |a1| * |b1|.
     2 is the witness when no d is 1 mod 8, the condition for 2 to split
     in some subfield; the odd primes of m * |a1| * |b1| are then walked in
     ascending order, on the fields still without a witness, until one has
     no subfield with symbol +1.
     """
     core = m * np.abs(a1) * np.abs(b1)
-    if len(core) and int(core.max()) > sieve.limit:
-        raise ValueError(f"fields beyond the sieve range 1..{sieve.limit}")
-    spf = sieve.smallest_prime_factor
+    odd = core >> np.bitwise_count((core & -core) - 1)
+    limit = 2 * len(table) - 1
+    if len(odd) and int(odd.max()) > limit:
+        raise ValueError(f"fields beyond the sieve range 1..{limit}")
     # with 2 unramified the d are the kernels, all 1 mod 4, and
     # d3 = d1 d2 / m^2 = d1 d2 mod 8 (m odd), so one d is 1 mod 8: no
     # separate test that 2 ramifies is needed
     witness = np.where(np.any((discs & 7) == 1, axis=1), 0, 2)
-    odd = core >> np.bitwise_count((core & -core) - 1)
     live = np.flatnonzero((witness == 0) & (odd > 1))
     rest = odd[live]
     while len(live):
-        p = spf[rest]
+        p = _kernels.least_factor(table, rest)
         splits = np.any(_kernels.jacobi_array(discs[live], p[:, None]) == 1, axis=1)
         witness[live[~splits]] = p[~splits]
         rest //= p
@@ -188,7 +198,7 @@ def splitting_witnesses(
     return witness
 
 
-def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
+def _field_columns(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per field (m, a1, b1, three kernels, three fundamental discriminants,
     c, disc, witness) as the columns of one int64 array.
 
@@ -213,7 +223,7 @@ def _field_columns(rows: np.ndarray, sieve: FactorSieve) -> np.ndarray:
         raise RuntimeError(
             f"discriminant identity violated for {tuple(rows[np.argmax(bad), :3].tolist())}"
         )
-    witness = splitting_witnesses(m, a1, b1, discs, sieve)
+    witness = splitting_witnesses(m, a1, b1, discs, table)
     bad = (witness == 0) != (rows[:, 5] != 0)
     if bad.any():
         raise RuntimeError(
@@ -258,6 +268,15 @@ def _sieve_root(X: int) -> int:
     return math.isqrt(X)
 
 
+def _factor_table(limit: int) -> np.ndarray:
+    """_kernels.odd_lpf_table(limit), refused with MemoryError before
+    anything is allocated when TABLE_BYTES_PER_N per n exceed physical
+    memory."""
+    if TABLE_BYTES_PER_N * (limit + 1) > arith.physical_memory():
+        raise MemoryError(f"a factor table to {limit} needs more than the physical memory")
+    return _kernels.odd_lpf_table(limit)
+
+
 def _lap(stats: dict[str, float], key: str, since: float) -> float:
     """Add the seconds since ``since`` to stats[key]; return the clock."""
     now = time.perf_counter()
@@ -277,20 +296,21 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
     chunks of at most EMIT_CHUNK.  For B < X, the rows with disc <= B
     come first, and they are the stream of enumerate_fields(B).
 
-    With more than _kernels.SLAB odd squarefree cores up to sqrt(X), the
-    count is split with fork_parts; the result is the same either way.
-    Each part walks the cores one window at a time from the sieve built
-    before the fork, so the two parts add only their own window and work
-    arrays to what the sieve holds.
+    With more than _kernels.SLAB odd squarefree cores up to sqrt(X)
+    (_kernels.odd_squarefree_count), the count is split with fork_parts;
+    the result is the same either way.  Each part walks the cores one
+    window at a time through the factor table built before the fork, so
+    the two parts add only their own window and work arrays to what the
+    table holds.
 
     X must lie in [1, 2^63), since the kernel records hold disc as int64.
     """
     root = _sieve_root(X)
     stats = {"sieve_s": 0.0}
     t = time.perf_counter()
-    sieve = build_sieve(root)
+    table = _factor_table(root)
+    split = _kernels.odd_squarefree_count(root) > _kernels.SLAB
     _lap(stats, "sieve_s", t)
-    spf = sieve.smallest_prime_factor
     collect = sink is not None
 
     def work(part: int, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, dict]:
@@ -299,19 +319,18 @@ def enumerate_fields(X: int, sink: Sink | None = None) -> CountReport:
         sorted (else None), and the seconds of its stages."""
         laps = {"kernel_s": 0.0, "dedup_s": 0.0, "deliver_s": 0.0}
         t = time.perf_counter()
-        slabs = _kernels._core_slabs(root, spf, sieve.mobius)
-        total, fails, records = _kernels.enumerate_block(slabs, root, spf, collect, part, parts)
+        slabs = _kernels._core_slabs(root, table)
+        total, fails, records = _kernels.enumerate_block(slabs, root, table, collect, part, parts)
         t = _lap(laps, "kernel_s", t)
         if not collect:
             return total, fails, None, laps
         rows, _ = unique_field_rows(records)
         del records  # free them before the field columns
         t = _lap(laps, "dedup_s", t)
-        columns = _field_columns(rows, sieve)
+        columns = _field_columns(rows, table)
         _lap(laps, "deliver_s", t)
         return total, fails, columns, laps
 
-    split = np.count_nonzero(sieve.mobius[1::2]) > _kernels.SLAB
     outs = fork_parts(work) if split else [work(0, 1)]
     totals, failures, tables, laps = zip(*outs)
     del outs
@@ -353,10 +372,9 @@ def tuple_records(max_core: int, part: int = 0, parts: int = 1) -> np.ndarray:
     """
     if max_core < 1:
         return np.empty((0, 6), np.int64)
-    sieve = build_sieve(max_core)
-    spf = sieve.smallest_prime_factor
-    slabs = _kernels._core_slabs(max_core, spf, sieve.mobius)
-    _, _, records = _kernels.enumerate_block(slabs, 8 * max_core, spf, True, part, parts)
+    table = _factor_table(max_core)
+    slabs = _kernels._core_slabs(max_core, table)
+    _, _, records = _kernels.enumerate_block(slabs, 8 * max_core, table, True, part, parts)
     return unfold_records(
         records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= max_core]
     )

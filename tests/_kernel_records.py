@@ -9,7 +9,6 @@ ordered records of each field, unfolded from it by
 import numpy as np
 
 from biquad_hnp import _kernels
-from biquad_hnp.arith import build_sieve
 from biquad_hnp.enumeration import _sieve_root, unfold_records
 
 
@@ -17,10 +16,9 @@ def kernel_rows(X: int) -> np.ndarray:
     """The kernel's records (v1, v2, v3, disc, c, fails), one per field
     with disc <= X, from one kernel call; X must lie in [1, 2^63)."""
     root = _sieve_root(X)
-    sieve = build_sieve(max(root, 1))
-    spf = sieve.smallest_prime_factor
-    slabs = _kernels._core_slabs(root, spf, sieve.mobius)
-    _, _, records = _kernels.enumerate_block(slabs, root, spf, True)
+    table = _kernels.odd_lpf_table(max(root, 1))
+    slabs = _kernels._core_slabs(root, table)
+    _, _, records = _kernels.enumerate_block(slabs, root, table, True)
     return records
 
 

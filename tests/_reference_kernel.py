@@ -6,10 +6,15 @@ tallies and the multiset of records).  It walks every odd squarefree core
 n, every assignment of its primes to the three components, every
 placement of the factor 2 and every sign pair, and decides each admitted
 tuple with the congruence-and-symbol failure test.
+
+``core_slabs`` is the kernel's earlier core stream, which read the cores
+off a full sieve (least prime factors and Mobius values to the limit);
+the stream through ``_kernels.odd_lpf_table`` must yield the same slabs.
 """
 
 import numpy as np
 
+from biquad_hnp import _kernels
 from biquad_hnp._kernels import CLASS_SPACE
 
 
@@ -129,3 +134,38 @@ def enumerate_block(n_lo, n_hi, root, spf, mob, collect):
         n += 2
     records = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
     return class_total, class_fail, records
+
+
+def core_slabs(limit, spf, mob):
+    """The odd squarefree n <= limit as slabs (n, w), from a full sieve:
+    the slabs of ``_kernels._core_slabs``, by the window (CORE_WINDOW)
+    and slab (SLAB) sizes of _kernels when called."""
+    odd = mob[1 : limit + 1 : 2]
+    held = {}  # per omega, fewer than SLAB cores below the window
+    for lo in range(0, len(odd), _kernels.CORE_WINDOW):
+        n = np.flatnonzero(odd[lo : lo + _kernels.CORE_WINDOW])
+        n *= 2
+        n += 2 * lo + 1
+        omega = np.zeros(n.shape, dtype=np.int64)
+        t = n.astype(np.uint32)
+        while (live := t > 1).any():
+            omega += live
+            t //= spf[t]  # spf[1] = 1 keeps finished entries at 1
+        del t, live  # free the walk before the sort
+        ends = np.cumsum(np.bincount(omega, minlength=max(held, default=0) + 1)).tolist()
+        # sort by (omega, n) in place: n < 2^32, so omega goes above it
+        omega <<= 32
+        n |= omega
+        del omega
+        n.sort()
+        n &= 0xFFFFFFFF
+        last = lo + _kernels.CORE_WINDOW >= len(odd)
+        for w, (a, b) in enumerate(zip([0, *ends], ends)):
+            group = n[a:b]
+            if w in held:
+                group = np.concatenate((held.pop(w), group))
+            end = len(group) if last else len(group) - len(group) % _kernels.SLAB
+            for at in range(0, end, _kernels.SLAB):
+                yield group[at : at + _kernels.SLAB], w
+            if end < len(group):
+                held[w] = group[end:].copy()

@@ -107,6 +107,39 @@ class TestSieve:
         assert spf.dtype == np.uint32
         assert np.array_equal(spf, trial_division_spf(10**6))
 
+    def test_odd_table_is_trial_division_at_every_small_limit(self):
+        # entry (n - 1) // 2 of the table to limit, for every odd n <= limit:
+        # the least prime factor of a composite, 0 at 1 and at the primes
+        spf = trial_division_spf(1200)[1::2]
+        n = np.arange(1, 1201, 2)
+        want = np.where(spf == n, 0, spf).tolist()
+        for limit in range(1, 1201):
+            assert _kernels.odd_lpf_table(limit).tolist() == want[: (limit + 1) // 2], limit
+
+    def test_odd_table_is_the_spf_table_at_every_odd_n_to_1e6(self):
+        limit = 10**6
+        table = _kernels.odd_lpf_table(limit)
+        spf = _kernels.build_spf(limit)[1::2]
+        n = np.arange(1, limit + 1, 2, dtype=np.int64)
+        assert table.dtype == np.uint16 and len(table) == len(n)
+        composite = spf != n  # spf[1] = 1
+        assert np.array_equal(table[composite], spf[composite])
+        # 0 exactly at 1 and at the odd primes, where the lookup gives n
+        assert np.array_equal(np.flatnonzero(table == 0), np.flatnonzero(~composite))
+        assert np.array_equal(_kernels.least_factor(table, n), spf)
+
+    def test_odd_table_limit_2_to_the_32_is_refused_unallocated(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "np", None)
+        with pytest.raises(ValueError):
+            _kernels.odd_lpf_table(2**32)
+
+    def test_odd_squarefree_count_is_the_sieve_count(self):
+        # Q(y), the odd squarefree n <= y, from mu to sqrt(y) only
+        assert _kernels.odd_squarefree_count(0) == 0
+        for y in [*range(1, 3001), 10**6, 10**7]:
+            want = np.count_nonzero(build_sieve(y).mobius[1::2])
+            assert _kernels.odd_squarefree_count(y) == want, y
+
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1200, 10**6])
     def test_primes_are_int64_and_trial_division(self, limit):
         n = np.arange(limit + 1)
@@ -149,19 +182,17 @@ class TestSieve:
         with pytest.raises(ValueError):
             build_sieve(0)
 
-    def test_peak_memory_is_within_the_refusal_bound(self):
-        # the bound build_sieve refuses by must cover the real peak of the
-        # sieve and of a count's pass over the core slabs, measured as growth
-        # of the peak RSS (KiB) in a fresh process.  The peak is VmHWM, that
-        # of the process image: ru_maxrss would start at the peak of this
-        # test process, which spawned it, and miss any growth below that.
-        limit = 4 * 10**6
+    @staticmethod
+    def _peak_growth(setup: str) -> int:
+        """Bytes of peak RSS growth while setup runs in a fresh process.
+
+        The peak is VmHWM, that of the process image: ru_maxrss would
+        start at the peak of this test process, which spawned it, and miss
+        any growth below that.
+        """
         code = (
-            "from biquad_hnp.arith import build_sieve; "
-            "from biquad_hnp._kernels import _core_slabs; "
             "peak = lambda: int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); "
-            f"before = peak(); s = build_sieve({limit}); "
-            f"all(_core_slabs({limit}, s.smallest_prime_factor, s.mobius)); "
+            f"import numpy, biquad_hnp._kernels; before = peak(); {setup}; "
             "print(peak() - before)"
         )
         src = Path(__file__).resolve().parents[1] / "src"
@@ -173,7 +204,23 @@ class TestSieve:
             timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)},
         ).stdout
-        assert int(out) * 1024 <= SIEVE_BYTES_PER_N * (limit + 1)
+        return int(out) * 1024
+
+    def test_peak_memory_is_within_the_refusal_bound(self):
+        # the bound a count refuses by must cover the real peak of its
+        # factor table and of its pass over the core slabs
+        limit = 4 * 10**6
+        grown = self._peak_growth(
+            "from biquad_hnp._kernels import _core_slabs, odd_lpf_table; "
+            f"table = odd_lpf_table({limit}); all(_core_slabs({limit}, table))"
+        )
+        assert grown <= enumeration.TABLE_BYTES_PER_N * (limit + 1)
+
+    def test_sieve_peak_is_within_its_refusal_bound(self):
+        # the same for the scalar oracles' sieve, which build_sieve refuses by
+        limit = 4 * 10**6
+        grown = self._peak_growth(f"from biquad_hnp.arith import build_sieve; build_sieve({limit})")
+        assert grown <= SIEVE_BYTES_PER_N * (limit + 1)
 
 
 class TestJacobi:

@@ -374,11 +374,17 @@ class TestCount:
 
     @pytest.mark.parametrize("bound", ["1e19", "1e30"])
     def test_bound_beyond_int64_is_usage_error(self, bound, capsys, monkeypatch):
+        from biquad_hnp import _kernels
+
         def no_sieve(limit):
             raise AssertionError(f"a sieve to {limit} was requested")
 
-        # the bound must be refused before any sieve is allocated
-        monkeypatch.setattr(enumeration, "build_sieve", no_sieve)
+        # the bound must be refused before any sieve or factor table is
+        # allocated: the audit's sieve, the count's table and the sieve of
+        # its count of cores (build_spf, which every sieve calls)
+        monkeypatch.setattr(cli, "build_sieve", no_sieve)
+        monkeypatch.setattr(_kernels, "build_spf", no_sieve)
+        monkeypatch.setattr(_kernels, "odd_lpf_table", no_sieve)
         assert main(["count", "--max-disc", bound]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -431,7 +437,7 @@ class TestCount:
         def no_memory(limit):
             raise MemoryError
 
-        monkeypatch.setattr(_kernels, "build_spf", no_memory)
+        monkeypatch.setattr(_kernels, "odd_lpf_table", no_memory)
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -441,9 +447,11 @@ class TestCount:
     def test_sieve_beyond_physical_memory_is_refused_unallocated(self, capsys, monkeypatch):
         from biquad_hnp import _kernels, arith
 
-        # a machine of 4 MB: the sieve to 10^6 would peak near 10 MB
+        # a machine of 1 MiB: the factor table to 10^6 and a pass over its
+        # cores would peak near 3.4 MB
         allocations = []
-        monkeypatch.setattr(arith, "physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(arith, "physical_memory", lambda: 2**20)
+        monkeypatch.setattr(_kernels, "odd_lpf_table", lambda limit: allocations.append(limit))
         monkeypatch.setattr(_kernels, "build_spf", lambda limit: allocations.append(limit))
         assert main(["count", "--max-disc", "1e12"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -1361,8 +1369,13 @@ class TestImport:
             (["classify", "--gens", "4", "5"], EXIT_USAGE),
             (["--help"], EXIT_OK),
             (["count", "--max-disc", "abc"], EXIT_USAGE),
+            (["count", "--max-disc", "1e30"], EXIT_USAGE),
+            (["compare", "--checkpoints", "1e19"], EXIT_USAGE),
         ],
-        ids=["classify-triple", "classify-gens-json", "classify-invalid", "help", "bad-bound"],
+        ids=[
+            "classify-triple", "classify-gens-json", "classify-invalid", "help", "bad-bound",
+            "count-beyond-int64", "compare-beyond-int64",
+        ],
     )
     def test_scalar_commands_load_no_array_module(self, argv, code):
         # numpy and the modules built on it are imported by the commands

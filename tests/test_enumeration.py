@@ -128,11 +128,9 @@ class TestConsistency:
         # the layout check 6 of verify reads: block 0 is the kernel's
         # records of the part, and block k their moves by _S3[k], with the
         # signs of all three components flipped when the first is negative
-        sieve = build_sieve(2000)
-        slabs = _kernels._core_slabs(2000, sieve.smallest_prime_factor, sieve.mobius)
-        records = _kernels.enumerate_block(
-            slabs, 8 * 2000, sieve.smallest_prime_factor, True, part, 2
-        )[2]
+        table = _kernels.odd_lpf_table(2000)
+        slabs = _kernels._core_slabs(2000, table)
+        records = _kernels.enumerate_block(slabs, 8 * 2000, table, True, part, 2)[2]
         records = records[np.abs(records[:, 0] * records[:, 1] * records[:, 2]) <= 2000]
         rows = tuple_records(2000, part, 2)
         assert len(rows) == 6 * len(records) > 0

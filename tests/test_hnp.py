@@ -18,7 +18,7 @@ import pytest
 
 from _reference_enumeration import iter_valid_triples
 from _reference_fields import kronecker, quadratic_discriminant
-from biquad_hnp import arith, hnp
+from biquad_hnp import _kernels, arith, hnp
 from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, prime_factors
 from biquad_hnp.enumeration import invalid_rows, splitting_witnesses, tuple_records
 from biquad_hnp.fields import InvalidFieldError, _check, field_values
@@ -247,19 +247,19 @@ class TestSplittingWitnesses:
         sieve = build_sieve(2000)
         triples = list(iter_valid_triples(2000))
         assert len(triples) == 64140
-        got = splitting_witnesses(*self._columns(triples), sieve)
+        got = splitting_witnesses(*self._columns(triples), _kernels.odd_lpf_table(2000))
         want = [_witness(*t, sieve) for t in triples]
         assert got.tolist() == want
         assert 0 < np.count_nonzero(got == 0) < len(got)
 
     def test_empty(self):
         m, a1, b1, discs = self._columns([(1, -1, 3)])
-        got = splitting_witnesses(m[:0], a1[:0], b1[:0], discs[:0], build_sieve(10))
+        got = splitting_witnesses(m[:0], a1[:0], b1[:0], discs[:0], _kernels.odd_lpf_table(10))
         assert got.shape == (0,)
 
     def test_sieve_must_cover_the_fields(self):
         with pytest.raises(ValueError, match="sieve"):
-            splitting_witnesses(*self._columns([(1, 13, 17)]), build_sieve(100))
+            splitting_witnesses(*self._columns([(1, 13, 17)]), _kernels.odd_lpf_table(100))
 
 
 def _kernel_fails(m, a1, b1):

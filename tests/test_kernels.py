@@ -40,13 +40,12 @@ def _ordered_rows(records):
 
 
 def _kernel_args(X):
-    """(slabs, root, spf): the core slabs and the root of a kernel call
-    to disc X, and the sieve table it reads; the slabs are a list, so
+    """(slabs, root, table): the core slabs and the root of a kernel call
+    to disc X, and the factor table it reads; the slabs are a list, so
     that several calls can read them."""
     root = math.isqrt(X)
-    sieve = build_sieve(root)
-    spf = sieve.smallest_prime_factor
-    return list(_kernels._core_slabs(root, spf, sieve.mobius)), root, spf
+    table = _kernels.odd_lpf_table(root)
+    return list(_kernels._core_slabs(root, table)), root, table
 
 
 def _reference_block(X):
@@ -145,7 +144,7 @@ def test_odd_cores_are_grouped_by_omega(limit, monkeypatch):
     monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
     monkeypatch.setattr(_kernels, "SLAB", 8)
     sieve = build_sieve(10**4)
-    slabs = list(_kernels._core_slabs(limit, sieve.smallest_prime_factor, sieve.mobius))
+    slabs = list(_kernels._core_slabs(limit, _kernels.odd_lpf_table(10**4)))
     cores = [n for slab, _ in slabs for n in slab.tolist()]
     want = [n for n in range(1, limit + 1, 2) if sieve.mobius[n] != 0]
     assert sorted(cores) == want
@@ -155,6 +154,26 @@ def test_odd_cores_are_grouped_by_omega(limit, monkeypatch):
         assert all(len(sieve.factor(n)) == w for n in slab.tolist())
         lengths.setdefault(w, []).append(len(slab))
     assert all(set(each[:-1]) <= {8} for each in lengths.values())
+
+
+@pytest.mark.parametrize(
+    "limit, window",
+    [*((limit, None) for limit in (1, 2, 3, 10, 10**3, 10**5, 10**6, 3 * 10**6 + 7)),
+     *((limit, 64) for limit in (1, 2, 3, 10, 10**3, 10**5))],
+)
+def test_core_slabs_through_the_table_are_the_sieve_slabs(limit, window, monkeypatch):
+    # the same slabs, in the same order, as the stream that read the cores
+    # off a full sieve; windows of 64 odd n carry cores over many windows
+    if window is not None:
+        monkeypatch.setattr(_kernels, "CORE_WINDOW", window)
+    sieve = build_sieve(limit)
+    want = list(reference.core_slabs(limit, sieve.smallest_prime_factor, sieve.mobius))
+    got = list(_kernels._core_slabs(limit, _kernels.odd_lpf_table(limit)))
+    assert [w for _, w in got] == [w for _, w in want]
+    assert all(
+        n.dtype == m.dtype == np.int64 and np.array_equal(n, m)
+        for (n, _), (m, _) in zip(got, want)
+    )
 
 
 def test_enumerate_block_without_collect_returns_no_records():
@@ -167,11 +186,11 @@ def _core_mismatches(cores, X):
     """The cores whose (fields, failures) to disc X differ between
     enumerate_block on the one-core slab and the scalar oracle."""
     root = math.isqrt(X)
-    spf = build_sieve(root).smallest_prime_factor
+    table = _kernels.odd_lpf_table(root)
     bad = []
     for n in cores:
         total, fails, _ = _kernels.enumerate_block(
-            [(np.array([n]), len(prime_factors(n)))], root, spf, False
+            [(np.array([n]), len(prime_factors(n)))], root, table, False
         )
         assert total.sum() % 6 == fails.sum() % 6 == 0
         if (total.sum() // 6, fails.sum() // 6) != core_fields(n, X):
