@@ -2,7 +2,7 @@
 
 Library surface:
 
-* :mod:`biquad_hnp.arith` - factor sieves, trial division
+* :mod:`biquad_hnp.arith` - prime factors by table or trial division
 * :mod:`biquad_hnp.fields` - checks of (m, a1, b1) triples, subfield discriminants
 * :mod:`biquad_hnp.hnp` - ``oracle_row``, the splitting-criterion norm-principle oracle
 * :mod:`biquad_hnp.enumeration` - bounded-discriminant enumeration
@@ -14,17 +14,14 @@ Library surface:
 it, on first access.
 """
 
-from .arith import FactorSieve, build_sieve
 from .fields import InvalidFieldError, field_values, from_generators
 from .hnp import oracle_row
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactorSieve",
     "InvalidFieldError",
     "CountReport",
-    "build_sieve",
     "from_generators",
     "field_values",
     "oracle_row",

@@ -47,9 +47,8 @@ hold disc = (c * 2^[even] * n)^2); the sieve limit sqrt(X) then stays
 below 2^32, so every odd composite n up to it has a prime factor below
 2^16.  The cores and their primes are read from one table of those
 factors, ``odd_lpf_table``: uint16, one entry per odd n, so one byte per
-n up to sqrt(X).  ``build_spf`` and ``build_mobius`` build the scalar
-oracles' ``arith.FactorSieve``; a count uses them only for the Mobius
-values to X^(1/4) of ``odd_squarefree_count``.
+n up to sqrt(X).  It is the one factor table: the scalar oracle
+``hnp.oracle_row`` reads it too, through ``arith.prime_factors``.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ USING_NUMBA = False
 CLASS_SPACE = 4 * 4 * 64
 
 SLAB = 2048  # cores per slab in enumerate_block
-MOBIUS_RANGE = 1 << 18  # largest range of n per step of build_mobius
 CORE_WINDOW = 1 << 16  # odd n per window of _core_slabs
 
 
@@ -112,49 +110,17 @@ def odd_squarefree_count(y: int) -> int:
     """Q(y): the odd squarefree n <= y, 1 included, for y >= 0.
 
     Q(y) = sum over odd d <= sqrt(y) of mu(d) ((y // d^2 + 1) // 2), the odd
-    multiples of d^2 counted with mu(d); mu comes from a sieve to sqrt(y).
+    multiples of d^2 counted with mu(d).  mu of the odd d comes from one
+    pass over the odd primes p <= sqrt(y): each flips the sign at the odd
+    multiples of p and zeroes it at those of p^2.
     """
     r = math.isqrt(y)
-    mob = build_mobius(build_spf(max(r, 1)))[1 : r + 1 : 2]
+    mob = np.ones((r + 1) // 2, dtype=np.int64)  # entry (d - 1) // 2 for odd d
+    for p in primes_up_to(r)[1:].tolist():
+        mob[p >> 1 :: p] *= -1
+        mob[p * p >> 1 :: p * p] = 0
     d = np.arange(1, r + 1, 2, dtype=np.int64)
     return int(mob @ ((y // (d * d) + 1) // 2))
-
-
-def build_spf(limit: int) -> np.ndarray:
-    """Least-prime-factor table for 0..limit as uint32 (entries 0 and 1
-    are 0 and 1), for 1 <= limit < 2^32.
-
-    The table starts as n at index n.  Each prime p <= sqrt(limit), the
-    largest first, overwrites the multiples from p^2 on with p, so the
-    last write to a composite is its least prime factor and each prime
-    keeps itself.
-    """
-    if not 1 <= limit < 2**32:
-        raise ValueError(f"sieve limit must lie in [1, 2^32), got {limit}")
-    spf = np.arange(limit + 1, dtype=np.uint32)
-    for p in primes_up_to(math.isqrt(limit))[::-1].tolist():
-        spf[p * p :: p] = p
-    return spf
-
-
-def build_mobius(spf: np.ndarray) -> np.ndarray:
-    """Mobius values 0..limit, for the range of a least-prime-factor table.
-
-    With p = spf[n], mu(n) = 0 when p divides n / p and -mu(n / p)
-    otherwise.  The recurrence runs over the ranges [lo, min(2 lo, lo +
-    MOBIUS_RANGE)), whose n / p < lo are all set, so the work arrays hold
-    one range, not every n.
-    """
-    mob = np.empty(spf.shape[0], dtype=np.int8)
-    mob[:2] = (0, 1)
-    lo = 2
-    while lo < len(mob):
-        hi = min(2 * lo, lo + MOBIUS_RANGE, len(mob))
-        p = spf[lo:hi]
-        rest = np.arange(lo, hi) // p
-        mob[lo:hi] = np.where(rest % p == 0, 0, -mob[rest])
-        lo = hi
-    return mob
 
 
 def jacobi_array(a, n) -> np.ndarray:

@@ -69,8 +69,7 @@ def _primes_up_to(limit: int) -> np.ndarray:
     """_kernels.primes_up_to(limit), or MemoryError, raised before
     anything is allocated, when the products over the primes to limit
     would need more than the physical memory."""
-    if PRIME_BYTES_PER_N * (limit + 1) > arith.physical_memory():
-        raise MemoryError(f"the primes to {limit} need more than the physical memory")
+    arith.refuse_beyond_memory(PRIME_BYTES_PER_N, limit, "the primes")
     return _kernels.primes_up_to(limit)
 
 

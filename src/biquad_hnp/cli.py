@@ -28,7 +28,7 @@ from contextlib import AbstractContextManager, nullcontext
 from decimal import Decimal, InvalidOperation
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from .arith import DEFAULT_PRIME_LIMIT, MAX_DISC_EXCLUSIVE, build_sieve
+from .arith import DEFAULT_PRIME_LIMIT, MAX_DISC_EXCLUSIVE
 from .fields import InvalidFieldError, from_generators
 from .hnp import FAILS, HOLDS, oracle_row
 
@@ -286,9 +286,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def _audit(bound: int) -> tuple[int, int]:
     """(fields, mismatches) of the scalar oracle hnp.oracle_row against
-    columns 3-11 of enumerate_fields(bound), on a sieve to isqrt(bound),
-    which covers |m a1 b1| = sqrt(disc) / c.  This is both the audit of
-    count --audit-bound and check 5 of verify.
+    columns 3-11 of enumerate_fields(bound), on a factor table to
+    isqrt(bound), which covers |m a1 b1| = sqrt(disc) / c.  This is both
+    the audit of count --audit-bound and check 5 of verify.
 
     enumeration.fork_parts runs the parts in two processes when two CPUs
     are usable; part p of parts checks the sink's chunks p, p + parts,
@@ -299,7 +299,7 @@ def _audit(bound: int) -> tuple[int, int]:
 
     chunks: list[np.ndarray] = []
     enumeration.enumerate_fields(bound, sink=chunks.append)
-    sieve = build_sieve(math.isqrt(bound))
+    table = enumeration._factor_table(math.isqrt(bound))
 
     def work(part: int, parts: int) -> tuple[int, int]:
         seen = bad = 0
@@ -310,7 +310,7 @@ def _audit(bound: int) -> tuple[int, int]:
             seen += len(block[0])
             for m, a1, b1, values in zip(*block[:3], zip(*block[3:])):
                 try:
-                    bad += oracle_row(m, a1, b1, sieve) != values
+                    bad += oracle_row(m, a1, b1, table) != values
                 except InvalidFieldError:
                     bad += 1
         return seen, bad
@@ -366,7 +366,7 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         passed,
     )
 
-    sieve = build_sieve(EQUIVALENCE_SWEEP_BOUND)
+    table = enumeration._factor_table(EQUIVALENCE_SWEEP_BOUND)
 
     def sweep(part: int, parts: int) -> tuple[int, int]:
         """(rows, disagreements) of the kernel's verdicts, column 5 of the
@@ -388,7 +388,7 @@ def _verify_checks() -> list[tuple[str, str, str, bool, float]]:
         verdicts = []  # the oracle's fails of each record, -1 where it raised
         for record in rows[: len(rows) // 6, :3].tolist():
             try:
-                verdicts.append(oracle_row(*record, sieve)[8] == 0)
+                verdicts.append(oracle_row(*record, table)[8] == 0)
             except InvalidFieldError:
                 verdicts.append(-1)
         bad |= np.array(verdicts, dtype=np.int64) != rows[:, 5].reshape(6, -1)

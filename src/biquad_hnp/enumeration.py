@@ -272,8 +272,7 @@ def _factor_table(limit: int) -> np.ndarray:
     """_kernels.odd_lpf_table(limit), refused with MemoryError before
     anything is allocated when TABLE_BYTES_PER_N per n exceed physical
     memory."""
-    if TABLE_BYTES_PER_N * (limit + 1) > arith.physical_memory():
-        raise MemoryError(f"a factor table to {limit} needs more than the physical memory")
+    arith.refuse_beyond_memory(TABLE_BYTES_PER_N, limit, "a factor table")
     return _kernels.odd_lpf_table(limit)
 
 

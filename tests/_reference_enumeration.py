@@ -9,7 +9,7 @@ independent of the kernel, which the tests pin against them.
 import math
 from typing import Iterator
 
-from biquad_hnp.arith import build_sieve
+from _reference_kernel import full_sieve
 from biquad_hnp.hnp import oracle_row
 
 
@@ -25,8 +25,7 @@ def count_by_generator_pairs(X: int) -> tuple[int, int]:
     if X < 1:
         raise ValueError(f"discriminant bound must be >= 1, got {X}")
     root = math.isqrt(X)
-    sieve = build_sieve(max(root, 1))
-    squarefree = sieve.mobius != 0
+    squarefree = full_sieve(max(root, 1))[1] != 0
     seen: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for a in range(-root, root + 1):
         if a in (0, 1) or not squarefree[abs(a)]:
@@ -49,7 +48,7 @@ def count_by_generator_pairs(X: int) -> tuple[int, int]:
             seen.setdefault((d[0], d[1], d[2]), (m, a1, b1))
     failing = 0
     for m, a1, b1 in seen.values():
-        if oracle_row(m, a1, b1, sieve)[8] == 0:
+        if oracle_row(m, a1, b1)[8] == 0:
             failing += 1
     return len(seen), failing
 
@@ -59,8 +58,7 @@ def iter_valid_triples(max_abs_product: int) -> Iterator[tuple[int, int, int]]:
     sign pattern."""
     if max_abs_product < 1:
         return
-    sieve = build_sieve(max_abs_product)
-    squarefree = sieve.mobius != 0
+    squarefree = full_sieve(max_abs_product)[1] != 0
     for m in range(1, max_abs_product + 1):
         if not squarefree[m]:
             continue

@@ -8,14 +8,64 @@ placement of the factor 2 and every sign pair, and decides each admitted
 tuple with the congruence-and-symbol failure test.
 
 ``core_slabs`` is the kernel's earlier core stream, which read the cores
-off a full sieve (least prime factors and Mobius values to the limit);
-the stream through ``_kernels.odd_lpf_table`` must yield the same slabs.
+off a full sieve (least prime factors and Mobius values to the limit,
+``full_sieve``); the stream through ``_kernels.odd_lpf_table`` must yield
+the same slabs.  ``build_spf`` and ``build_mobius`` build the full sieve
+for the references here and in the other tests, which hold them to trial
+division and to the divisor sums of mu.
 """
+
+import math
 
 import numpy as np
 
 from biquad_hnp import _kernels
 from biquad_hnp._kernels import CLASS_SPACE
+
+MOBIUS_RANGE = 1 << 18  # largest range of n per step of build_mobius
+
+
+def build_spf(limit: int) -> np.ndarray:
+    """Least-prime-factor table for 0..limit as uint32 (entries 0 and 1
+    are 0 and 1), for 1 <= limit < 2^32.
+
+    The table starts as n at index n.  Each prime p <= sqrt(limit), the
+    largest first, overwrites the multiples from p^2 on with p, so the
+    last write to a composite is its least prime factor and each prime
+    keeps itself.
+    """
+    if not 1 <= limit < 2**32:
+        raise ValueError(f"sieve limit must lie in [1, 2^32), got {limit}")
+    spf = np.arange(limit + 1, dtype=np.uint32)
+    for p in _kernels.primes_up_to(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
+    return spf
+
+
+def build_mobius(spf: np.ndarray) -> np.ndarray:
+    """Mobius values 0..limit, for the range of a least-prime-factor table.
+
+    With p = spf[n], mu(n) = 0 when p divides n / p and -mu(n / p)
+    otherwise.  The recurrence runs over the ranges [lo, min(2 lo, lo +
+    MOBIUS_RANGE)), whose n / p < lo are all set, so the work arrays hold
+    one range, not every n.
+    """
+    mob = np.empty(spf.shape[0], dtype=np.int8)
+    mob[:2] = (0, 1)
+    lo = 2
+    while lo < len(mob):
+        hi = min(2 * lo, lo + MOBIUS_RANGE, len(mob))
+        p = spf[lo:hi]
+        rest = np.arange(lo, hi) // p
+        mob[lo:hi] = np.where(rest % p == 0, 0, -mob[rest])
+        lo = hi
+    return mob
+
+
+def full_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(spf, mobius): build_spf(limit) and the Mobius values read off it."""
+    spf = build_spf(limit)
+    return spf, build_mobius(spf)
 
 
 def jacobi_i64(a, n):

@@ -34,8 +34,7 @@ import pytest
 from _kernel_records import field_records, kernel_rows
 from _reference_enumeration import count_by_generator_pairs, iter_valid_triples
 from _reference_fields import canonical_key
-from biquad_hnp import asymptotics, enumeration
-from biquad_hnp.arith import build_sieve
+from biquad_hnp import _kernels, asymptotics, enumeration
 from biquad_hnp.fields import field_values
 from biquad_hnp.hnp import oracle_row
 
@@ -96,7 +95,7 @@ def test_criterion_3_exact_cancellation():
 def test_criterion_4_classifier_equivalence():
     with _criterion(4, "kernel verdict = splitting oracle to |m a1 b1| <= 2000"):
         bound = 2000
-        sieve = build_sieve(bound)
+        table = _kernels.odd_lpf_table(bound)
         verdicts = {}
         for m, a1, b1, _, _, fails in enumeration.tuple_records(bound).tolist():
             assert (m, a1, b1) not in verdicts
@@ -106,7 +105,7 @@ def test_criterion_4_classifier_equivalence():
         checked = 0
         for t in triples:
             checked += 1
-            assert (oracle_row(*t, sieve)[8] == 0) == verdicts[t], t
+            assert (oracle_row(*t, table)[8] == 0) == verdicts[t], t
         assert checked == 64140  # tens of thousands of cases, all sign patterns
 
 

@@ -1,4 +1,5 @@
-"""Tests for sieves, trial division and the reference residue symbols.
+"""Tests for the factor table, trial division and the reference sieves
+and residue symbols.
 
 The Jacobi reference in _reference_fields is checked against Euler's criterion (an
 independent oracle) and against its defining properties: periodicity,
@@ -18,13 +19,9 @@ import pytest
 
 from _reference_classes import reciprocity_exponent
 from _reference_fields import jacobi, kronecker
-from biquad_hnp import _kernels, enumeration
-from biquad_hnp.arith import (
-    SIEVE_BYTES_PER_N,
-    build_sieve,
-    is_squarefree,
-    prime_factors,
-)
+from _reference_kernel import build_spf, full_sieve
+from biquad_hnp import _kernels, arith, enumeration
+from biquad_hnp.arith import is_squarefree, prime_factors
 
 
 def trial_division_spf(limit: int) -> np.ndarray:
@@ -51,33 +48,35 @@ def legendre_euler(a: int, p: int) -> int:
 
 
 class TestSieve:
+    """The factor table of src, and the reference full sieve of
+    _reference_kernel (build_spf, build_mobius)."""
+
     def test_mobius_small(self):
         # direct factorization of each n <= 10
-        assert list(build_sieve(10).mobius[1:]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+        assert list(full_sieve(10)[1][1:]) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
     def test_mobius_limit_one(self):
-        assert build_sieve(1).mobius[1] == 1
+        assert full_sieve(1)[1][1] == 1
 
     def test_spf_91(self):
-        assert build_sieve(100).smallest_prime_factor[91] == 7  # 91 = 7 * 13
+        assert build_spf(100)[91] == 7  # 91 = 7 * 13
 
     def test_spf_fixes_primes(self):
-        sieve = build_sieve(1000)
-        spf = sieve.smallest_prime_factor
+        spf = build_spf(1000)
         for p in (2, 3, 5, 7, 97, 541, 997):
             assert spf[p] == p
 
     def test_mobius_squarefree_sign(self):
-        sieve = build_sieve(10_000)
+        _, mob = full_sieve(10_000)
         for n in (30, 105, 2310, 9699):
-            assert sieve.mobius[n] == (-1) ** len(prime_factors(n))
+            assert mob[n] == (-1) ** len(prime_factors(n))
         for n in (4, 12, 9801, 9000):
-            assert sieve.mobius[n] == 0
+            assert mob[n] == 0
 
     def test_mobius_divisor_sums_vanish(self):
         # sum_{d | n} mu(d) = 0 for n >= 2, which with mu(1) = 1 determines mu
         for limit in (10_000, 10**6):
-            mob = build_sieve(limit).mobius
+            _, mob = full_sieve(limit)
             acc = np.zeros(limit + 1, dtype=np.int64)
             for d in np.flatnonzero(mob).tolist():
                 acc[d::d] += mob[d]
@@ -87,7 +86,7 @@ class TestSieve:
     def test_spf_is_least_prime_factor(self):
         # spf[n] is a prime dividing n and no prime of n / spf[n] is smaller
         limit = 10**6
-        spf = build_sieve(limit).smallest_prime_factor
+        spf = build_spf(limit)
         n = np.arange(2, limit + 1)
         p = spf[2:]
         assert np.array_equal(n[p == n], _kernels.primes_up_to(limit))
@@ -100,10 +99,10 @@ class TestSieve:
         # limits 1..1200 include p^2 and p^2 +- 1 for every prime p <= 31
         want = trial_division_spf(1200).tolist()
         for limit in range(1, 1201):
-            assert _kernels.build_spf(limit).tolist() == want[: limit + 1], limit
+            assert build_spf(limit).tolist() == want[: limit + 1], limit
 
     def test_spf_table_is_uint32_and_trial_division_at_1e6(self):
-        spf = _kernels.build_spf(10**6)
+        spf = build_spf(10**6)
         assert spf.dtype == np.uint32
         assert np.array_equal(spf, trial_division_spf(10**6))
 
@@ -119,7 +118,7 @@ class TestSieve:
     def test_odd_table_is_the_spf_table_at_every_odd_n_to_1e6(self):
         limit = 10**6
         table = _kernels.odd_lpf_table(limit)
-        spf = _kernels.build_spf(limit)[1::2]
+        spf = trial_division_spf(limit)[1::2]
         n = np.arange(1, limit + 1, 2, dtype=np.int64)
         assert table.dtype == np.uint16 and len(table) == len(n)
         composite = spf != n  # spf[1] = 1
@@ -134,11 +133,22 @@ class TestSieve:
             _kernels.odd_lpf_table(2**32)
 
     def test_odd_squarefree_count_is_the_sieve_count(self):
-        # Q(y), the odd squarefree n <= y, from mu to sqrt(y) only
+        # Q(y), the odd squarefree n <= y, from mu to sqrt(y) only, against
+        # the cores that the core stream reads off the factor table to y
         assert _kernels.odd_squarefree_count(0) == 0
         for y in [*range(1, 3001), 10**6, 10**7]:
-            want = np.count_nonzero(build_sieve(y).mobius[1::2])
+            slabs = _kernels._core_slabs(y, _kernels.odd_lpf_table(y))
+            want = sum(len(n) for n, _ in slabs)
             assert _kernels.odd_squarefree_count(y) == want, y
+
+    def test_odd_squarefree_count_takes_the_reference_mobius_values(self):
+        # the same sum with mu from the reference full sieve, to y = 2^32 - 1
+        # (every odd d <= 65,535): the pass over the primes gives each mu
+        for y in (3 * 10**9, 2**32 - 1, 10**10):
+            r = math.isqrt(y)
+            mob = full_sieve(r)[1][1::2].astype(np.int64)
+            d = np.arange(1, r + 1, 2, dtype=np.int64)
+            assert _kernels.odd_squarefree_count(y) == int(mob @ ((y // (d * d) + 1) // 2)), y
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 48, 49, 50, 1200, 10**6])
     def test_primes_are_int64_and_trial_division(self, limit):
@@ -160,27 +170,16 @@ class TestSieve:
             tracemalloc.stop()
         assert peak < limit + 12 * len(primes)
 
-    def test_spf_limit_2_to_the_32_is_refused_unallocated(self, monkeypatch):
-        # with numpy out of reach, an allocation would raise AttributeError
-        monkeypatch.setattr(_kernels, "np", None)
-        with pytest.raises(ValueError):
-            _kernels.build_spf(2**32)
-
     def test_count_sieve_limits_fit_uint32(self):
-        # count sieves to isqrt(X) for X < MAX_DISC_EXCLUSIVE; a larger
-        # bound must fail here rather than wrap the uint32 table
+        # count's factor table reaches isqrt(X) for X < MAX_DISC_EXCLUSIVE,
+        # below the 2^32 that odd_lpf_table refuses, so that every odd
+        # composite n it covers has its least prime factor below 2^16, in
+        # uint16, and t stays in uint32 in _core_slabs
         assert math.isqrt(enumeration.MAX_DISC_EXCLUSIVE - 1) < 2**32
-
-    def test_factor(self):
-        sieve = build_sieve(1000)
-        assert sieve.factor(1) == []
-        assert sieve.factor(360) == [2, 3, 5]
-        with pytest.raises(ValueError):
-            sieve.factor(1001)
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):
-            build_sieve(0)
+            _kernels.odd_lpf_table(0)
 
     @staticmethod
     def _peak_growth(setup: str) -> int:
@@ -216,11 +215,6 @@ class TestSieve:
         )
         assert grown <= enumeration.TABLE_BYTES_PER_N * (limit + 1)
 
-    def test_sieve_peak_is_within_its_refusal_bound(self):
-        # the same for the scalar oracles' sieve, which build_sieve refuses by
-        limit = 4 * 10**6
-        grown = self._peak_growth(f"from biquad_hnp.arith import build_sieve; build_sieve({limit})")
-        assert grown <= SIEVE_BYTES_PER_N * (limit + 1)
 
 
 class TestJacobi:
@@ -245,12 +239,7 @@ class TestJacobi:
 
     def test_euler_criterion_random_full_range(self):
         rng = random.Random(20260810)
-        sieve = build_sieve(10_000)
-        primes = [
-            p
-            for p in range(3, 10_001, 2)
-            if sieve.smallest_prime_factor[p] == p
-        ]
+        primes = _kernels.primes_up_to(10_000)[1:].tolist()
         for _ in range(20_000):
             p = rng.choice(primes)
             a = rng.randint(-10_000, 10_000)
@@ -339,7 +328,7 @@ class TestSquarefree:
         assert not is_squarefree(49)
 
     def test_against_sieve(self):
-        mob = build_sieve(3000).mobius
+        _, mob = full_sieve(3000)
         for n in range(1, 3001):
             assert is_squarefree(n) == (mob[n] != 0)
 
@@ -351,10 +340,20 @@ class TestPrimeFactors:
         assert prime_factors(97) == [97]
 
     def test_sieve_path_matches(self):
-        sieve = build_sieve(500)
-        for n in range(1, 501):
-            assert prime_factors(n, sieve) == prime_factors(n)
+        # a table to 500 covers the odd part of every even n <= 1000 and
+        # the odd n <= 499; the odd n above are trial-divided
+        table = _kernels.odd_lpf_table(500)
+        for n in range(1, 1001):
+            assert prime_factors(n, table) == prime_factors(n), n
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             prime_factors(0)
+
+
+class TestMemoryBound:
+    def test_refuses_beyond_physical_memory_only(self, monkeypatch):
+        monkeypatch.setattr(arith, "physical_memory", lambda: 2000)
+        arith.refuse_beyond_memory(2, 999, "a table")  # exactly the memory
+        with pytest.raises(MemoryError, match="a table to 1000 "):
+            arith.refuse_beyond_memory(2, 1000, "a table")

@@ -85,8 +85,8 @@ def flipped_at_48841(oracle):
     flipped on the field of disc 48841, (1, 13, 17) and its moves, which
     fails: witness 13 in place of 0."""
 
-    def flipped(m, a1, b1, sieve=None):
-        *values, witness = oracle(m, a1, b1, sieve)
+    def flipped(m, a1, b1, table=None):
+        *values, witness = oracle(m, a1, b1, table)
         if values[7] == 48841:
             witness = 0 if witness else 13
         return (*values, witness)
@@ -380,10 +380,10 @@ class TestCount:
             raise AssertionError(f"a sieve to {limit} was requested")
 
         # the bound must be refused before any sieve or factor table is
-        # allocated: the audit's sieve, the count's table and the sieve of
-        # its count of cores (build_spf, which every sieve calls)
-        monkeypatch.setattr(cli, "build_sieve", no_sieve)
-        monkeypatch.setattr(_kernels, "build_spf", no_sieve)
+        # allocated: the factor table of the count and of the audit, and
+        # the primes of its count of cores (primes_up_to, which every sieve
+        # calls)
+        monkeypatch.setattr(_kernels, "primes_up_to", no_sieve)
         monkeypatch.setattr(_kernels, "odd_lpf_table", no_sieve)
         assert main(["count", "--max-disc", bound]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -452,7 +452,7 @@ class TestCount:
         allocations = []
         monkeypatch.setattr(arith, "physical_memory", lambda: 2**20)
         monkeypatch.setattr(_kernels, "odd_lpf_table", lambda limit: allocations.append(limit))
-        monkeypatch.setattr(_kernels, "build_spf", lambda limit: allocations.append(limit))
+        monkeypatch.setattr(_kernels, "primes_up_to", lambda limit: allocations.append(limit))
         assert main(["count", "--max-disc", "1e12"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert allocations == []
@@ -492,7 +492,7 @@ class TestClassify:
         assert payload["kernels"] == [13, 17, 221]
 
     def test_field_data_is_derived_once(self, monkeypatch, capsys):
-        # classify asks the oracle once, with no sieve, and prints its nine
+        # classify asks the oracle once, with no table, and prints its nine
         # values and the verdict they give: c = 1 failing, c = 4 and c = 8
         calls = []
         true_oracle = cli.oracle_row
@@ -1188,9 +1188,9 @@ class TestVerify:
         true_oracle = cli.oracle_row
         asked = []
 
-        def counted(m, a1, b1, sieve=None):
+        def counted(m, a1, b1, table=None):
             asked.append(tuple(sorted((m * a1, m * b1, a1 * b1))))
-            return true_oracle(m, a1, b1, sieve)
+            return true_oracle(m, a1, b1, table)
 
         monkeypatch.setattr(cli, "oracle_row", counted)
         monkeypatch.setattr(enumeration, "enumerate_fields", lambda X, sink=None: None)
@@ -1203,17 +1203,17 @@ class TestVerify:
     def test_oracle_that_raises_is_a_disagreement(self, capfd, monkeypatch, request, path):
         # an oracle that rejects the kernel set of disc 48841 in check 6's
         # sweep fails check 6 on the set's six tuples, without a traceback;
-        # check 5, on another sieve, sees the true oracle
+        # check 5, on another factor table, sees the true oracle
         from biquad_hnp.fields import InvalidFieldError
 
         request.getfixturevalue(path)
         true_oracle = cli.oracle_row
 
-        def rejecting(m, a1, b1, sieve=None):
-            sweep = sieve.limit == cli.EQUIVALENCE_SWEEP_BOUND
+        def rejecting(m, a1, b1, table=None):
+            sweep = len(table) == (cli.EQUIVALENCE_SWEEP_BOUND + 1) // 2
             if sweep and sorted((m * a1, m * b1, a1 * b1)) == [13, 17, 221]:
                 raise InvalidFieldError(f"{(m, a1, b1)} rejected")
-            return true_oracle(m, a1, b1, sieve)
+            return true_oracle(m, a1, b1, table)
 
         monkeypatch.setattr(cli, "oracle_row", rejecting)
         assert main(["verify"]) == EXIT_VERIFY_FAILED

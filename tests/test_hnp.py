@@ -19,14 +19,14 @@ import pytest
 from _reference_enumeration import iter_valid_triples
 from _reference_fields import kronecker, quadratic_discriminant
 from biquad_hnp import _kernels, arith, hnp
-from biquad_hnp.arith import FactorSieve, build_sieve, is_squarefree, prime_factors
+from biquad_hnp.arith import is_squarefree, prime_factors
 from biquad_hnp.enumeration import invalid_rows, splitting_witnesses, tuple_records
 from biquad_hnp.fields import InvalidFieldError, _check, field_values
 from biquad_hnp.hnp import FAILS, HOLDS, oracle_row
 
 
-def _witness(m, a1, b1, sieve=None):
-    return oracle_row(m, a1, b1, sieve)[8]
+def _witness(m, a1, b1, table=None):
+    return oracle_row(m, a1, b1, table)[8]
 
 
 class TestSplittingOracle:
@@ -57,13 +57,13 @@ class TestSplittingOracle:
         assert (HOLDS if _witness(*triple) else FAILS) == verdict
 
     def test_factorization_paths_agree(self):
-        # without a sieve the components are trial-divided; build_sieve(300)
-        # gives the product's ascending list; a sieve below |m a1 b1| sends
-        # the product to the component-wise path, with sieve lookups for the
+        # without a table the components are trial-divided; a table to 300
+        # gives the product's ascending list; a table below |m a1 b1| sends
+        # the product to the component-wise path, with table lookups for the
         # components it covers
-        full, small = build_sieve(300), build_sieve(17)
+        full, small = _kernels.odd_lpf_table(300), _kernels.odd_lpf_table(17)
         triples = tuple_records(300)[:, :3].tolist()
-        beyond = sum(1 for m, a1, b1 in triples if abs(m * a1 * b1) > small.limit)
+        beyond = sum(1 for m, a1, b1 in triples if abs(m * a1 * b1) > 17)
         assert beyond > 0.9 * len(triples) > 1000
         for t in triples:
             want = oracle_row(*t)
@@ -83,11 +83,11 @@ class TestSplittingOracle:
         # verify asks the oracle once per sorted kernel set and reuses the
         # verdict on the set's other ordered triples: each set is one field's
         # six triples, and the oracle gives all six one verdict and witness
-        sieve = build_sieve(2000)
+        table = _kernels.odd_lpf_table(2000)
         groups = defaultdict(list)
         for m, a1, b1 in iter_valid_triples(2000):
             kernels = tuple(sorted((m * a1, m * b1, a1 * b1)))
-            groups[kernels].append(_witness(m, a1, b1, sieve))
+            groups[kernels].append(_witness(m, a1, b1, table))
         assert len(groups) == 10690
         assert all(len(group) == 6 and len(set(group)) == 1 for group in groups.values())
 
@@ -114,9 +114,9 @@ ORACLE_BOX = [
 ]
 
 
-def _oracle_row_or_none(m, a1, b1, sieve):
+def _oracle_row_or_none(m, a1, b1, table):
     try:
-        return oracle_row(m, a1, b1, sieve)
+        return oracle_row(m, a1, b1, table)
     except InvalidFieldError:
         return None
 
@@ -147,10 +147,12 @@ class TestOracleRow:
     @pytest.mark.parametrize("limit", [None, 1728, 104], ids=["no_sieve", "covering", "below"])
     def test_matches_the_named_tuple_oracle(self, limit):
         # the same nine values and the same rejections as the definitions
-        # and checks of _named_row; a sieve to 104 leaves the field (3, 5, 7),
-        # |m a1 b1| = 105, just above it
-        sieve = None if limit is None else build_sieve(limit)
-        rows = [(row, _oracle_row_or_none(*row, sieve)) for row in ORACLE_BOX]
+        # and checks of _named_row; a table to 104 leaves the field (3, 5, 7),
+        # |m a1 b1| = 105, just above it: 105 is the first odd n it misses
+        table = None if limit is None else _kernels.odd_lpf_table(limit)
+        if limit == 104:
+            assert 2 * len(table) + 1 == 105
+        rows = [(row, _oracle_row_or_none(*row, table)) for row in ORACLE_BOX]
         assert [got for _, got in rows] == [_named_row(*row) for row, _ in rows]
         rejected = np.array([got is None for _, got in rows])
         square = [not all(map(is_squarefree, row)) for row in ORACLE_BOX]
@@ -158,16 +160,16 @@ class TestOracleRow:
         assert np.count_nonzero(~rejected) == 810
         assert {got[6] for _, got in rows if got} == {1, 4, 8}
         assert {got[8] == 0 for _, got in rows if got} == {True, False}
-        assert _oracle_row_or_none(3, 5, 7, sieve) is not None
+        assert _oracle_row_or_none(3, 5, 7, table) is not None
 
     def test_matches_the_definition(self):
         # independent of the walk: the witness is the least prime of disc
         # with kronecker(d, p) != 1 for all three discriminants; the rows
         # accepted are the box's fields, with squarefree kernels
-        sieve = build_sieve(104)
+        table = _kernels.odd_lpf_table(104)
         checked = 0
         for row in ORACLE_BOX:
-            got = _oracle_row_or_none(*row, sieve)
+            got = _oracle_row_or_none(*row, table)
             if got is None:
                 continue
             checked += 1
@@ -185,54 +187,47 @@ class TestOracleRow:
 
     @pytest.mark.parametrize("limit", [None, 100, 40], ids=["no_sieve", "covering", "below"])
     def test_non_squarefree_component_raises(self, limit):
-        # 9 * 5 = 45: μ(45) = 0 on a covering sieve, a sieve below 45 and
-        # no sieve all send each component to prime_factors, which finds 9
-        # not squarefree
-        sieve = None if limit is None else build_sieve(limit)
+        # 9 * 5 = 45: the primes 3, 5 of 45 on a covering table fall short
+        # of it, and they, a table below 45 and no table all send each
+        # component to prime_factors, which finds 9 not squarefree
+        table = None if limit is None else _kernels.odd_lpf_table(limit)
         text = "component 9 of FieldTriple(m=1, a1=9, b1=5) is not squarefree"
         with pytest.raises(InvalidFieldError, match=re.escape(text)):
-            oracle_row(1, 9, 5, sieve)
+            oracle_row(1, 9, 5, table)
         with pytest.raises(InvalidFieldError, match="component 4 of"):
-            oracle_row(3, 4, -7, sieve)
+            oracle_row(3, 4, -7, table)
 
     def test_row_beyond_the_sieve_is_trial_divided(self):
-        # no IndexError past the sieve's table: the components of a field
+        # no IndexError past the factor table: the components of a field
         # above the limit are trial-divided
-        sieve = build_sieve(10)
-        assert oracle_row(1, 13, 17, sieve) == oracle_row(1, 13, 17) == (
+        table = _kernels.odd_lpf_table(10)
+        assert oracle_row(1, 13, 17, table) == oracle_row(1, 13, 17) == (
             13, 17, 221, 13, 17, 221, 1, 48841, 0
         )
-        assert oracle_row(1, 11, 13, sieve) == oracle_row(1, 11, 13)
+        assert oracle_row(1, 11, 13, table) == oracle_row(1, 11, 13)
 
     def test_each_component_is_factored_once(self, monkeypatch):
-        # beyond the sieve one prime_factors call per component both tests
+        # beyond the table one prime_factors call per component both tests
         # it squarefree and gives its primes (is_squarefree, too, would be
-        # counted); a covering sieve factors |m a1 b1| once, and not at all
-        # where 2 is the witness
+        # counted); a covering table factors |m a1 b1| once, through the
+        # table, also where 2 is the witness: the primes show whether the
+        # components are squarefree
         calls = []
 
-        def counted(n, sieve=None):
-            calls.append(n)
-            return prime_factors(n, sieve)
+        def counted(n, table=None):
+            calls.append((n, table is not None))
+            return prime_factors(n, table)
 
         monkeypatch.setattr(hnp, "prime_factors", counted)
         monkeypatch.setattr(arith, "prime_factors", counted)
         big = (999999999989, 5, 4999999999945)
         assert oracle_row(1, 999999999989, 5) == (*big, *big, 1, 24999999999450000000003025, 0)
-        assert calls == [1, 999999999989, 5]
-        factored = []
-        true_factor = FactorSieve.factor
-
-        def factor(sieve, n):
-            factored.append(n)
-            return true_factor(sieve, n)
-
-        monkeypatch.setattr(FactorSieve, "factor", factor)
+        assert calls == [(1, False), (999999999989, False), (5, False)]
         calls.clear()
-        sieve = build_sieve(300)
-        assert oracle_row(1, 13, 17, sieve)[8] == 0
-        assert oracle_row(1, -1, 3, sieve)[8] == 2
-        assert (calls, factored) == ([], [221])
+        table = _kernels.odd_lpf_table(300)
+        assert oracle_row(1, 13, 17, table)[8] == 0
+        assert oracle_row(1, -1, 3, table)[8] == 2
+        assert calls == [(221, True), (3, True)]
 
 
 class TestSplittingWitnesses:
@@ -244,11 +239,11 @@ class TestSplittingWitnesses:
 
     def test_matches_scalar_oracle(self):
         # every sign pattern with |m a1 b1| <= 2000, as in the verify sweep
-        sieve = build_sieve(2000)
+        table = _kernels.odd_lpf_table(2000)
         triples = list(iter_valid_triples(2000))
         assert len(triples) == 64140
-        got = splitting_witnesses(*self._columns(triples), _kernels.odd_lpf_table(2000))
-        want = [_witness(*t, sieve) for t in triples]
+        got = splitting_witnesses(*self._columns(triples), table)
+        want = [_witness(*t, table) for t in triples]
         assert got.tolist() == want
         assert 0 < np.count_nonzero(got == 0) < len(got)
 

@@ -26,7 +26,7 @@ import _reference_kernel as reference
 from _reference_cores import core_fields
 from _reference_fields import jacobi
 from biquad_hnp import _kernels
-from biquad_hnp.arith import build_sieve, prime_factors
+from biquad_hnp.arith import is_squarefree, prime_factors
 from biquad_hnp.enumeration import unfold_records
 
 
@@ -51,8 +51,7 @@ def _kernel_args(X):
 def _reference_block(X):
     """The reference kernel's tallies and records to disc X."""
     root = math.isqrt(X)
-    sieve = build_sieve(root)
-    return reference.enumerate_block(1, root, root, sieve.smallest_prime_factor, sieve.mobius, True)
+    return reference.enumerate_block(1, root, root, *reference.full_sieve(root), True)
 
 
 @pytest.mark.parametrize("X", [144, 10**4, 10**6, 10**8])
@@ -143,15 +142,14 @@ def test_odd_cores_are_grouped_by_omega(limit, monkeypatch):
     # of 8 cores, so that the sparser omegas hold cores back over windows
     monkeypatch.setattr(_kernels, "CORE_WINDOW", 64)
     monkeypatch.setattr(_kernels, "SLAB", 8)
-    sieve = build_sieve(10**4)
     slabs = list(_kernels._core_slabs(limit, _kernels.odd_lpf_table(10**4)))
     cores = [n for slab, _ in slabs for n in slab.tolist()]
-    want = [n for n in range(1, limit + 1, 2) if sieve.mobius[n] != 0]
+    want = [n for n in range(1, limit + 1, 2) if is_squarefree(n)]
     assert sorted(cores) == want
     lengths = {}
     for slab, w in slabs:
         assert slab.dtype == np.int64 and 0 < len(slab) <= 8 and np.all(np.diff(slab) > 0)
-        assert all(len(sieve.factor(n)) == w for n in slab.tolist())
+        assert all(len(prime_factors(n)) == w for n in slab.tolist())
         lengths.setdefault(w, []).append(len(slab))
     assert all(set(each[:-1]) <= {8} for each in lengths.values())
 
@@ -166,8 +164,7 @@ def test_core_slabs_through_the_table_are_the_sieve_slabs(limit, window, monkeyp
     # off a full sieve; windows of 64 odd n carry cores over many windows
     if window is not None:
         monkeypatch.setattr(_kernels, "CORE_WINDOW", window)
-    sieve = build_sieve(limit)
-    want = list(reference.core_slabs(limit, sieve.smallest_prime_factor, sieve.mobius))
+    want = list(reference.core_slabs(limit, *reference.full_sieve(limit)))
     got = list(_kernels._core_slabs(limit, _kernels.odd_lpf_table(limit)))
     assert [w for _, w in got] == [w for _, w in want]
     assert all(
@@ -199,15 +196,14 @@ def _core_mismatches(cores, X):
 
 
 def test_core_oracle_counts_to_1e6():
-    mobius = build_sieve(1000).mobius
-    cores = [n for n in range(1, 1001, 2) if mobius[n] != 0]
+    cores = [n for n in range(1, 1001, 2) if is_squarefree(n)]
     assert tuple(map(sum, zip(*(core_fields(n, 10**6) for n in cores)))) == (1014, 119)
     assert _core_mismatches(cores, 10**6) == []
 
 
 def _random_cores_1e12():
     """200 seeded odd squarefree cores up to sqrt(1e12)."""
-    mobius = build_sieve(10**6).mobius
+    _, mobius = reference.full_sieve(10**6)
     cores = (np.flatnonzero(mobius[1::2]) * 2 + 1).tolist()
     return sorted(random.Random(12).sample(cores, 200))
 
@@ -251,8 +247,7 @@ def _euler_table(p):
 
 def test_jacobi_array_euler_criterion_full_range():
     # every odd prime p <= 10^4 against all |a| <= 10^4
-    spf = build_sieve(10_000).smallest_prime_factor
-    primes = [p for p in range(3, 10_001, 2) if spf[p] == p]
+    primes = _kernels.primes_up_to(10_000)[1:].tolist()
     a = np.arange(-10_000, 10_001, dtype=np.int64)
     for lo in range(0, len(primes), 64):
         chunk = primes[lo : lo + 64]

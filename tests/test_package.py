@@ -20,10 +20,8 @@ README = ROOT / "README.md"
 def test_exported_names():
     # the public surface changes only on purpose
     assert biquad_hnp.__all__ == [
-        "FactorSieve",
         "InvalidFieldError",
         "CountReport",
-        "build_sieve",
         "from_generators",
         "field_values",
         "oracle_row",

@@ -8,11 +8,12 @@ and each runs here as run.py runs it: ``python -c`` on this checkout's
 src/.
 
 A traced run (``run.py --trace 1``) runs the CLI under tracer.py, which
-wraps arith.build_sieve, _kernels.enumerate_block, the dedup, the sink
-argument of enumerate_fields and the public functions of asymptotics by
-name, and reads the sieve's tables and the kernel's and the dedup's
-results.  The smoke tests run tracer.py the same way, unedited, and
-read its layer metrics.
+wraps _kernels.enumerate_block, the dedup, the sink argument of
+enumerate_fields and the public functions of asymptotics by name, and
+reads the kernel's and the dedup's results.  It skips the names that src
+does not define: arith.build_sieve is one, so its layer reads 0.  The
+smoke tests run tracer.py the same way, unedited, and read its layer
+metrics.
 """
 
 import ast
@@ -58,6 +59,22 @@ def test_benchmark_snippet_runs_on_src(name):
         cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_setup_entry_loads_no_dataclasses():
+    # the modules that setup_s times: dataclasses loads with the commands
+    # that import enumeration or asymptotics, not with the CLI
+    code = _snippets()["SETUP_ENTRY"] + "; import sys; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def _tracer():
